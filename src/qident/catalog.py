@@ -1,11 +1,12 @@
 """Curated corpus of verifiable identities with parameterized builders.
 
-Every entry carries a statement tree (exported as canonical text) plus
-whatever the verifier needs at runtime.  Series-mode entries lower both
-sides through `validate_identity`, so the statement text is the single
-source of truth.  z-coefficient entries compare one z-power at a time:
-their left side is a closed-form coefficient function and their right
-side a ZSeries builder.
+Every entry is defined by its statement alone: a builder writes the
+statement tree (exported as canonical text) and `get_identity` lowers it
+through `validate_identity`, so the text is the single source of truth.
+Entries whose statement declares ``z`` (the kernel lemmas of the
+constant-term proof) are compared one z-power at a time, over a default
+z-window the registry keeps.  `verify_identity` checks any lowered
+statement, from the catalog or from a file.
 """
 
 from __future__ import annotations
@@ -14,19 +15,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .ctengine import ZFactor, ZSeries, binom2, expand_zfactors, jtp_zseries, \
-    verify_zcoeff_identity, zmul
-from .qfactorial import (
-    INF,
-    FactorSpec,
-    NotTruncatable,
-    ProductSpec,
-    ZeroDivisor,
-    expand_product_spec,
-    poch_finite,
-    poch_recip_finite,
-)
-from .qring import Monomial, QSeriesError, Series
+from .ctengine import ZSumSpec, verify_zcoeff_identity
+from .qfactorial import NotTruncatable, expand_product_spec
+from .qring import QSeriesError
 from .report import VerificationReport, compare_series
 from .speclang import (
     ExpPoly,
@@ -34,6 +25,7 @@ from .speclang import (
     Group,
     IdentityAST,
     IntAtom,
+    LoweredIdentity,
     MonoPow,
     Mul,
     PochCall,
@@ -42,15 +34,7 @@ from .speclang import (
     serialize_identity,
     validate_identity,
 )
-from .summation import (
-    DomainError,
-    EnumerationCapped,
-    NegativeValuationResidual,
-    SumSpec,
-    enumerate_support,
-    eval_sum,
-    eval_sum_over,
-)
+from .summation import SumSpec, enumerate_support, eval_sum_over, rescale_sum
 
 
 class UnknownKey(Exception):
@@ -64,25 +48,13 @@ class ParamOutOfRange(Exception):
 # ------------------------------------------------------------- entry objects
 
 
-@dataclass(frozen=True)
-class ZParts:
-    """Runtime pieces for identities checked one z-power at a time."""
-
-    coeff_fn: Callable[[int, int], Series]        # (zexp, order) -> lhs coeff
-    rhs_fn: Callable[[int, object], ZSeries]      # (order, zwindow) -> rhs
-    zwindow: tuple[int, int]                      # default window
-
-
 @dataclass(eq=False)
 class Identity:
     key: str
     params: tuple[tuple[str, int], ...]
-    mode: str                                     # "series" | "zcoeff"
     ast: IdentityAST
-    provenance: str
-    lhs: object | None = None                     # SumSpec | ProductSpec
-    rhs: object | None = None
-    zparts: ZParts | None = None
+    lowered: LoweredIdentity
+    zwindow: tuple[int, int] | None = None        # default, statements in z
 
     @property
     def name(self) -> str:
@@ -91,6 +63,14 @@ class Identity:
     @property
     def text(self) -> str:
         return serialize_identity(self.ast)
+
+    @property
+    def details(self) -> dict:
+        """Leading details of a report: the key and any parameters."""
+        out: dict = {"key": self.key}
+        if self.params:
+            out["params"] = dict(self.params)
+        return out
 
 
 @dataclass(frozen=True)
@@ -106,10 +86,14 @@ class CatalogEntry:
     key: str
     summary: str
     provenance: str
-    mode: str
     params: tuple[ParamSpec, ...]
     defaults: tuple[tuple[tuple[str, int], ...], ...]
-    builder: Callable = field(compare=False)
+    builder: Callable = field(compare=False)      # params -> (vars, lhs, rhs)
+    zwindow: tuple[int, int] | None = None
+
+    @property
+    def mode(self) -> str:
+        return "series" if self.zwindow is None else "zcoeff"
 
 
 # ------------------------------------------------------- statement shorthand
@@ -162,24 +146,13 @@ def _name_for(key: str, params) -> str:
     return key.replace("-", "_") + bits
 
 
-def _ast(key, params, vars_, lhs: Expr, rhs: Expr) -> IdentityAST:
-    return IdentityAST(_name_for(key, params), tuple(vars_), (), lhs, rhs)
-
-
 Q1 = (("q", 1),)
 
 
-def _series(key, params, provenance, vars_, lhs, rhs) -> Identity:
-    ast = _ast(key, params, vars_, lhs, rhs)
-    lowered = validate_identity(ast)
-    return Identity(key, tuple(params), "series", ast, provenance,
-                    lowered.lhs, lowered.rhs)
+# ------------------------------------------------------------------ builders
 
 
-# --------------------------------------------------------- series-mode builders
-
-
-def _build_rr(key: str, shift: int, moduli: tuple[int, int]) -> Identity:
+def _build_rr(shift: int, moduli: tuple[int, int]):
     n = _EV("n")
     lhs = _expr([_sum((("n", "N"),),
                       [_m("q", n * n + n.scale(shift))],
@@ -187,8 +160,7 @@ def _build_rr(key: str, shift: int, moduli: tuple[int, int]) -> Identity:
     rhs = _expr([IntAtom(1)],
                 [_pc((("q", moduli[0]),), (("q", 5),), None),
                  _pc((("q", moduli[1]),), (("q", 5),), None)])
-    provenance = "classical Rogers-Ramanujan pair"
-    return _series(key, (), provenance, (), lhs, rhs)
+    return (), lhs, rhs
 
 
 def _staircase_quad(k: int, i: int) -> tuple[ExpPoly, list[str]]:
@@ -208,7 +180,7 @@ def _staircase_quad(k: int, i: int) -> tuple[ExpPoly, list[str]]:
     return quad, names
 
 
-def _build_staircase(key: str, k: int, i: int, last_base: int) -> Identity:
+def _build_staircase(k: int, i: int, last_base: int):
     quad, names = _staircase_quad(k, i)
     dens = [_pc(Q1, Q1, _EV(nm)) for nm in names]
     if last_base == 2:
@@ -220,9 +192,7 @@ def _build_staircase(key: str, k: int, i: int, last_base: int) -> Identity:
                  _pc((("q", modulus - i),), (("q", modulus),), None),
                  _pc((("q", modulus),), (("q", modulus),), None)],
                 [_pc(Q1, Q1, None)])
-    provenance = ("Andrews-Gordon family" if last_base == 1
-                  else "Bressoud even-modulus family")
-    return _series(key, (("i", i), ("k", k)), provenance, (), lhs, rhs)
+    return (), lhs, rhs
 
 
 def _hex_quad(a: str, b: str) -> ExpPoly:
@@ -237,7 +207,7 @@ def _double_product_rhs() -> Expr:
                  [_pc(Q1, Q1, None)])
 
 
-def _build_main() -> Identity:
+def _build_main():
     i, j = _EV("i"), _EV("j")
     lhs = _expr([_sum((("i", "Z"), ("j", "Z")),
                       [_m("x", i), _m("y", j), _m("q", _hex_quad("i", "j"))],
@@ -249,31 +219,26 @@ def _build_main() -> Identity:
                  _pc((("q", 2),), (("q", 2),), None)],
                 [_pc((("x", 1), ("q", 1)), Q1, None),
                  _pc((("y", 1), ("q", 1)), Q1, None)])
-    return _series("main", (), "bilateral double-sum product identity",
-                   ("x", "y"), lhs, rhs)
+    return ("x", "y"), lhs, rhs
 
 
-def _build_cor_double() -> Identity:
+def _build_cor_double():
     lhs = _expr([_sum((("i", "N"), ("j", "N")),
                       [_m("q", _hex_quad("i", "j"))],
                       [_pc(Q1, Q1, _EV("i")), _pc(Q1, Q1, _EV("j"))])])
-    return _series("cor-double", (),
-                   "x = y = 1 slice of the bilateral double sum",
-                   (), lhs, _double_product_rhs())
+    return (), lhs, _double_product_rhs()
 
 
-def _build_cor_triple() -> Identity:
+def _build_cor_triple():
     i, j, k = _EV("i"), _EV("j"), _EV("k")
     quad = i * i + j * j + k * k + i * k + j * k
     lhs = _expr([_sum((("i", "N"), ("j", "N"), ("k", "N")),
                       [_m("q", quad)],
                       [_pc(Q1, Q1, i), _pc(Q1, Q1, j), _pc(Q1, Q1, k)])])
-    return _series("cor-triple", (),
-                   "triple sum sharing the double-sum product side",
-                   (), lhs, _double_product_rhs())
+    return (), lhs, _double_product_rhs()
 
 
-def _build_cor_multi(ell: int) -> Identity:
+def _build_cor_multi(ell: int):
     names = [f"n{t}" for t in range(1, ell + 1)]
 
     def tail(first: int) -> ExpPoly:
@@ -291,9 +256,7 @@ def _build_cor_multi(ell: int) -> Identity:
     lhs = _expr([_sum([(nm, "N") for nm in names],
                       [_m("q", quad)],
                       [_pc(Q1, Q1, _EV(nm)) for nm in names])])
-    return _series("cor-multi", (("ell", ell),),
-                   "ell-fold sum sharing the double-sum product side",
-                   (), lhs, _double_product_rhs())
+    return (), lhs, _double_product_rhs()
 
 
 def _cao_wang_quad(a: int, i: ExpPoly, j: ExpPoly) -> ExpPoly:
@@ -301,7 +264,7 @@ def _cao_wang_quad(a: int, i: ExpPoly, j: ExpPoly) -> ExpPoly:
             + (j - i).binom2().scale(a))
 
 
-def _build_cao_wang(a: int) -> Identity:
+def _build_cao_wang(a: int):
     i, j = _EV("i"), _EV("j")
     lhs = _expr([_sum((("i", "N"), ("j", "N")),
                       [_m("u", i - j), _m("q", _cao_wang_quad(a, i, j))],
@@ -311,22 +274,18 @@ def _build_cao_wang(a: int) -> Identity:
                  _pc((("u", -1), ("q", 1)), base, None, -1),
                  _pc((("q", a + 1),), base, None)],
                 [_pc(Q1, Q1, None)])
-    return _series("cao-wang", (("a", a),),
-                   "two-parameter double-sum family with weight u^(i-j)",
-                   ("u",), lhs, rhs)
+    return ("u",), lhs, rhs
 
 
-def _build_remark_ua1() -> Identity:
+def _build_remark_ua1():
     i, j = _EV("i"), _EV("j")
     lhs = _expr([_sum((("i", "N"), ("j", "N")),
                       [_m("q", _cao_wang_quad(1, i, j))],
                       [_pc(Q1, Q1, i), _pc(Q1, Q1, j)])])
-    return _series("remark-ua1", (),
-                   "u = a = 1 slice of the two-parameter family",
-                   (), lhs, _double_product_rhs())
+    return (), lhs, _double_product_rhs()
 
 
-def _build_andrews_p20(i: int, j: int) -> Identity:
+def _build_andrews_p20(i: int, j: int):
     k = _EV("k")
     lhs = _expr([IntAtom(1)], [_pc(Q1, Q1, i), _pc(Q1, Q1, j)])
     quad = k * k - k.scale(i + j) + _EC(i * j)
@@ -335,47 +294,21 @@ def _build_andrews_p20(i: int, j: int) -> Identity:
                       [_pc(Q1, Q1, k),
                        _pc(Q1, Q1, _EC(i) - k),
                        _pc(Q1, Q1, _EC(j) - k)])])
-    return _series("andrews-p20", (("i", i), ("j", j)),
-                   "finite splitting of a double factorial denominator",
-                   (), lhs, rhs)
+    return (), lhs, rhs
 
 
-# -------------------------------------------------------- zcoeff-mode builders
-
-
-def _scale_product(factors) -> Callable[[int], Series]:
-    spec = ProductSpec(tuple(factors))
-    return lambda order: expand_product_spec(spec, order)
-
-
-def _build_q_binomial() -> Identity:
+def _build_q_binomial():
     kk = _EV("k")
     lhs = _expr([_sum((("k", "N"),),
                       [_pc((("a", 1),), Q1, kk), _m("z", kk)],
                       [_pc(Q1, Q1, kk)])])
     rhs = _expr([_pc((("a", 1), ("z", 1)), Q1, None)],
                 [_pc((("z", 1),), Q1, None)])
-    ast = _ast("q-binomial", (), ("a", "z"), lhs, rhs)
-
-    def coeff(k: int, order: int) -> Series:
-        if k < 0:
-            return Series.zero(order)
-        return (poch_finite(Monomial.var("a"), 1, k, order)
-                * poch_recip_finite(Monomial.q(), 1, k, order))
-
-    def rhs_fn(order: int, zwindow) -> ZSeries:
-        return expand_zfactors(
-            [ZFactor(Monomial.var("a")),
-             ZFactor(Monomial.unit(), 1, 1, -1)], order, zwindow)
-
-    return Identity("q-binomial", (), "zcoeff", ast,
-                    "classical q-binomial theorem",
-                    zparts=ZParts(coeff, rhs_fn, (0, 6)))
+    return ("a", "z"), lhs, rhs
 
 
-def _build_1psi1(m: int) -> Identity:
+def _build_1psi1(m: int):
     kk = _EV("k")
-    a = Monomial.var("a")
     lhs = _expr([_sum((("k", "Z"),),
                       [_pc((("a", 1),), Q1, kk), _m("z", kk)],
                       [_pc((("q", m),), Q1, kk)])])
@@ -387,32 +320,10 @@ def _build_1psi1(m: int) -> Identity:
                  _pc((("z", 1),), Q1, None),
                  _pc((("a", -1), ("z", -1), ("q", m)), Q1, None),
                  _pc((("a", -1), ("q", 1)), Q1, None)])
-    ast = _ast("ramanujan-1psi1", (("m", m),), ("a", "z"), lhs, rhs)
-    scale = _scale_product([
-        FactorSpec(Monomial.q(), 1, INF, 1),
-        FactorSpec(Monomial.var("a", -1, m), 1, INF, 1),
-        FactorSpec(Monomial.q(m), 1, INF, -1),
-        FactorSpec(Monomial.var("a", -1, 1), 1, INF, -1)])
-
-    def coeff(k: int, order: int) -> Series:
-        num = poch_finite(a, 1, k, order)
-        den = poch_recip_finite(Monomial.q(m), 1, k, order)
-        return num * den
-
-    def rhs_fn(order: int, zwindow) -> ZSeries:
-        zs = expand_zfactors(
-            [ZFactor(a),
-             ZFactor(Monomial.var("a", -1, 1), -1),
-             ZFactor(Monomial.var("a", -1, m), -1, 1, -1),
-             ZFactor(Monomial.unit(), 1, 1, -1)], order, zwindow)
-        return zs.scale_series(scale(order))
-
-    return Identity("ramanujan-1psi1", (("m", m),), "zcoeff", ast,
-                    "bilateral series summation with b = q^m",
-                    zparts=ZParts(coeff, rhs_fn, (-5, 5)))
+    return ("a", "z"), lhs, rhs
 
 
-def _build_bilateral_euler(m: int) -> Identity:
+def _build_bilateral_euler(m: int):
     kk = _EV("k")
     lhs = _expr([_sum((("k", "Z"),),
                       [_sign(kk), _m("z", kk), _m("q", kk.binom2())],
@@ -421,26 +332,11 @@ def _build_bilateral_euler(m: int) -> Identity:
                  _pc((("z", -1), ("q", 1)), Q1, None)],
                 [_pc((("q", m),), Q1, None),
                  _pc((("z", -1), ("q", m)), Q1, None)])
-    ast = _ast("bilateral-euler", (("m", m),), ("z",), lhs, rhs)
-    scale = _scale_product([FactorSpec(Monomial.q(m), 1, INF, -1)])
-
-    def coeff(k: int, order: int) -> Series:
-        sgn = Monomial(-1 if k % 2 else 1, binom2(k))
-        return poch_recip_finite(Monomial.q(m), 1, k, order).mul_monomial(sgn)
-
-    def rhs_fn(order: int, zwindow) -> ZSeries:
-        zs = zmul(jtp_zseries(Monomial.unit(), order),
-                  expand_zfactors([ZFactor(Monomial.q(m), -1, 1, -1)], order))
-        return zs.scale_series(scale(order))
-
-    return Identity("bilateral-euler", (("m", m),), "zcoeff", ast,
-                    "signed bilateral expansion over (q^m; q)_k",
-                    zparts=ZParts(coeff, rhs_fn, (-4, 4)))
+    return ("z",), lhs, rhs
 
 
-def _build_circle_x() -> Identity:
+def _build_circle_x():
     ii = _EV("i")
-    xq = Monomial.var("x", qexp=1)
     lhs = _expr([_sum((("i", "Z"),),
                       [_sign(ii), _m("x", ii), _m("z", ii),
                        _m("q", ii.binom2())],
@@ -450,29 +346,11 @@ def _build_circle_x() -> Identity:
                  _pc((("x", -1), ("z", -1), ("q", 1)), Q1, None)],
                 [_pc((("x", 1), ("q", 1)), Q1, None),
                  _pc((("z", -1), ("q", 1)), Q1, None)])
-    ast = _ast("circle-x", (), ("x", "z"), lhs, rhs)
-    scale = _scale_product([FactorSpec(Monomial.q(), 1, INF, 1),
-                            FactorSpec(xq, 1, INF, -1)])
-
-    def coeff(k: int, order: int) -> Series:
-        mono = Monomial(-1 if k % 2 else 1, binom2(k), (("x", k),))
-        return poch_recip_finite(xq, 1, k, order).mul_monomial(mono)
-
-    def rhs_fn(order: int, zwindow) -> ZSeries:
-        zs = expand_zfactors(
-            [ZFactor(Monomial.var("x")),
-             ZFactor(Monomial.var("x", -1, 1), -1),
-             ZFactor(Monomial.q(), -1, 1, -1)], order)
-        return zs.scale_series(scale(order))
-
-    return Identity("circle-x", (), "zcoeff", ast,
-                    "kernel factor paired with z on the unit circle",
-                    zparts=ZParts(coeff, rhs_fn, (-4, 4)))
+    return ("x", "z"), lhs, rhs
 
 
-def _build_circle_y() -> Identity:
+def _build_circle_y():
     jj = _EV("j")
-    yq = Monomial.var("y", qexp=1)
     lhs = _expr([_sum((("j", "Z"),),
                       [_sign(jj), _m("y", jj), _m("z", -jj),
                        _m("q", jj.binom2() + jj)],
@@ -482,25 +360,7 @@ def _build_circle_y() -> Identity:
                  _pc((("y", -1), ("z", 1)), Q1, None)],
                 [_pc((("y", 1), ("q", 1)), Q1, None),
                  _pc((("z", 1),), Q1, None)])
-    ast = _ast("circle-y", (), ("y", "z"), lhs, rhs)
-    scale = _scale_product([FactorSpec(Monomial.q(), 1, INF, 1),
-                            FactorSpec(yq, 1, INF, -1)])
-
-    def coeff(k: int, order: int) -> Series:
-        j = -k
-        mono = Monomial(-1 if j % 2 else 1, binom2(j) + j, (("y", j),))
-        return poch_recip_finite(yq, 1, j, order).mul_monomial(mono)
-
-    def rhs_fn(order: int, zwindow) -> ZSeries:
-        zs = expand_zfactors(
-            [ZFactor(yq, -1),
-             ZFactor(Monomial.var("y", -1)),
-             ZFactor(Monomial.unit(), 1, 1, -1)], order, zwindow)
-        return zs.scale_series(scale(order))
-
-    return Identity("circle-y", (), "zcoeff", ast,
-                    "kernel factor paired with 1/z on the unit circle",
-                    zparts=ZParts(coeff, rhs_fn, (-4, 4)))
+    return ("y", "z"), lhs, rhs
 
 
 # ------------------------------------------------------------------ registry
@@ -521,98 +381,97 @@ def _span(lo_k=2, hi_k=4):
 _REGISTRY: dict[str, CatalogEntry] = {}
 
 
-def _register(key, summary, provenance, mode, params, defaults, builder):
-    _REGISTRY[key] = CatalogEntry(key, summary, provenance, mode,
-                                  tuple(params), _instances(*defaults),
-                                  builder)
+def _register(key, summary, provenance, params, defaults, builder,
+              zwindow=None):
+    _REGISTRY[key] = CatalogEntry(key, summary, provenance, tuple(params),
+                                  _instances(*defaults), builder, zwindow)
 
 
 _register(
     "rr1", "single sum q^(n^2)/(q;q)_n against the modulus-5 product",
-    "classical Rogers-Ramanujan pair", "series", (), [{}],
-    lambda: _build_rr("rr1", 0, (1, 4)))
+    "classical Rogers-Ramanujan pair", (), [{}],
+    lambda: _build_rr(0, (1, 4)))
 _register(
     "rr2", "single sum q^(n^2+n)/(q;q)_n against the modulus-5 product",
-    "classical Rogers-Ramanujan pair", "series", (), [{}],
-    lambda: _build_rr("rr2", 1, (2, 3)))
+    "classical Rogers-Ramanujan pair", (), [{}],
+    lambda: _build_rr(1, (2, 3)))
 _register(
     "andrews-gordon",
     "odd-modulus staircase family in k-1 unilateral indices",
-    "Andrews-Gordon family", "series",
+    "Andrews-Gordon family",
     (ParamSpec("k", 2), ParamSpec("i", 1, upper_param="k")),
     _span(),
-    lambda k, i: _build_staircase("andrews-gordon", k, i, 1))
+    lambda k, i: _build_staircase(k, i, 1))
 _register(
     "bressoud",
     "even-modulus staircase family ending in a base-q^2 factor",
-    "Bressoud even-modulus family", "series",
+    "Bressoud even-modulus family",
     (ParamSpec("k", 2), ParamSpec("i", 1, upper_param="k")),
     _span(),
-    lambda k, i: _build_staircase("bressoud", k, i, 2))
+    lambda k, i: _build_staircase(k, i, 2))
 _register(
     "ramanujan-1psi1",
     "bilateral z-series with numerator parameter a and b = q^m",
-    "bilateral series summation with b = q^m", "zcoeff",
+    "bilateral series summation with b = q^m",
     (ParamSpec("m", 1),),
     [{"m": 1}, {"m": 2}, {"m": 3}],
-    _build_1psi1)
+    _build_1psi1, (-5, 5))
 _register(
     "q-binomial", "unilateral z-series (a;q)_k z^k/(q;q)_k",
-    "classical q-binomial theorem", "zcoeff", (), [{}],
-    _build_q_binomial)
+    "classical q-binomial theorem", (), [{}],
+    _build_q_binomial, (0, 6))
 _register(
     "cao-wang",
     "double sum with weight u^(i-j) and modulus a+1 product side",
-    "two-parameter double-sum family", "series",
+    "two-parameter double-sum family",
     (ParamSpec("a", 1),),
     [{"a": 1}, {"a": 2}, {"a": 3}],
     _build_cao_wang)
 _register(
     "main",
     "bilateral double sum with hexagonal exponent i^2-ij+j^2",
-    "bilateral double-sum product identity", "series", (), [{}],
+    "bilateral double-sum product identity", (), [{}],
     _build_main)
 _register(
     "cor-double", "unilateral double sum with exponent i^2-ij+j^2",
-    "x = y = 1 slice of the bilateral double sum", "series", (), [{}],
+    "x = y = 1 slice of the bilateral double sum", (), [{}],
     _build_cor_double)
 _register(
     "cor-triple", "unilateral triple sum with the same product side",
-    "triple-sum companion of the double sum", "series", (), [{}],
+    "triple-sum companion of the double sum", (), [{}],
     _build_cor_triple)
 _register(
     "cor-multi", "ell-fold unilateral sum with the same product side",
-    "multi-sum companion family", "series",
+    "multi-sum companion family",
     (ParamSpec("ell", 4),),
     [{"ell": 4}, {"ell": 5}],
     _build_cor_multi)
 _register(
     "bilateral-euler",
     "signed bilateral z-series over (q^m;q)_k, one z-power at a time",
-    "signed bilateral expansion over (q^m; q)_k", "zcoeff",
+    "signed bilateral expansion over (q^m; q)_k",
     (ParamSpec("m", 1),),
     [{"m": 1}, {"m": 2}, {"m": 3}],
-    _build_bilateral_euler)
+    _build_bilateral_euler, (-4, 4))
 _register(
     "circle-x", "bilateral kernel factor carrying x and z",
-    "kernel factor for the constant-term replay", "zcoeff", (), [{}],
-    _build_circle_x)
+    "kernel factor for the constant-term replay", (), [{}],
+    _build_circle_x, (-4, 4))
 _register(
     "circle-y", "bilateral kernel factor carrying y and 1/z",
-    "kernel factor for the constant-term replay", "zcoeff", (), [{}],
-    _build_circle_y)
+    "kernel factor for the constant-term replay", (), [{}],
+    _build_circle_y, (-4, 4))
 _register(
     "andrews-p20",
     "finite splitting of 1/((q;q)_i (q;q)_j) into a k-sum",
-    "finite splitting lemma for factorial denominators", "series",
+    "finite splitting lemma for factorial denominators",
     (ParamSpec("i", 0), ParamSpec("j", 0)),
     [{"i": 4, "j": 5}],
     _build_andrews_p20)
 _register(
     "remark-ua1",
     "u = a = 1 slice of the two-parameter double-sum family",
-    "specialization remark for the two-parameter family", "series",
-    (), [{}],
+    "specialization remark for the two-parameter family", (), [{}],
     _build_remark_ua1)
 
 
@@ -664,7 +523,10 @@ def get_identity(key: str, **params) -> Identity:
             top = hi if hi is not None else "inf"
             raise ParamOutOfRange(
                 f"{key}: {p.name}={v} outside [{p.lo}, {top}]")
-    return entry.builder(**params)
+    inst = tuple(sorted(params.items()))
+    vars_, lhs, rhs = entry.builder(**params)
+    ast = IdentityAST(_name_for(key, inst), vars_, (), lhs, rhs)
+    return Identity(key, inst, ast, validate_identity(ast), entry.zwindow)
 
 
 def specialize_to_one(ident: Identity, names) -> Identity:
@@ -674,7 +536,7 @@ def specialize_to_one(ident: Identity, names) -> Identity:
     reciprocals (q;q)_n with n < 0 kill the new negative terms.
     """
     names = set(names)
-    if ident.mode != "series":
+    if ident.zwindow is not None:
         raise ValueError("can only specialize series-mode identities")
 
     def walk_expr(e: Expr) -> Expr:
@@ -708,59 +570,62 @@ def specialize_to_one(ident: Identity, names) -> Identity:
         ident.ast.name + "_at_" + "_".join(f"{n}1" for n in sorted(names)),
         tuple(v for v in ident.ast.vars if v not in names),
         ident.ast.params, walk_expr(ident.ast.lhs), walk_expr(ident.ast.rhs))
-    lowered = validate_identity(ast)
-    return Identity(ident.key, ident.params, "series", ast,
-                    ident.provenance, lowered.lhs, lowered.rhs)
+    return Identity(ident.key, ident.params, ast, validate_identity(ast))
 
 
-def _eval_spec(spec, order: int, shell_cap=None) -> Series:
-    if isinstance(spec, SumSpec):
-        return eval_sum(spec, order, shell_cap=shell_cap)
-    return expand_product_spec(spec, order)
-
-
-def _eval_spec_counted(spec, order: int, shell_cap):
-    """Like _eval_spec but reports support size for sum sides."""
-    if isinstance(spec, SumSpec):
-        sup = enumerate_support(spec, order, shell_cap)
-        series = eval_sum_over(spec, sup.points, order)
+def _expand(side, order: int, d: int, shell_cap):
+    """One side in base q^(1/d) to q-order order * d, plus its support."""
+    if isinstance(side, SumSpec):
+        sup = enumerate_support(side, order, shell_cap)
+        series = eval_sum_over(rescale_sum(side, d), sup.points, order * d)
         return series, {"points": len(sup.points),
                         "shells": sup.shells_scanned}
-    return expand_product_spec(spec, order), None
+    series = expand_product_spec(side, order)
+    return (series.rescale_base(d) if d > 1 else series), None
 
 
-def verify_identity(ident: Identity, order: int, zwindow=None,
-                    shell_cap=None) -> VerificationReport:
-    """Check one catalog identity coefficientwise up to `order`."""
-    info: dict = {"key": ident.key}
-    if ident.params:
-        info["params"] = dict(ident.params)
+def verify_identity(lowered: LoweredIdentity, order: int, details: dict,
+                    zwindow=None, shell_cap=None) -> VerificationReport:
+    """Check a lowered statement coefficientwise up to `order`.
+
+    The report's details start with `details` (a catalog entry's key and
+    params, or a source file).  A statement in z is compared one z-power
+    at a time over `zwindow`, an int K for [-K, K] or a (lo, hi) pair,
+    and is an error without one.
+    """
+    details = dict(details)
+    d = lowered.rescale
+    if d > 1:
+        details["qpow_denominator"] = d
     start = time.perf_counter()
     try:
-        if ident.mode == "series":
-            lhs, sup_l = _eval_spec_counted(ident.lhs, order, shell_cap)
-            rhs, sup_r = _eval_spec_counted(ident.rhs, order, shell_cap)
+        if isinstance(lowered.lhs, ZSumSpec):
+            if zwindow is None:
+                raise NotTruncatable(
+                    "a statement in z needs a z-window; pass zwindow "
+                    "(--zwindow K or LO,HI)")
+            report = verify_zcoeff_identity(
+                lowered.name, lambda k: lowered.lhs.coeff(k, order),
+                lowered.rhs.expand(order, zwindow), zwindow, order)
+            report.details = {**details, **report.details}
+        else:
+            lhs, sup_l = _expand(lowered.lhs, order, d, shell_cap)
+            rhs, sup_r = _expand(lowered.rhs, order, d, shell_cap)
             support = {side: s for side, s
                        in (("lhs", sup_l), ("rhs", sup_r)) if s}
             if support:
-                info["support"] = support
-            report = compare_series(ident.name, lhs, rhs, order, details=info)
+                details["support"] = support
+            report = compare_series(lowered.name, lhs, rhs, order * d,
+                                    details=details)
             if report.passed:
                 try:
-                    report.details["qcoeffs"] = lhs.qcoeffs(min(order, 12))
+                    report.details["qcoeffs"] = lhs.qcoeffs(
+                        min(order * d, 12))
                 except ValueError:
                     pass        # formal variables present; no linear preview
-        else:
-            zw = zwindow if zwindow is not None else ident.zparts.zwindow
-            rhs = ident.zparts.rhs_fn(order, zw)
-            report = verify_zcoeff_identity(
-                ident.name, lambda k: ident.zparts.coeff_fn(k, order),
-                rhs, zw, order)
-            report.details = {**info, **report.details}
-    except (QSeriesError, NotTruncatable, ZeroDivisor, DomainError,
-            EnumerationCapped, NegativeValuationResidual) as exc:
-        report = VerificationReport(ident.name, order, "error",
+    except QSeriesError as exc:
+        report = VerificationReport(lowered.name, order, "error",
                                     error=f"{type(exc).__name__}: {exc}",
-                                    details=info)
+                                    details=details)
     report.elapsed = time.perf_counter() - start
     return report

@@ -27,9 +27,9 @@ from .catalog import (
     verify_identity,
 )
 from .ctengine import ProofReplayError, prove_main_theorem
-from .qfactorial import NotTruncatable, ZeroDivisor, expand_product_spec
-from .qring import QSeriesError, Series
-from .report import VerificationReport, compare_series
+from .qfactorial import expand_product_spec
+from .qring import QSeriesError
+from .report import VerificationReport
 from .speclang import (
     LoweringError,
     ParseError,
@@ -38,18 +38,8 @@ from .speclang import (
     parse_file,
     validate_identity,
 )
-from .summation import (
-    DomainError,
-    EnumerationCapped,
-    NegativeValuationResidual,
-    SumSpec,
-    enumerate_support,
-    eval_sum_over,
-    eval_sum_scaled,
-)
+from .summation import SumSpec, eval_sum_scaled
 
-_RUNTIME_ERRORS = (QSeriesError, NotTruncatable, ZeroDivisor, DomainError,
-                   EnumerationCapped, NegativeValuationResidual)
 _EXIT = {"pass": 0, "mismatch": 1, "error": 2}
 
 
@@ -125,50 +115,12 @@ def _parse_zwindow(text: str | None):
 # ------------------------------------------------------------------- verify
 
 
-def _eval_side(spec, order: int, d: int, shell_cap):
-    """Expand one lowered side in base q^(1/d) to q-order `order * d`."""
-    if isinstance(spec, SumSpec):
-        sup = enumerate_support(spec, order, shell_cap)
-        meta = {"points": len(sup.points), "shells": sup.shells_scanned}
-        if d == 1:
-            return eval_sum_over(spec, sup.points, order), meta
-        series, got = eval_sum_scaled(spec, order, shell_cap)
-        return (series.rescale_base(d // got) if d > got else series), meta
-    series = expand_product_spec(spec, order)
-    return (series.rescale_base(d) if d > 1 else series), None
-
-
-def _verify_lowered(lowered, order: int, shell_cap, source: str):
-    details = {"source": source}
-    if lowered.rescale > 1:
-        details["qpow_denominator"] = lowered.rescale
-    start = time.perf_counter()
-    try:
-        lhs, sup_l = _eval_side(lowered.lhs, order, lowered.rescale, shell_cap)
-        rhs, sup_r = _eval_side(lowered.rhs, order, lowered.rescale, shell_cap)
-        support = {s: m for s, m in (("lhs", sup_l), ("rhs", sup_r)) if m}
-        if support:
-            details["support"] = support
-        report = compare_series(lowered.name, lhs, rhs,
-                                order * lowered.rescale, details=details)
-        if report.passed:
-            try:
-                report.details["qcoeffs"] = lhs.qcoeffs(
-                    min(order * lowered.rescale, 12))
-            except ValueError:
-                pass
-    except _RUNTIME_ERRORS as exc:
-        report = VerificationReport(lowered.name, order, "error",
-                                    error=_err(exc), details=details)
-    report.elapsed = time.perf_counter() - start
-    return report
-
-
 def cmd_verify(args) -> int:
     reports: list[VerificationReport] = []
     if args.catalog and args.file:
         _log("choose either --catalog or a file, not both")
         return 2
+    zwindow = _parse_zwindow(args.zwindow)
     if args.catalog:
         if args.catalog == "all":
             if args.param:
@@ -177,7 +129,6 @@ def cmd_verify(args) -> int:
             targets = default_instances()
         else:
             targets = [(args.catalog, _parse_params(args.param))]
-        zwindow = _parse_zwindow(args.zwindow)
         for key, params in targets:
             try:
                 ident = get_identity(key, **params)
@@ -185,8 +136,10 @@ def cmd_verify(args) -> int:
                 reports.append(VerificationReport(
                     key, args.order, "error", error=_err(exc)))
                 continue
-            reports.append(verify_identity(ident, args.order, zwindow=zwindow,
-                                           shell_cap=args.shell_cap))
+            reports.append(verify_identity(
+                ident.lowered, args.order, ident.details,
+                zwindow=ident.zwindow if zwindow is None else zwindow,
+                shell_cap=args.shell_cap))
     elif args.file:
         text = Path(args.file).read_text()
         try:
@@ -202,8 +155,10 @@ def cmd_verify(args) -> int:
                 reports.append(VerificationReport(
                     ast.name, args.order, "error", error=_err(exc)))
                 continue
-            reports.append(_verify_lowered(lowered, args.order,
-                                           args.shell_cap, args.file))
+            reports.append(verify_identity(lowered, args.order,
+                                           {"source": args.file},
+                                           zwindow=zwindow,
+                                           shell_cap=args.shell_cap))
     else:
         _log("nothing to verify: give --catalog KEY or an identity file")
         return 2
@@ -235,12 +190,10 @@ def cmd_expand(args) -> int:
         return 2
     try:
         if isinstance(spec, SumSpec):
-            series, got = eval_sum_scaled(spec, args.order, args.shell_cap)
-            if d > got:
-                series = series.rescale_base(d // got)
+            series = eval_sum_scaled(spec, args.order, args.shell_cap)[0]
         else:
             series = expand_product_spec(spec, args.order)
-    except _RUNTIME_ERRORS as exc:
+    except QSeriesError as exc:
         _emit({"status": "error", "error": _err(exc)})
         _log(f"[error] {_err(exc)}")
         return 2

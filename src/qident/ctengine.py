@@ -37,6 +37,7 @@ from .summation import (
     SumSpec,
     eval_sum,
     make_sum_spec,
+    term_series,
 )
 
 
@@ -97,29 +98,6 @@ class ZSeries:
         order = self.order + min(0, v)
         return ZSeries({k: c * s for k, c in self.coeffs.items()},
                        order, self.bounds)
-
-    def substitute(self, mono: Monomial | None = None,
-                   invert: bool = False) -> "ZSeries":
-        """Replace z by mono*z, or by mono/z when `invert` is set.
-
-        Only monomials free of q are allowed: a q-shift moves valuations
-        by k-dependent amounts and the absent z-powers near the window
-        edge would silently stop satisfying the window invariant.  (For
-        triple products the q-shifted substitution z -> q/z is never
-        needed: it reproduces another triple product, see jtp_zseries.)
-        """
-        mono = Monomial.unit() if mono is None else mono
-        if mono.qexp != 0:
-            raise NotTruncatable(
-                "substituting a q-carrying monomial for z shifts the window "
-                "edge unsoundly; rebuild the expansion instead")
-        out: dict[int, Series] = {}
-        for k, s in self.coeffs.items():
-            out[-k if invert else k] = s.mul_monomial(mono ** k)
-        b = self.bounds
-        if b is not None and invert:
-            b = (-b[1], -b[0])
-        return ZSeries(out, self.order, b)
 
     def __repr__(self) -> str:
         w = self.window
@@ -287,7 +265,9 @@ def expand_zfactors(factors, order: int, zwindow=None) -> ZSeries:
     """
     closed = ZSeries.unit(order)
     opens: list[ZFactor] = []
-    for f in factors:
+    # An open factor's tail has the widest z-range; multiplied in last,
+    # it keeps the intermediate products small.
+    for f in sorted(factors, key=lambda f: f.is_open):
         if f.expo == 1:
             if f.mon.qexp < 0:
                 raise NotTruncatable(
@@ -327,6 +307,37 @@ def expand_zfactors(factors, order: int, zwindow=None) -> ZSeries:
                 acc = acc + s.mul_monomial(open_f.mon ** (d // open_f.zexp))
         folded[k] = acc
     return ZSeries(folded, order, bounds=(lo, hi))
+
+
+@dataclass(frozen=True)
+class ZSumSpec:
+    """A one-index sum of summand(n) * z^(zsign * n), one z-power at a time.
+
+    `spec` is the z-free summand; it may carry numerator factorials,
+    because only single terms are ever evaluated.
+    """
+
+    spec: SumSpec
+    zsign: int
+
+    def coeff(self, k: int, order: int) -> Series:
+        """[z^k]: the summand at n = zsign * k, or 0 outside the domain."""
+        n = self.zsign * k
+        if n < 0 and self.spec.domains[0] == "N":
+            return Series.zero(order)
+        return term_series(self.spec, (n,), order)
+
+
+@dataclass(frozen=True)
+class ZProductSpec:
+    """z-carrying infinite factors times a z-free product."""
+
+    zfactors: tuple[ZFactor, ...]
+    rest: ProductSpec
+
+    def expand(self, order: int, zwindow=None) -> ZSeries:
+        zs = expand_zfactors(self.zfactors, order, zwindow)
+        return zs.scale_series(expand_product_spec(self.rest, order))
 
 
 # --------------------------------------------------------- per-z verification

@@ -254,14 +254,6 @@ class Series:
         return Series({k: c * v for k, v in self.terms.items()},
                       self.order, self.floor, exact=self.exact)
 
-    def rename_vars(self, mapping: Mapping[str, str]) -> "Series":
-        """Bijectively rename formal variables (used e.g. for symmetry checks)."""
-        terms = {}
-        for (qe, vk), c in self.terms.items():
-            nk = _normalize_vars(tuple((mapping.get(n, n), e) for n, e in vk))
-            terms[(qe, nk)] = c
-        return Series(terms, self.order, self.floor, exact=self.exact)
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":
@@ -383,17 +375,6 @@ class Series:
         terms = {(qe * d, vk): c for (qe, vk), c in self.terms.items()}
         return Series(terms, self.order * d, self.floor * d, exact=self.exact)
 
-    def rescale_down(self, d: int) -> "Series":
-        """Inverse of rescale_base; every q-exponent must be divisible by d."""
-        if d < 1:
-            raise ValueError("rescale factor must be a positive integer")
-        terms = {}
-        for (qe, vk), c in self.terms.items():
-            if qe % d:
-                raise ValueError(f"exponent q^{qe} not divisible by {d}")
-            terms[(qe // d, vk)] = c
-        return Series(terms, self.order // d, self.floor // d, exact=self.exact)
-
     # -- comparison / text ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -473,42 +454,6 @@ def product_capped(factors: list[Series], cap: int) -> Series:
         if acc.is_zero() and not acc.exact:
             return Series({}, cap, 0)
     return _clamp(acc, cap)
-
-
-# -- spec-level operation names ------------------------------------------
-
-
-def series_add(s1: Series, s2: Series) -> Series:
-    return s1 + s2
-
-
-def series_mul(s1: Series, s2: Series) -> Series:
-    """Product with the truncation-soundness contract enforced.
-
-    If an operand carries negative q-exponents and the other is truncated
-    too tightly to absorb them, the requested order cannot be met and
-    TruncationUnsound is raised (by __mul__'s cap computation when nothing
-    is representable, or here when the usual min-order contract fails).
-    """
-    res = s1 * s2
-    targets = [s.order for s in (s1, s2) if not s.exact]
-    if targets and res.order < min(targets):
-        raise TruncationUnsound(
-            f"product sound only to order {res.order}, below operand order "
-            f"{min(targets)}; widen the truncated operand first")
-    return res
-
-
-def series_invert(s: Series, order: int | None = None) -> Series:
-    return s.invert(order)
-
-
-def series_coeff(s: Series, qexp: int, vars: Mapping[str, int] | VKey = ()) -> int:
-    return s.coeff(qexp, vars)
-
-
-def series_rescale_base(s: Series, d: int) -> Series:
-    return s.rescale_base(d)
 
 
 def parse_series(text: str) -> Series:

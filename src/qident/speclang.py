@@ -9,16 +9,18 @@ rendering that parses back to an equal tree and is a byte-level fixed
 point, which is what the round-trip tests pin down.
 
 Parsing is purely syntactic; ``validate_identity`` lowers the tree onto
-the evaluation types (`SumSpec` / `ProductSpec`) and is where divisions,
-domains and truncatability get checked.
+the evaluation types (`SumSpec` / `ProductSpec`, or `ZSumSpec` /
+`ZProductSpec` for a statement that declares ``z``) and is where
+divisions, domains and truncatability get checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
+from .ctengine import ZFactor, ZProductSpec, ZSumSpec
 from .qfactorial import INF, FactorSpec, ProductSpec
 from .qring import Monomial
 from .summation import (
@@ -759,6 +761,9 @@ def serialize_identity(ast: IdentityAST) -> str:
 class LoweredIdentity:
     """An identity lowered to evaluation specs.
 
+    A statement that declares ``z`` lowers to a `ZSumSpec` left side and
+    a `ZProductSpec` right side, compared one z-power at a time.
+
     ``rescale`` is 1 when both sides live in integer q-powers; otherwise
     it is the least d for which substituting q^(1/d) -> q clears every
     exponent (callers must then expand at d times the order).
@@ -766,8 +771,8 @@ class LoweredIdentity:
 
     name: str
     vars: tuple[str, ...]
-    lhs: SumSpec | ProductSpec
-    rhs: SumSpec | ProductSpec
+    lhs: SumSpec | ProductSpec | ZSumSpec
+    rhs: SumSpec | ProductSpec | ZProductSpec
     rescale: int = 1
 
 
@@ -874,7 +879,11 @@ def _try_sign_base(factor) -> bool:
             and mul.factors[0][1] == IntAtom(1))
 
 
-def _lower_sum(node: SumCall, formal: set[str], params: dict) -> SumSpec:
+def _lower_sum(node: SumCall, formal: set[str], params: dict,
+               one_point: bool = False) -> SumSpec:
+    """Lower a sum node; `one_point` admits what single-term evaluation
+    can take but support enumeration cannot (numerator factorials, any
+    quadratic part)."""
     indices = [n for n, _ in node.decls]
     domains = "".join(d for _, d in node.decls)
     if len(set(indices)) != len(indices):
@@ -886,6 +895,7 @@ def _lower_sum(node: SumCall, formal: set[str], params: dict) -> SumSpec:
     signform: AffineForm | None = None
     weights: dict[str, list[int]] = {}
     denoms: list[DenomFactor] = []
+    numers: list[DenomFactor] = []
     for op, factor in _unwrap_factors(_single_term(node.body, "a summand")):
         if isinstance(factor, IntAtom):
             if factor.value != 1:
@@ -911,7 +921,7 @@ def _lower_sum(node: SumCall, formal: set[str], params: dict) -> SumSpec:
                 for i, c in enumerate(aff.coeffs):
                     w[i] += int(c)
         elif isinstance(factor, PochCall):
-            if op > 0:
+            if op > 0 and not one_point:
                 raise LoweringError(
                     "Pochhammer factors in a summand numerator are not "
                     "lowerable; only reciprocals are")
@@ -920,7 +930,7 @@ def _lower_sum(node: SumCall, formal: set[str], params: dict) -> SumSpec:
                     "infinite products do not belong inside a sum")
             count = _as_affine(factor.count.substitute(params), indices,
                                "Pochhammer subscript")
-            denoms.append(DenomFactor(
+            (numers if op > 0 else denoms).append(DenomFactor(
                 _monomial_from_key(factor.arg, factor.coeff),
                 _base_qexp(factor.base), count))
         elif _try_sign_base(factor):
@@ -934,8 +944,9 @@ def _lower_sum(node: SumCall, formal: set[str], params: dict) -> SumSpec:
     quadform = _as_quadform(quad.substitute(params), indices)
     spec = make_sum_spec(
         len(indices), domains, quadform, signform,
-        {n: tuple(w) for n, w in weights.items() if any(w)}, tuple(denoms))
-    if "Z" in domains and not _bilateral_positive_definite(spec):
+        {n: tuple(w) for n, w in weights.items() if any(w)}, denoms, numers)
+    if not one_point and "Z" in domains \
+            and not _bilateral_positive_definite(spec):
         raise LoweringError(
             "bilateral sum with an indefinite quadratic part cannot be "
             "enumerated soundly")
@@ -1006,7 +1017,8 @@ def _lower_product(factors, params: dict) -> ProductSpec:
     return ProductSpec(tuple(out), prefactor)
 
 
-def _lower_side(expr: Expr, formal: set[str], params: dict):
+def _lower_side(expr: Expr, formal: set[str], params: dict,
+                one_point: bool = False):
     factors = _unwrap_factors(_single_term(expr, "each side"))
     sums = [f for _, f in factors if isinstance(f, SumCall)]
     if sums:
@@ -1014,34 +1026,68 @@ def _lower_side(expr: Expr, formal: set[str], params: dict):
             raise LoweringError(
                 "a sum must stand alone on its side; prefactors are not "
                 "supported")
-        return _lower_sum(sums[0], formal, params)
+        return _lower_sum(sums[0], formal, params, one_point)
     return _lower_product(factors, params)
 
 
-def _clearing_factor(spec) -> int:
-    """Least d with d*Q integral on the lattice, from the basis values."""
+def _base_scale(side) -> int:
+    return side.base_scale() if isinstance(side, SumSpec) else 1
+
+
+def _lower_zsum(expr: Expr, formal: set[str], params: dict) -> ZSumSpec:
+    spec = _lower_side(expr, formal, params, one_point=True)
     if not isinstance(spec, SumSpec):
-        return 1
-    dim = spec.dim
-    points = [tuple([0] * dim)]
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        points.append(tuple(e))
-        for j in range(i + 1, dim):
-            ee = list(e)
-            ee[j] = 1
-            points.append(tuple(ee))
-    return lcm(*(spec.quad.evaluate(p).denominator for p in points))
+        raise LoweringError("a statement in z needs a sum on its left side")
+    zweight = dict(spec.varweights).get("z")
+    if spec.dim != 1 or zweight not in ((1,), (-1,)):
+        raise LoweringError("a sum in z needs one index n and the z-power "
+                            "z^n or z^(-n)")
+    if any("z" in dict(f.arg.vars) for f in spec.denoms + spec.numers):
+        raise LoweringError("z may only appear as z^n in a summand")
+    if spec.base_scale() > 1:
+        raise LoweringError("a statement in z needs integral q-exponents")
+    free = tuple(w for w in spec.varweights if w[0] != "z")
+    return ZSumSpec(replace(spec, varweights=free), zweight[0])
+
+
+def _lower_zproduct(expr: Expr, formal: set[str],
+                    params: dict) -> ZProductSpec:
+    spec = _lower_side(expr, formal, params)
+    if not isinstance(spec, ProductSpec):
+        raise LoweringError("a statement in z needs a product on its right "
+                            "side")
+    if "z" in dict(spec.prefactor.vars):
+        raise LoweringError("z may only appear inside Pochhammer symbols on "
+                            "the product side")
+    zfactors: list[ZFactor] = []
+    rest: list[FactorSpec] = []
+    for f in spec.factors:
+        zexp = dict(f.arg.vars).get("z")
+        if zexp is None:
+            rest.append(f)
+            continue
+        if f.count is not INF:
+            raise LoweringError("a Pochhammer symbol carrying z must be an "
+                                "infinite product")
+        mon = Monomial(f.arg.coeff, f.arg.qexp,
+                       tuple(v for v in f.arg.vars if v[0] != "z"))
+        zfactors += [ZFactor(mon, zexp, f.basepow, 1 if f.expo > 0 else -1)
+                     ] * abs(f.expo)
+    return ZProductSpec(tuple(zfactors), ProductSpec(tuple(rest),
+                                                     spec.prefactor))
 
 
 def validate_identity(ast: IdentityAST) -> LoweredIdentity:
     """Lower both sides onto evaluation specs, checking evaluability."""
     params = dict(ast.params)
     formal = set(ast.vars)
+    if "z" in formal:
+        return LoweredIdentity(ast.name, ast.vars,
+                               _lower_zsum(ast.lhs, formal, params),
+                               _lower_zproduct(ast.rhs, formal, params))
     lhs = _lower_side(ast.lhs, formal, params)
     rhs = _lower_side(ast.rhs, formal, params)
-    rescale = lcm(_clearing_factor(lhs), _clearing_factor(rhs))
+    rescale = lcm(_base_scale(lhs), _base_scale(rhs))
     return LoweredIdentity(ast.name, ast.vars, lhs, rhs, rescale)
 
 
@@ -1052,4 +1098,4 @@ def lower_expression(expr: Expr) -> tuple:
     LoweredIdentity, d > 1 means q in the returned spec stands for q^(1/d).
     """
     spec = _lower_side(expr, set(), {})
-    return spec, _clearing_factor(spec)
+    return spec, _base_scale(spec)

@@ -161,7 +161,8 @@ class QuadForm:
 
 @dataclass(frozen=True)
 class DenomFactor:
-    """One reciprocal factor 1 / (arg; q^basepow)_{count(n)}."""
+    """One factor (arg; q^basepow)_{count(n)}: a reciprocal in
+    `SumSpec.denoms`, a numerator in `SumSpec.numers`."""
 
     arg: Monomial
     basepow: int
@@ -176,6 +177,9 @@ class SumSpec:
     signform: AffineForm | None = None
     varweights: tuple[tuple[str, tuple[int, ...]], ...] = ()
     denoms: tuple[DenomFactor, ...] = ()
+    # Numerator factorials put no bound on the support, so a spec with
+    # any is evaluated one point at a time (term_series), never summed.
+    numers: tuple[DenomFactor, ...] = ()
 
     def __post_init__(self):
         if len(self.domains) != self.dim or self.quad.dim != self.dim:
@@ -186,17 +190,33 @@ class SumSpec:
         for _, w in self.varweights:
             if len(w) != self.dim:
                 raise DomainError("variable weight vector has wrong length")
-        for f in self.denoms:
+        for f in self.denoms + self.numers:
             if f.count.dim != self.dim:
-                raise DomainError("denominator subscript has wrong arity")
+                raise DomainError("Pochhammer subscript has wrong arity")
+
+    def base_scale(self) -> int:
+        """Least d for which d*Q takes integer values on the whole lattice.
+
+        A quadratic is integer-valued exactly when its coefficients in the
+        basis 1, n_i, binom(n_i, 2), n_i*n_j are integers, and those
+        coefficients are integer combinations of Q at 0, e_i, 2e_i and
+        e_i + e_j; so those points decide d.
+        """
+        unit = [tuple(int(k == i) for k in range(self.dim))
+                for i in range(self.dim)]
+        points = [(0,) * self.dim] + unit + [
+            tuple(a + b for a, b in zip(u, v))
+            for i, u in enumerate(unit) for v in unit[i:]]
+        return lcm(*(self.quad.evaluate(p).denominator for p in points))
 
 
 def make_sum_spec(dim, domains, quad, signform=None, varweights=None,
-                  denoms=()) -> SumSpec:
+                  denoms=(), numers=()) -> SumSpec:
     """Normalizing constructor: accepts str domains and dict varweights."""
     vw = tuple(sorted((name, tuple(vec))
                       for name, vec in (varweights or {}).items()))
-    return SumSpec(dim, tuple(domains), quad, signform, vw, tuple(denoms))
+    return SumSpec(dim, tuple(domains), quad, signform, vw, tuple(denoms),
+                   tuple(numers))
 
 
 @dataclass(frozen=True)
@@ -270,21 +290,24 @@ def term_series(spec: SumSpec, point, order: int) -> Series:
             exps[name] = e
     mono = Monomial(sign, int(q), tuple(sorted(exps.items())))
 
-    offsets = 0
-    counts = []
-    for f in spec.denoms:
+    recips = [(f.arg, f.basepow, _int_value(f.count, point, "subscript"))
+              for f in spec.denoms]
+    for f in spec.numers:
+        # (a; q^b)_n = 1 / (a q^(b n); q^b)_(-n) for every integer n
         n = _int_value(f.count, point, "subscript")
-        off = _recip_offset(f.arg, f.basepow, n)
+        recips.append((f.arg * Monomial.q(f.basepow * n), f.basepow, -n))
+    offsets = 0
+    for arg, basepow, n in recips:
+        off = _recip_offset(arg, basepow, n)
         if off is None:
             return Series.zero(order)
         offsets += off
-        counts.append(n)
 
     widened = order - offsets  # inverse factors must outreach the Laurent dip
     exact_parts: list[Series] = []
     inverse_parts: list[Series] = []
-    for f, n in zip(spec.denoms, counts):
-        piece = poch_recip_finite(f.arg, f.basepow, n, widened)
+    for arg, basepow, n in recips:
+        piece = poch_recip_finite(arg, basepow, n, widened)
         (exact_parts if piece.exact else inverse_parts).append(piece)
 
     pieces = [Series.from_monomial(mono)] + exact_parts + inverse_parts
@@ -429,6 +452,9 @@ def enumerate_support(spec: SumSpec, order: int,
     clear shells prove nothing, so scanning continues to the cap and
     fails loudly.
     """
+    if spec.numers:
+        raise DomainError("numerator factorials leave the support unbounded; "
+                          "only single terms can be evaluated")
     cap = shell_cap if shell_cap is not None else 4 * (order + 4)
     pd_ok = _bilateral_positive_definite(spec)
     if not pd_ok:
@@ -465,13 +491,15 @@ def enumerate_support(spec: SumSpec, order: int,
 # ------------------------------------------------------------------- eval
 
 
-def _rescale_spec(spec: SumSpec, d: int) -> SumSpec:
-    quad = spec.quad.scale(d)
+def rescale_sum(spec: SumSpec, d: int) -> SumSpec:
+    """The same sum with q replaced by q^d (the spec itself when d is 1)."""
+    if d == 1:
+        return spec
     denoms = tuple(
         DenomFactor(Monomial(f.arg.coeff, f.arg.qexp * d, f.arg.vars),
                     f.basepow * d, f.count)
         for f in spec.denoms)
-    return SumSpec(spec.dim, spec.domains, quad, spec.signform,
+    return SumSpec(spec.dim, spec.domains, spec.quad.scale(d), spec.signform,
                    spec.varweights, denoms)
 
 
@@ -498,13 +526,9 @@ def eval_sum_scaled(spec: SumSpec, order: int,
     Returns (series, d): the series' q stands for q^(1/d), its order for
     the requested order in the original base.
     """
-    report = enumerate_support(spec, order, shell_cap)
-    d = 1
-    for p in report.points:
-        d = lcm(d, spec.quad.evaluate(p).denominator)
-    if d > 1:
-        return eval_sum_over(_rescale_spec(spec, d), report.points, order * d), d
-    return eval_sum_over(spec, report.points, order), 1
+    d = spec.base_scale()
+    points = enumerate_support(spec, order, shell_cap).points
+    return eval_sum_over(rescale_sum(spec, d), points, order * d), d
 
 
 def eval_sum_over(spec: SumSpec, points, order: int) -> Series:

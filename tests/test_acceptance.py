@@ -19,8 +19,10 @@ from qident.summation import eval_sum
 
 
 def must_pass(key, order, zwindow=None, **params):
-    report = verify_identity(get_identity(key, **params), order,
-                             zwindow=zwindow)
+    ident = get_identity(key, **params)
+    report = verify_identity(
+        ident.lowered, order, ident.details,
+        zwindow=ident.zwindow if zwindow is None else zwindow)
     assert report.status == "pass", report.to_record()
     return report
 
@@ -28,7 +30,7 @@ def must_pass(key, order, zwindow=None, **params):
 def test_criterion_1_bilateral_double_sum_identity_at_order_24():
     start = time.perf_counter()
     must_pass("main", 24)
-    lhs = eval_sum(get_identity("main").lhs, 24)
+    lhs = eval_sum(get_identity("main").lowered.lhs, 24)
     assert lhs.terms[(1, (("x", 1), ("y", 1)))] == 1
     assert lhs.terms[(1, (("x", -1), ("y", -1)))] == 1
     assert lhs.terms.get((1, (("x", -1),)), 0) == 0
@@ -66,10 +68,10 @@ def test_criterion_5_bilateral_summation_with_power_parameter():
     for m in (1, 2, 3):
         must_pass("ramanujan-1psi1", 16, zwindow=(-5, 5), m=m)
     # at m = 1 every z-coefficient collapses onto the unilateral family
-    psi = get_identity("ramanujan-1psi1", m=1).zparts
-    qb = get_identity("q-binomial").zparts
+    psi = get_identity("ramanujan-1psi1", m=1).lowered.lhs
+    qb = get_identity("q-binomial").lowered.lhs
     for k in range(-5, 6):
-        assert psi.coeff_fn(k, 16).terms == qb.coeff_fn(k, 16).terms
+        assert psi.coeff(k, 16).terms == qb.coeff(k, 16).terms
     must_pass("q-binomial", 16)
 
 
@@ -77,8 +79,8 @@ def test_criterion_6_two_parameter_double_sum_family():
     for a in (1, 2, 3):
         must_pass("cao-wang", 24, a=a)
     collapsed = specialize_to_one(get_identity("cao-wang", a=1), ["u"])
-    want = eval_sum(get_identity("cor-double").lhs, 24).terms
-    assert eval_sum(collapsed.lhs, 24).terms == want
+    want = eval_sum(get_identity("cor-double").lowered.lhs, 24).terms
+    assert eval_sum(collapsed.lowered.lhs, 24).terms == want
 
 
 def test_criterion_7_kernel_lemma_suite():
@@ -141,11 +143,11 @@ def test_criterion_9_algebra_properties_and_corpus_round_trip():
     # bilateral collapse: the Z^2 statement pinched at x = y = 1 equals
     # the N^2 statement coefficientwise
     pinched = specialize_to_one(get_identity("main"), ["x", "y"])
-    assert eval_sum(pinched.lhs, 24).terms == \
-        eval_sum(get_identity("cor-double").lhs, 24).terms
+    assert eval_sum(pinched.lowered.lhs, 24).terms == \
+        eval_sum(get_identity("cor-double").lowered.lhs, 24).terms
 
     # x <-> y symmetry of the bilateral double sum
-    lhs = eval_sum(get_identity("main").lhs, 16)
+    lhs = eval_sum(get_identity("main").lowered.lhs, 16)
     flipped = {}
     for (qe, vk), coeff in lhs.terms.items():
         swapped = tuple(sorted(("x" if n == "y" else "y", e)

@@ -17,6 +17,7 @@ from qident.catalog import (
     specialize_to_one,
     verify_identity,
 )
+from qident.ctengine import ZSumSpec
 from qident.qfactorial import expand_product_spec
 from qident.speclang import ParseError, parse_identity, serialize_identity, \
     tokenize, validate_identity
@@ -31,7 +32,13 @@ ALL_KEYS = [
 
 
 def lhs_series(ident: Identity, order: int):
-    return eval_sum(ident.lhs, order)
+    return eval_sum(ident.lowered.lhs, order)
+
+
+def verify(ident: Identity, order: int, zwindow=None):
+    return verify_identity(
+        ident.lowered, order, ident.details,
+        zwindow=ident.zwindow if zwindow is None else zwindow)
 
 
 # ----------------------------------------------------------------- inventory
@@ -101,7 +108,7 @@ def test_instantiated_names_embed_parameters():
     ("remark-ua1", {}, 24),
 ])
 def test_series_entries_verify(key, params, order):
-    report = verify_identity(get_identity(key, **params), order)
+    report = verify(get_identity(key, **params), order)
     assert report.status == "pass", report.to_record()
     assert report.details["key"] == key
 
@@ -115,20 +122,20 @@ def test_series_entries_verify(key, params, order):
     ("circle-y", {}),
 ])
 def test_zcoeff_entries_verify(key, params):
-    report = verify_identity(get_identity(key, **params), 14)
+    report = verify(get_identity(key, **params), 14)
     assert report.status == "pass", report.to_record()
     assert report.details["zcoeffs_checked"] >= 5
 
 
 def test_zwindow_override_lands_in_the_report():
-    report = verify_identity(get_identity("bilateral-euler", m=1), 10,
-                             zwindow=(-2, 3))
+    report = verify(get_identity("bilateral-euler", m=1), 10,
+                    zwindow=(-2, 3))
     assert report.status == "pass"
     assert report.details["zwindow"] == [-2, 3]
 
 
 def test_reports_carry_parameters():
-    rec = verify_identity(get_identity("cao-wang", a=1), 12).to_record(
+    rec = verify(get_identity("cao-wang", a=1), 12).to_record(
         with_elapsed=False)
     assert rec["details"]["params"] == {"a": 1}
     assert "elapsed" not in rec
@@ -164,7 +171,7 @@ def test_main_specialized_at_one_collapses_to_the_double_sum():
     order = 24
     assert lhs_series(special, order).terms == \
         lhs_series(get_identity("cor-double"), order).terms
-    assert verify_identity(special, order).status == "pass"
+    assert verify(special, order).status == "pass"
 
 
 def test_specialize_refuses_zcoeff_entries():
@@ -177,8 +184,8 @@ def test_remark_normalizes_onto_the_double_sum():
     normalizer must fold them to the hexagonal form exactly."""
     ua1 = get_identity("remark-ua1")
     cd = get_identity("cor-double")
-    assert ua1.lhs == cd.lhs
-    assert ua1.rhs == cd.rhs
+    assert ua1.lowered.lhs == cd.lowered.lhs
+    assert ua1.lowered.rhs == cd.lowered.rhs
     assert "q^(i^2 - i*j + j^2)" in ua1.text
 
 
@@ -199,11 +206,11 @@ def test_double_triple_and_multi_sums_agree():
 
 
 def test_1psi1_at_m1_reduces_to_the_q_binomial_family():
-    psi = get_identity("ramanujan-1psi1", m=1).zparts
-    qb = get_identity("q-binomial").zparts
+    psi = get_identity("ramanujan-1psi1", m=1).lowered.lhs
+    qb = get_identity("q-binomial").lowered.lhs
     order = 16
     for k in range(-4, 7):
-        assert psi.coeff_fn(k, order).terms == qb.coeff_fn(k, order).terms
+        assert psi.coeff(k, order).terms == qb.coeff(k, order).terms
 
 
 # ------------------------------------------------------------ text corpus
@@ -222,25 +229,27 @@ def test_every_statement_round_trips_byte_identically():
 def test_series_statements_relower_to_the_same_specs():
     for key, params in default_instances():
         ident = get_identity(key, **params)
-        if ident.mode != "series":
+        if ident.zwindow is not None:
             continue
         lowered = validate_identity(parse_identity(ident.text))
-        assert lowered.lhs == ident.lhs, key
-        assert lowered.rhs == ident.rhs, key
+        assert lowered == ident.lowered, key
 
 
-def test_zcoeff_statement_texts_parse_but_refuse_lowering():
-    """Their left sides carry index-dependent numerator factorials, which
-    the evaluator cannot fold into a denominator table; the statements
-    still parse and print, and verification goes through the per-z-power
-    route instead."""
-    from qident.speclang import LoweringError
-
-    for key in ("ramanujan-1psi1", "q-binomial"):
-        ident = get_identity(key, **(dict(m=1) if key.startswith("ram") else {}))
-        ast = parse_identity(ident.text)
-        with pytest.raises(LoweringError, match="numerator"):
-            validate_identity(ast)
+def test_zcoeff_statement_texts_lower_to_their_verified_specs():
+    """Statements in z lower from their text alone: [z^k] of the left
+    side is one summand, numerator factorials included, and the right
+    side splits into z-carrying factors and a z-free product."""
+    for key, params in default_instances():
+        ident = get_identity(key, **params)
+        if ident.zwindow is None:
+            continue
+        lowered = validate_identity(parse_identity(ident.text))
+        assert lowered == ident.lowered, key
+        assert isinstance(lowered.lhs, ZSumSpec), key
+        assert lowered.rhs.zfactors, key
+    psi = get_identity("ramanujan-1psi1", m=2).lowered
+    assert psi.lhs.spec.numers and psi.lhs.zsign == 1
+    assert get_identity("circle-y").lowered.lhs.zsign == -1
 
 
 def test_corpus_mutations_fail_close_to_the_edit():
@@ -277,5 +286,5 @@ def test_statement_text_is_useful_as_a_file():
 
 def test_series_product_sides_expand_like_their_specs():
     ident = get_identity("rr1")
-    got = expand_product_spec(ident.rhs, 6).qcoeffs()
+    got = expand_product_spec(ident.lowered.rhs, 6).qcoeffs()
     assert got == [1, 1, 1, 1, 2, 2, 3]

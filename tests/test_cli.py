@@ -5,10 +5,14 @@ object per line and stderr the human transcript, so capsys sees both.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from qident.catalog import default_instances, get_identity
 from qident.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "verify_catalog_all_order10.jsonl"
 
 BROKEN = """\
 identity broken {
@@ -117,6 +121,35 @@ def test_verify_zwindow_flag(capsys):
     assert records[0]["details"]["zwindow"] == [0, 4]
 
 
+def test_verify_half_integral_binomial_exponent_gets_a_verdict(capsys, tmp_path):
+    """q^(binom(n,2)/2) is fractional only at n = 2 mod 4; the base scale
+    must see it before evaluating, not fail at the term."""
+    path = tmp_path / "half.qid"
+    path.write_text("identity half { "
+                    "lhs: sum(n >= 0; q^(1/2*binom(n, 2)) / poch(q; q; n)); "
+                    "rhs: 1 / poch(q; q; inf); }")
+    code, records, _ = run(capsys, "verify", str(path), "--order", "6")
+    assert code == 1
+    assert records[0]["status"] == "mismatch"
+    assert records[0]["details"]["qpow_denominator"] == 2
+    assert records[0]["first_mismatch"] == {
+        "exponents": {"q": 0}, "lhs": 2, "rhs": 1}
+
+
+def test_verify_files_of_z_statements_need_a_zwindow(capsys, tmp_path):
+    path = tmp_path / "circle.qid"
+    path.write_text(get_identity("circle-x").text)
+    code, records, _ = run(capsys, "verify", str(path), "--order", "8")
+    assert code == 2
+    assert records[0]["error"].startswith("NotTruncatable:")
+    assert "z-window" in records[0]["error"]
+
+    code, records, _ = run(capsys, "verify", str(path), "--order", "8",
+                           "--zwindow", "3")
+    assert code == 0
+    assert records[0]["details"]["zwindow"] == [-3, 3]
+
+
 def test_verify_needs_a_target(capsys):
     code, records, err = run(capsys, "verify", "--order", "4")
     assert code == 2
@@ -157,6 +190,16 @@ def test_expand_half_integral_exponents_report_their_base(capsys):
     assert code == 0
     assert records[0]["qpow_denominator"] == 2
     assert records[0]["qcoeffs"][:10] == [1, -2, 0, 0, 2, 0, 0, 0, 0, -2]
+
+
+def test_expand_binomial_half_exponents_report_their_base(capsys):
+    """binom(n,2)/2 is integral at n = 0, 1 but not at n = 2: the base
+    scale must come from the whole lattice, not from the unit vectors."""
+    code, records, _ = run(capsys, "expand", "sum(n >= 0; q^(1/2*binom(n, 2)))",
+                           "--order", "4")
+    assert code == 0
+    assert records[0]["qpow_denominator"] == 2
+    assert records[0]["qcoeffs"] == [2, 1, 0, 1, 0, 0, 1, 0, 0]
 
 
 def test_expand_formal_variable_series(capsys):
@@ -228,3 +271,31 @@ def test_timing_field_is_the_only_difference(capsys):
     one.pop("elapsed")
     two.pop("elapsed")
     assert one == two
+
+
+def test_catalog_output_matches_the_golden_records(capsys):
+    """`verify --catalog all --no-timing` stdout is a byte-stable
+    contract; the fixture was captured before the z statements were
+    lowered from their text."""
+    assert main(["verify", "--catalog", "all", "--order", "10",
+                 "--no-timing"]) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+def test_statement_files_verify_like_the_catalog(capsys, tmp_path):
+    """Each catalog statement, saved as text, gets the verdict of
+    `verify --catalog` (the golden records, checked above)."""
+    golden = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    instances = default_instances()
+    assert len(golden) == len(instances)
+    for n, ((key, params), want) in enumerate(zip(instances, golden)):
+        ident = get_identity(key, **params)
+        path = tmp_path / f"s{n}.qid"
+        path.write_text(ident.text)
+        argv = ["verify", str(path), "--order", "10"]
+        if ident.zwindow is not None:
+            argv.append("--zwindow=%d,%d" % ident.zwindow)
+        _, (got,), _ = run(capsys, *argv)
+        assert got["name"] == want["name"]
+        assert (got["status"], got.get("first_mismatch")) == \
+            (want["status"], want.get("first_mismatch")), (key, params)

@@ -272,14 +272,6 @@ def test_verify_reports_the_offending_z_power():
 # --------------------------------------------------------------- main replay
 
 
-def test_substitution_is_qfree_only():
-    zs = ZSeries({1: Series.one(6)}, 6)
-    sub = zs.substitute(X, invert=True)
-    assert sub.coeffs[-1].terms == {(0, (("x", 1),)): 1}
-    with pytest.raises(NotTruncatable):
-        zs.substitute(Q1, invert=True)
-
-
 def test_prove_main_theorem_small_order():
     proof = prove_main_theorem(order=16)
     assert isinstance(proof, MainProof)

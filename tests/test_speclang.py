@@ -286,6 +286,9 @@ def test_half_integral_exponents_report_their_clearing_factor():
     binomial = ("identity b { lhs: sum(n >= 0; q^(binom(n, 2))"
                 " / poch(q; q; n)); rhs: 1; }")
     assert validate_identity(parse_identity(binomial)).rescale == 1
+    # integral at n = 0 and 1, half-integral at n = 2
+    halved = binomial.replace("q^(binom(n, 2))", "q^(1/2*binom(n, 2))")
+    assert validate_identity(parse_identity(halved)).rescale == 2
 
 
 def test_params_substitute_into_both_sides():
