@@ -573,10 +573,10 @@ def specialize_to_one(ident: Identity, names) -> Identity:
     return Identity(ident.key, ident.params, ast, validate_identity(ast))
 
 
-def _expand(side, order: int, d: int, shell_cap):
+def _expand(side, order: int, d: int):
     """One side in base q^(1/d) to q-order order * d, plus its support."""
     if isinstance(side, SumSpec):
-        sup = enumerate_support(side, order, shell_cap)
+        sup = enumerate_support(side, order)
         series = eval_sum_over(rescale_sum(side, d), sup.points, order * d)
         return series, {"points": len(sup.points),
                         "shells": sup.shells_scanned}
@@ -585,7 +585,7 @@ def _expand(side, order: int, d: int, shell_cap):
 
 
 def verify_identity(lowered: LoweredIdentity, order: int, details: dict,
-                    zwindow=None, shell_cap=None) -> VerificationReport:
+                    zwindow=None) -> VerificationReport:
     """Check a lowered statement coefficientwise up to `order`.
 
     The report's details start with `details` (a catalog entry's key and
@@ -609,8 +609,8 @@ def verify_identity(lowered: LoweredIdentity, order: int, details: dict,
                 lowered.rhs.expand(order, zwindow), zwindow, order)
             report.details = {**details, **report.details}
         else:
-            lhs, sup_l = _expand(lowered.lhs, order, d, shell_cap)
-            rhs, sup_r = _expand(lowered.rhs, order, d, shell_cap)
+            lhs, sup_l = _expand(lowered.lhs, order, d)
+            rhs, sup_r = _expand(lowered.rhs, order, d)
             support = {side: s for side, s
                        in (("lhs", sup_l), ("rhs", sup_r)) if s}
             if support:
@@ -623,7 +623,7 @@ def verify_identity(lowered: LoweredIdentity, order: int, details: dict,
                         min(order * d, 12))
                 except ValueError:
                     pass        # formal variables present; no linear preview
-    except QSeriesError as exc:
+    except (QSeriesError, RecursionError) as exc:
         report = VerificationReport(lowered.name, order, "error",
                                     error=f"{type(exc).__name__}: {exc}",
                                     details=details)

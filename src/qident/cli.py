@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -138,8 +139,7 @@ def cmd_verify(args) -> int:
                 continue
             reports.append(verify_identity(
                 ident.lowered, args.order, ident.details,
-                zwindow=ident.zwindow if zwindow is None else zwindow,
-                shell_cap=args.shell_cap))
+                zwindow=ident.zwindow if zwindow is None else zwindow))
     elif args.file:
         text = Path(args.file).read_text()
         try:
@@ -157,8 +157,7 @@ def cmd_verify(args) -> int:
                 continue
             reports.append(verify_identity(lowered, args.order,
                                            {"source": args.file},
-                                           zwindow=zwindow,
-                                           shell_cap=args.shell_cap))
+                                           zwindow=zwindow))
     else:
         _log("nothing to verify: give --catalog KEY or an identity file")
         return 2
@@ -190,10 +189,10 @@ def cmd_expand(args) -> int:
         return 2
     try:
         if isinstance(spec, SumSpec):
-            series = eval_sum_scaled(spec, args.order, args.shell_cap)[0]
+            series = eval_sum_scaled(spec, args.order)[0]
         else:
             series = expand_product_spec(spec, args.order)
-    except QSeriesError as exc:
+    except (QSeriesError, RecursionError) as exc:
         _emit({"status": "error", "error": _err(exc)})
         _log(f"[error] {_err(exc)}")
         return 2
@@ -270,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truncation order (default 32)")
     v.add_argument("--zwindow", metavar="K|LO,HI",
                    help="z-powers to check for per-coefficient identities")
-    v.add_argument("--shell-cap", type=int, dest="shell_cap", default=None,
-                   help="abort enumeration beyond this lattice radius")
     v.add_argument("--no-timing", action="store_true",
                    help="omit elapsed times for byte-stable output")
     v.set_defaults(func=cmd_verify)
@@ -281,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expression text such as '1 / poch(q; q; inf)', "
                         "or a file containing one")
     e.add_argument("--order", type=int, default=32)
-    e.add_argument("--shell-cap", type=int, dest="shell_cap", default=None)
     e.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("prove-main",
@@ -298,8 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_zwindow(argv: list[str]) -> list[str]:
+    """Rewrite `--zwindow -2,3` as `--zwindow=-2,3`: argparse takes a value
+    that starts with '-' and is not a plain negative number for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--zwindow" and re.fullmatch(r"-\d+,-?\d+", arg):
+            out[-1] = f"--zwindow={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_zwindow(argv))
     try:
         return args.func(args)
     except ValueError as exc:

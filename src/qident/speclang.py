@@ -28,7 +28,8 @@ from .summation import (
     DenomFactor,
     QuadForm,
     SumSpec,
-    _bilateral_positive_definite,
+    UnboundedSupport,
+    certify_support,
     make_sum_spec,
 )
 
@@ -945,11 +946,11 @@ def _lower_sum(node: SumCall, formal: set[str], params: dict,
     spec = make_sum_spec(
         len(indices), domains, quadform, signform,
         {n: tuple(w) for n, w in weights.items() if any(w)}, denoms, numers)
-    if not one_point and "Z" in domains \
-            and not _bilateral_positive_definite(spec):
-        raise LoweringError(
-            "bilateral sum with an indefinite quadratic part cannot be "
-            "enumerated soundly")
+    if not one_point:
+        try:
+            certify_support(spec, indices)
+        except UnboundedSupport as exc:
+            raise LoweringError(str(exc)) from None
     return spec
 
 

@@ -7,19 +7,19 @@ A SumSpec describes sums of the shape
 
 where each domain D is N or Z, Q is a rational quadratic form, t and the
 subscript forms L_d are affine, and the variable weights w_v are integer
-vectors.  Bilateral (Z) directions are finite at any truncation order
-because negative subscripts either kill the term outright (the zero
-convention of poch_recip_finite) or push its q-valuation up; the support
-is discovered by scanning expanding max-norm shells with exact per-point
-valuations.
+vectors.  The support below a truncation order is enumerated exactly,
+under a certificate: on each sign region of the subscript forms the
+valuation is bounded below by a quadratic whose sublevel sets give every
+coordinate a finite range (see `certify_support`).  A sum without such a
+certificate is refused, never scanned.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import isqrt, lcm
 
 from .qfactorial import poch_recip_finite
 from .qring import (
@@ -35,12 +35,8 @@ class DomainError(QSeriesError):
     """A lattice point, subscript or exponent violates the declared spec."""
 
 
-class EnumerationCapped(QSeriesError):
-    """Support scanning hit the shell cap without stabilizing."""
-
-    def __init__(self, message: str, report: "SupportReport"):
-        super().__init__(message)
-        self.report = report
+class UnboundedSupport(QSeriesError):
+    """Some sign region of a sum has no certified bound on its support."""
 
 
 class NegativeValuationResidual(QSeriesError):
@@ -221,9 +217,12 @@ def make_sum_spec(dim, domains, quad, signform=None, varweights=None,
 
 @dataclass(frozen=True)
 class SupportReport:
+    """The support, sorted, and 1 + the largest coordinate magnitude the
+    certificate let the enumeration reach, so that every point has
+    max-norm < shells_scanned."""
+
     points: tuple[tuple[int, ...], ...]
     shells_scanned: int
-    capped: bool
 
 
 # ------------------------------------------------------- valuation machinery
@@ -244,15 +243,30 @@ def _int_value(form: AffineForm, point, what: str) -> int:
     return int(v)
 
 
+def _tri(a: int, b: int, m: int) -> int:
+    """sum_{j=1..m} (a - j b)."""
+    return a * m - b * m * (m + 1) // 2
+
+
+def _dip(a: int, b: int, m: int) -> int:
+    """sum_{j=1..m} min(0, a - j b): the terms with j <= a/b are >= 0."""
+    return _tri(a, b, m) - _tri(a, b, min(m, a // b) if a > 0 else 0)
+
+
 def _recip_offset(arg: Monomial, basepow: int, n: int) -> int | None:
-    """q-valuation contributed by 1/(arg;q^b)_n; None when the factor is 0."""
+    """q-valuation contributed by 1/(arg;q^b)_n; None when the factor is 0.
+
+    For n = -m < 0 the reciprocal is prod_{j=1..m} 1/(1 - arg q^(-j b)),
+    and each factor with a - j b < 0 (a = arg's q-exponent) lowers the
+    valuation by j b - a.
+    """
     if n >= 0:
         return 0
     m = -n
     if not arg.vars and arg.coeff == 1 and arg.qexp % basepow == 0:
         if 1 <= arg.qexp // basepow <= m:
             return None  # a vanishing factor: the whole term dies
-    return sum(min(0, arg.qexp + (k - m) * basepow) for k in range(m))
+    return _dip(arg.qexp, basepow, m)
 
 
 def term_valuation(spec: SumSpec, point) -> Fraction | None:
@@ -326,166 +340,322 @@ def term_series(spec: SumSpec, point, order: int) -> Series:
 
 
 # ------------------------------------------------------- support enumeration
+#
+# The support is certified region by region.  The sign pieces of the
+# subscript forms cut the domain into regions, and on each one the
+# valuation is bounded below by a quadratic F: Q itself plus, for every
+# negative subscript, the bound of `_dip_bound`.  Coordinates are fixed
+# one at a time, n_0 first, each over the integers where a lower bound of
+# F over the coordinates still free stays <= order (Fincke & Pohst,
+# Math. Comp. 44, 1985).  That bound is either the exact minimum over the
+# reals, by LDL^T elimination, when the free coordinates' block of F is
+# positive definite, or, for coordinates in N with nonnegative cross
+# terms, the sum of the free coordinates' one-dimensional minima over
+# t >= 0.  A region that neither covers has no certificate and is refused.
 
 
-def _det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return m[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * _det(minor)
-    return total
+@dataclass(frozen=True)
+class _Piece:
+    """lo <= coeffs . n + const <= hi (None: open) for one subscript form,
+    with a lower bound of its factor's valuation there."""
+
+    coeffs: tuple[int, ...]
+    const: int
+    lo: int | None
+    hi: int | None
+    bound: QuadForm
+
+    def text(self, names) -> str:
+        terms = " + ".join(
+            f"{c}*{x}" if abs(c) != 1 else ("-" if c < 0 else "") + x
+            for c, x in zip(self.coeffs, names) if c)
+        if self.const:
+            terms += f" + {self.const}"
+        form = terms.replace("+ -", "- ")
+        if self.hi is None:
+            return f"{form} >= {self.lo}"
+        if self.lo is None:
+            return f"{form} <= {self.hi}"
+        return f"{self.lo} <= {form} <= {self.hi}"
 
 
-def _bilateral_positive_definite(spec: SumSpec) -> bool:
-    zs = [i for i, d in enumerate(spec.domains) if d == "Z"]
-    if not zs:
-        return True
-    sub = [[spec.quad.A[i][j] for j in zs] for i in zs]
-    for k in range(1, len(zs) + 1):
-        if _det([row[:k] for row in sub[:k]]) <= 0:
-            return False
-    return True
+@dataclass(frozen=True)
+class _Level:
+    """How coordinate c of one region is enumerated.
 
-
-def _shell_points(spec: SumSpec, radius: int):
-    """Lattice points of max-norm exactly `radius` inside the domain."""
-    ranges = [
-        range(0, radius + 1) if d == "N" else range(-radius, radius + 1)
-        for d in spec.domains
-    ]
-
-    def rec(pos: int, prefix: tuple[int, ...], pinned: bool):
-        if pos == spec.dim:
-            if pinned or radius == 0:
-                yield prefix
-            return
-        for v in ranges[pos]:
-            yield from rec(pos + 1, prefix + (v,), pinned or abs(v) == radius)
-
-    yield from rec(0, (), False)
-
-
-def _compiled_valuation(spec: SumSpec):
-    """Integer-arithmetic valuation evaluator: point -> S*val (or None).
-
-    Returns (fn, S) with S a positive integer scale clearing every
-    denominator, so comparisons against S*order stay in machine integers.
+    S times the lower bound of the valuation with n_0..n_c fixed is
+    sum W_ij n_i n_j + V . n + U over i, j <= c, plus, when `tail`, the
+    one-dimensional minima over t >= 0 of the coordinates after c.  n_c
+    is >= 0 when `nonneg`, and `cons` are the region's pieces whose last
+    coordinate is c.
     """
-    dens = [a.denominator for row in spec.quad.A for a in row]
-    dens += [b.denominator for b in spec.quad.B] + [spec.quad.C.denominator]
-    S = 2 * lcm(*dens)
-    # S * (n.A.n / 2) = n.(S/2 * A).n, and S/2 clears every denominator
-    iA = [[int(a * S) // 2 for a in row] for row in spec.quad.A]
-    iB = [int(b * S) for b in spec.quad.B]
-    iC = int(spec.quad.C * S)
-    denoms = spec.denoms
 
-    def val(point) -> int | None:
-        acc = iC
-        for i, ni in enumerate(point):
-            if ni:
-                row = iA[i]
-                acc += ni * sum(row[j] * nj for j, nj in enumerate(point) if nj)
-        acc += sum(b * p for b, p in zip(iB, point))
-        for f in denoms:
-            n = _int_value(f.count, point, "subscript")
-            off = _recip_offset(f.arg, f.basepow, n)
-            if off is None:
-                return None
-            acc += S * off
-        return acc
+    W: tuple[tuple[int, ...], ...]
+    V: tuple[int, ...]
+    U: int
+    S: int
+    tail: bool
+    nonneg: bool
+    cons: tuple[_Piece, ...]
 
-    return val, S
+    def window(self, p: list[int], c: int) -> tuple[int | None, int | None]:
+        """Bounds on n_c from its domain and the region, given n_0..n_(c-1)."""
+        lo = 0 if self.nonneg else None
+        hi = None
+        for piece in self.cons:
+            k = piece.coeffs[c]
+            rest = piece.const + sum(piece.coeffs[j] * p[j] for j in range(c))
+            for lim, above in ((piece.lo, True), (piece.hi, False)):
+                if lim is None:
+                    continue
+                if (k > 0) == above:        # n_c >= (lim - rest) / k
+                    t = -((rest - lim) // k)
+                    lo = t if lo is None else max(lo, t)
+                else:                       # n_c <= (lim - rest) / k
+                    t = (lim - rest) // k
+                    hi = t if hi is None else min(hi, t)
+        return lo, hi
 
-
-def _solve_linear(A, rhs) -> list[Fraction] | None:
-    """Solve A x = rhs over the rationals; None when A is singular."""
-    n = len(rhs)
-    m = [list(row) + [r] for row, r in zip(A, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [e / pv for e in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [e - f * p for e, p in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    def quadratic(self, p: list[int], c: int, order: int):
+        """(a, b, k) with S * (bound - order) = a t^2 + b t + k at n_c = t."""
+        W, V = self.W, self.V
+        k = self.U - self.S * order + sum(
+            p[i] * (V[i] + sum(W[i][j] * p[j] for j in range(c)))
+            for i in range(c))
+        if self.tail:
+            for i in range(c + 1, len(V)):
+                beta = V[i] + 2 * sum(W[i][j] * p[j] for j in range(c))
+                if beta < 0:        # min over t >= 0 of W_ii t^2 + beta t
+                    k += (-beta * beta) // (4 * W[i][i])
+        return W[c][c], V[c] + 2 * sum(W[c][j] * p[j] for j in range(c)), k
 
 
-def _landmark_radius(spec: SumSpec) -> int:
-    """Radius beyond which the term valuation no longer dips back down.
+def _integral(form: AffineForm) -> tuple[tuple[int, ...], int]:
+    """A subscript form's integer coefficients and constant."""
+    if any(x.denominator != 1 for x in form.coeffs + (form.const,)):
+        raise DomainError(f"subscript form {form} is not integer-valued")
+    return tuple(int(x) for x in form.coeffs), int(form.const)
 
-    Valuations are not monotone from the origin: the quadratic form may
-    have an off-origin vertex, and each subscript form changes behavior
-    where it crosses zero.  Clear shells inside this radius prove
-    nothing, so the stopping rule ignores them.
-    """
-    landmarks = [Fraction(1)]
-    vertex = _solve_linear(spec.quad.A, [-b for b in spec.quad.B])
-    if vertex is not None:
-        landmarks += [abs(v) for v in vertex]
+
+def _dip_bound(form: AffineForm, a: int, b: int) -> QuadForm:
+    """A quadratic in L = form(n) below the valuation _dip(a, b, -L) of
+    1/(q^a; q^b)_L wherever L <= -1; it is exact once -L >= a/b."""
+    top = a // b if a > 0 else 0
+    return (QuadForm.square(form).scale(Fraction(-b, 2))
+            + QuadForm.linear(form.scale(Fraction(b, 2) - a)
+                              .shift(-_tri(a, b, top))))
+
+
+def _feasible(piece: _Piece, domains) -> bool:
+    """False when the piece is empty on the box of the index domains."""
+    if piece.lo is not None and piece.hi is not None and piece.lo > piece.hi:
+        return False
+    rises = any(c > 0 or (c < 0 and d == "Z")
+                for c, d in zip(piece.coeffs, domains))
+    falls = any(c < 0 or (c > 0 and d == "Z")
+                for c, d in zip(piece.coeffs, domains))
+    return not ((piece.lo is not None and not rises and piece.const < piece.lo)
+                or (piece.hi is not None and not falls
+                    and piece.const > piece.hi))
+
+
+def _regions(spec: SumSpec):
+    """(pieces, F) per sign region on which some term can be nonzero."""
+    zero = QuadForm.zero(spec.dim)
+    base = spec.quad
+    choices = []
     for f in spec.denoms:
-        nz = [abs(c) for c in f.count.coeffs if c]
-        if nz and f.count.const:
-            landmarks.append(abs(f.count.const) / min(nz))
-    top = max(landmarks)
-    return 2 * (int(top) + 2)
+        coeffs, const = _integral(f.count)
+        a, b = f.arg.qexp, f.basepow
+        if not any(coeffs):
+            off = _recip_offset(f.arg, b, const)
+            if off is None:
+                return          # the factor vanishes at every point
+            base = base + QuadForm.linear(f.count.scale(0).shift(off))
+            continue
+        if not f.arg.vars and f.arg.coeff == 1 and a > 0 and a % b == 0:
+            # (q^a; q^b)_L has the factor 1 - q^0 once L <= -a/b, and
+            # before that every factor of its reciprocal has valuation 0
+            negative = _Piece(coeffs, const, 1 - a // b, -1, zero)
+        else:
+            negative = _Piece(coeffs, const, None, -1,
+                              _dip_bound(f.count, a, b))
+        choices.append([p for p in (_Piece(coeffs, const, 0, None, zero),
+                                    negative)
+                        if _feasible(p, spec.domains)])
+    for pieces in product(*choices):
+        quad = base
+        for piece in pieces:
+            quad = quad + piece.bound
+        yield pieces, quad
 
 
-def enumerate_support(spec: SumSpec, order: int,
-                      shell_cap: int | None = None) -> SupportReport:
-    """All lattice points whose term valuation is <= order.
+def _scaled(A, B, C) -> tuple:
+    """(W, V, U, S): S * (n.A.n / 2 + B.n + C) = sum W_ij n_i n_j + V.n + U."""
+    S = 2 * lcm(*(x.denominator for row in A for x in row),
+                *(x.denominator for x in B), C.denominator)
+    return (tuple(tuple(int(x * S) // 2 for x in row) for row in A),
+            tuple(int(x * S) for x in B), int(C * S), S)
 
-    Scans expanding max-norm shells and stops once two consecutive
-    shells beyond the landmark radius come back all-clear; if the
-    bilateral block of the quadratic form is not positive definite,
-    clear shells prove nothing, so scanning continues to the cap and
-    fails loudly.
+
+def _ldl_forms(quad: QuadForm):
+    """G_0..G_(r-1), G_c the minimum of `quad` over real n_(c+1), ... as
+    (A, B, C) in n_0..n_c; None unless every pivot after n_0 is positive,
+    which is the block of n_1..n_(r-1) being positive definite."""
+    A = [list(row) for row in quad.A]
+    B = list(quad.B)
+    C = quad.C
+    forms = []
+    for c in range(quad.dim - 1, -1, -1):
+        forms.append(([row[:c + 1] for row in A[:c + 1]], B[:c + 1], C))
+        pivot = A[c][c]
+        if c == 0:
+            break
+        if pivot <= 0:
+            return None
+        for i in range(c):
+            for j in range(c):
+                A[i][j] -= A[c][i] * A[c][j] / pivot
+            B[i] -= B[c] * A[c][i] / pivot
+        C -= B[c] * B[c] / (2 * pivot)
+    return forms[::-1]
+
+
+def _bounded(a: int, b: int, lo: int | None, hi: int | None) -> bool:
+    """Whether {t in [lo, hi] : a t^2 + b t + k <= 0} is finite for every k
+    (None: an open end)."""
+    if lo is not None and hi is not None:
+        return True
+    return a > 0 or (a == 0 and ((b > 0 and lo is not None)
+                                 or (b < 0 and hi is not None)))
+
+
+def _sublevel(a: int, b: int, k: int, lo: int | None, hi: int | None) -> range:
+    """The integers t in [lo, hi] with a t^2 + b t + k <= 0, or a range
+    holding them all when a < 0."""
+    if not _bounded(a, b, lo, hi):
+        raise UnboundedSupport("an uncertified coordinate range is unbounded")
+    if a > 0:
+        disc = b * b - 4 * a * k
+        if disc < 0:
+            return range(0)
+        # the roots are (-b -+ sqrt(disc)) / 2a; flooring sqrt(disc) moves
+        # no integer multiple of 2a past -b -+ sqrt(disc), so it changes
+        # neither the floor of the larger root nor the ceiling of the other
+        s = isqrt(disc)
+        left, right = -((b + s) // (2 * a)), (s - b) // (2 * a)
+    elif a == 0 and b > 0:
+        left, right = lo, (-k) // b
+    elif a == 0 and b < 0:
+        left, right = -(k // b), hi
+    elif a == 0 and k > 0:
+        return range(0)
+    else:
+        left, right = lo, hi
+    if lo is not None:
+        left = max(left, lo)
+    if hi is not None:
+        right = min(right, hi)
+    return range(left, right + 1)
+
+
+def _plan(spec: SumSpec, pieces, quad: QuadForm):
+    """The levels that enumerate one region, or None without a certificate."""
+    r = spec.dim
+    cons = [tuple(p for p in pieces
+                  if max(i for i, c in enumerate(p.coeffs) if c) == lvl)
+            for lvl in range(r)]
+    nonneg = [d == "N" for d in spec.domains]
+    forms = _ldl_forms(quad)
+    if forms is not None:
+        levels = tuple(_Level(*_scaled(*forms[c]), False, nonneg[c], cons[c])
+                       for c in range(r))
+        # only n_0 can meet a zero or negative pivot
+        if not levels or _bounded(levels[0].W[0][0], levels[0].V[0],
+                                  *levels[0].window([], 0)):
+            return levels
+    A, B = quad.A, quad.B
+    if all(nonneg) and all(
+            A[i][j] >= 0 if i != j
+            else A[i][i] > 0 or (A[i][i] == 0 and B[i] > 0)
+            for i in range(r) for j in range(r)):
+        scaled = _scaled(quad.A, quad.B, quad.C)
+        return tuple(_Level(*scaled, True, nonneg[c], cons[c])
+                     for c in range(r))
+    return None
+
+
+def certify_support(spec: SumSpec, names=None) -> tuple:
+    """One enumeration plan per sign region of `spec` that can hold terms.
+
+    Raises UnboundedSupport, naming the region by the index `names`
+    (default n0, n1, ...), when a region's valuation bound is covered by
+    neither the LDL^T minimum nor the separable one.
+    """
+    names = names or [f"n{i}" for i in range(spec.dim)]
+    plans = []
+    for pieces, quad in _regions(spec):
+        levels = _plan(spec, pieces, quad)
+        if levels is None:
+            kind = "bilateral" if "Z" in spec.domains else "unilateral"
+            where = ("" if not pieces else " on the region "
+                     + ", ".join(p.text(names) for p in pieces))
+            raise UnboundedSupport(
+                f"{kind} sum with an indefinite quadratic part{where} "
+                "cannot be enumerated soundly")
+        plans.append(levels)
+    return tuple(plans)
+
+
+def enumerate_support(spec: SumSpec, order: int) -> SupportReport:
+    """Exactly the lattice points whose term valuation is <= order.
+
+    Each sign region is walked coordinate by coordinate over the ranges
+    its certificate allows (see `certify_support`), and every point
+    reached is kept iff its exact valuation, in scaled integers, is
+    <= order.
     """
     if spec.numers:
         raise DomainError("numerator factorials leave the support unbounded; "
                           "only single terms can be evaluated")
-    cap = shell_cap if shell_cap is not None else 4 * (order + 4)
-    pd_ok = _bilateral_positive_definite(spec)
-    if not pd_ok:
-        warnings.warn(
-            "quadratic form is not positive definite on the bilateral "
-            "directions; scanning to the shell cap", stacklevel=2)
-    settle = _landmark_radius(spec)
-    val, S = _compiled_valuation(spec)
+    W, V, U, S = _scaled(spec.quad.A, spec.quad.B, spec.quad.C)
+    denoms = [(_integral(f.count), f.arg, f.basepow) for f in spec.denoms]
+    r = spec.dim
     bound = S * order
+    point = [0] * r
     points: list[tuple[int, ...]] = []
-    clear = 0
     radius = 0
-    while True:
-        if radius > cap:
-            raise EnumerationCapped(
-                f"support scan hit shell cap {cap} at order {order}",
-                SupportReport(tuple(sorted(points)), radius, True))
-        hit = False
-        for p in _shell_points(spec, radius):
-            v = val(p)
-            if v is not None and v <= bound:
-                points.append(p)
-                hit = True
-        if hit:
-            clear = 0
-        elif radius >= settle:
-            clear += 1
-            if pd_ok and clear >= 2:
-                break
-        radius += 1
-    return SupportReport(tuple(sorted(points)), radius + 1, False)
+
+    def leaf() -> None:
+        v = U + sum(point[i] * (V[i] + sum(W[i][j] * point[j]
+                                           for j in range(r)))
+                    for i in range(r))
+        for (coeffs, const), arg, basepow in denoms:
+            n = const + sum(c * x for c, x in zip(coeffs, point))
+            off = _recip_offset(arg, basepow, n)
+            if off is None:
+                return
+            v += S * off
+        if v <= bound:
+            points.append(tuple(point))
+
+    def walk(levels, c: int) -> None:
+        nonlocal radius
+        if c == r:
+            leaf()
+            return
+        level = levels[c]
+        span = _sublevel(*level.quadratic(point, c, order),
+                         *level.window(point, c))
+        if span:
+            radius = max(radius, abs(span[0]), abs(span[-1]))
+        for t in span:
+            point[c] = t
+            walk(levels, c + 1)
+
+    for levels in certify_support(spec):
+        walk(levels, 0)
+    return SupportReport(tuple(sorted(points)), radius + 1)
 
 
 # ------------------------------------------------------------------- eval
@@ -503,15 +673,15 @@ def rescale_sum(spec: SumSpec, d: int) -> SumSpec:
                    spec.varweights, denoms)
 
 
-def eval_sum(spec: SumSpec, order: int, shell_cap: int | None = None) -> Series:
+def eval_sum(spec: SumSpec, order: int) -> Series:
     """Sum `spec` over its support, exactly to `order` (floor 0).
 
-    Raises EnumerationCapped if the support never stabilizes,
+    Raises UnboundedSupport if the support has no certificate,
     NegativeValuationResidual if terms below q^0 fail to cancel, and
     DomainError if the exponents are genuinely fractional (use
     eval_sum_scaled for those).
     """
-    series, d = eval_sum_scaled(spec, order, shell_cap)
+    series, d = eval_sum_scaled(spec, order)
     if d > 1:
         raise DomainError(
             f"exponents have denominator {d}; the sum lives in base "
@@ -519,15 +689,14 @@ def eval_sum(spec: SumSpec, order: int, shell_cap: int | None = None) -> Series:
     return series
 
 
-def eval_sum_scaled(spec: SumSpec, order: int,
-                    shell_cap: int | None = None) -> tuple[Series, int]:
+def eval_sum_scaled(spec: SumSpec, order: int) -> tuple[Series, int]:
     """Like eval_sum, but fractional exponents are cleared, not rejected.
 
     Returns (series, d): the series' q stands for q^(1/d), its order for
     the requested order in the original base.
     """
     d = spec.base_scale()
-    points = enumerate_support(spec, order, shell_cap).points
+    points = enumerate_support(spec, order).points
     return eval_sum_over(rescale_sum(spec, d), points, order * d), d
 
 

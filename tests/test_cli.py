@@ -121,6 +121,18 @@ def test_verify_zwindow_flag(capsys):
     assert records[0]["details"]["zwindow"] == [0, 4]
 
 
+def test_verify_zwindow_with_a_negative_lower_end(capsys):
+    """`--zwindow -2,3` is the window, not an unknown option."""
+    assert main(["verify", "--catalog", "q-binomial", "--zwindow=-2,3",
+                 "--order", "4", "--no-timing"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["verify", "--catalog", "q-binomial", "--zwindow", "-2,3",
+                 "--order", "4", "--no-timing"]) == 0
+    spaced = capsys.readouterr().out
+    assert spaced == joined
+    assert json.loads(spaced)["details"]["zwindow"] == [-2, 3]
+
+
 def test_verify_half_integral_binomial_exponent_gets_a_verdict(capsys, tmp_path):
     """q^(binom(n,2)/2) is fractional only at n = 2 mod 4; the base scale
     must see it before evaluating, not fail at the term."""
@@ -148,6 +160,27 @@ def test_verify_files_of_z_statements_need_a_zwindow(capsys, tmp_path):
                            "--zwindow", "3")
     assert code == 0
     assert records[0]["details"]["zwindow"] == [-3, 3]
+
+
+def test_verify_far_vertex_passes(capsys):
+    """The sum side of andrews-p20 has its support near n = min(i, j),
+    far from the origin: n = 37..40 at i = j = 40 (i = j = 400 passes
+    too, but its product side alone takes about 20 s)."""
+    code, records, _ = run(capsys, "verify", "--catalog", "andrews-p20",
+                           "--param", "i=40,j=40", "--order", "10")
+    assert code == 0
+    assert records[0]["status"] == "pass"
+    assert records[0]["details"]["support"]["rhs"] == {
+        "points": 4, "shells": 41}
+
+
+def test_verify_deep_product_is_an_error_record(capsys, tmp_path):
+    path = tmp_path / "deep.qid"
+    path.write_text("identity deep { lhs: poch(q; q; 1200); rhs: 1; }")
+    code, records, _ = run(capsys, "verify", str(path), "--order", "10")
+    assert code == 2
+    assert records[0]["status"] == "error"
+    assert records[0]["error"].startswith("RecursionError:")
 
 
 def test_verify_needs_a_target(capsys):
@@ -216,6 +249,36 @@ def test_expand_parse_error_is_exit_two(capsys):
     assert records[0]["error"].startswith("ParseError:")
 
 
+def test_expand_skewed_theta_keeps_its_far_terms(capsys):
+    """Only the points (3j, j) lie below the order, with empty shells
+    between them; q^9 comes from (+-9, +-3)."""
+    code, records, err = run(capsys, "expand",
+                             "sum(i in Z, j in Z; q^(50*(i-3*j)^2 + j^2))",
+                             "--order", "12")
+    assert code == 0
+    assert records[0]["qcoeffs"] == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0]
+    assert "1 + 2*q + 2*q^4 + 2*q^9" in err
+
+
+def test_expand_refuses_an_unbounded_region(capsys):
+    """At n = -m the term has valuation m^2 - 3m(m+1)/2 + m = -m(m+1)/2."""
+    code, records, _ = run(capsys, "expand",
+                           "sum(n in Z; q^(n^2) / poch(q; q^3; n))",
+                           "--order", "6")
+    assert code == 2
+    assert records[0]["status"] == "error"
+    assert "indefinite" in records[0]["error"]
+    assert "region n <= -1" in records[0]["error"]
+
+
+def test_expand_deep_product_is_an_error_record(capsys):
+    code, records, _ = run(capsys, "expand", "poch(q; q; 1200)",
+                           "--order", "10")
+    assert code == 2
+    assert records[0]["status"] == "error"
+    assert records[0]["error"].startswith("RecursionError:")
+
+
 def test_expand_from_file(capsys, tmp_path):
     path = tmp_path / "expr.txt"
     path.write_text("1 / poch(q; q; inf)\n")
@@ -275,8 +338,9 @@ def test_timing_field_is_the_only_difference(capsys):
 
 def test_catalog_output_matches_the_golden_records(capsys):
     """`verify --catalog all --no-timing` stdout is a byte-stable
-    contract; the fixture was captured before the z statements were
-    lowered from their text."""
+    contract.  The fixture's `shells` values are those of the certified
+    support enumeration; the rest was captured before the z statements
+    were lowered from their text."""
     assert main(["verify", "--catalog", "all", "--order", "10",
                  "--no-timing"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()

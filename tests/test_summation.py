@@ -5,18 +5,23 @@ never touches the series kernel, so agreement is meaningful.
 """
 
 import warnings
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident.qring import Monomial, Series
 from qident.summation import (
     AffineForm,
     DenomFactor,
     DomainError,
-    EnumerationCapped,
     NegativeValuationResidual,
     QuadForm,
     SupportReport,
+    UnboundedSupport,
+    certify_support,
     enumerate_support,
     eval_sum,
     eval_sum_scaled,
@@ -144,7 +149,7 @@ def test_support_main_at_order_one():
     report = enumerate_support(main_bilateral_spec(), 1)
     assert set(report.points) == {
         (0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
-    assert not report.capped
+    assert report.shells_scanned == 3
 
 
 def test_support_unilateral_square():
@@ -250,13 +255,15 @@ def test_andrews_product_to_sum_rows():
 # ------------------------------------------------------------------- errors
 
 
-def test_indefinite_bilateral_form_caps():
+def test_indefinite_bilateral_form_is_refused():
     n = AffineForm.index(0, 1)
     spec = make_sum_spec(1, "Z", QuadForm.square(n).scale(-1))
-    with pytest.warns(UserWarning):
-        with pytest.raises(EnumerationCapped) as exc:
-            enumerate_support(spec, 2, shell_cap=10)
-    assert exc.value.report.capped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnboundedSupport) as exc:
+            enumerate_support(spec, 2)
+    assert str(exc.value) == ("bilateral sum with an indefinite quadratic "
+                              "part cannot be enumerated soundly")
 
 
 def test_definite_form_does_not_warn():
@@ -290,4 +297,123 @@ def test_support_report_shape():
     rep = enumerate_support(rr_spec(), 9)
     assert isinstance(rep, SupportReport)
     assert rep.points == ((0,), (1,), (2,), (3,))
-    assert rep.shells_scanned >= 6
+    assert rep.shells_scanned == 4
+
+
+# ------------------------------------------------------------ certificates
+
+
+def test_skewed_form_keeps_its_far_points():
+    # 50 (i - 3j)^2 + j^2 is small only near the line i = 3j; the points
+    # (+-9, +-3) lie past shells that hold nothing
+    i, j = AffineForm.index(0, 2), AffineForm.index(1, 2)
+    spec = make_sum_spec(
+        2, "ZZ",
+        QuadForm.square(i - j.scale(3)).scale(50) + QuadForm.square(j))
+    assert enumerate_support(spec, 12).points == (
+        (-9, -3), (-6, -2), (-3, -1), (0, 0), (3, 1), (6, 2), (9, 3))
+    assert eval_sum(spec, 12).qcoeffs(12) == [
+        1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0]
+
+
+def test_far_vertex_is_reached():
+    # q^((n-i)(n-j)) / ((q;q)_n (q;q)_(i-n) (q;q)_(j-n)) at i = j = 400:
+    # the valuation is (n - 400)^2, so the support sits at the far end
+    n = AffineForm.index(0, 1)
+    far = n.scale(-1).shift(400)
+    spec = make_sum_spec(1, "N", QuadForm.square(far), denoms=[
+        DenomFactor(Q1, 1, n), DenomFactor(Q1, 1, far),
+        DenomFactor(Q1, 1, far)])
+    report = enumerate_support(spec, 10)
+    assert report.points == ((397,), (398,), (399,), (400,))
+    assert report.shells_scanned == 401
+
+
+def test_semidefinite_regions_are_certified():
+    # main's (-,-) region is (i-j)^2/2 - (i+j)/2 at best, and
+    # cor_multi_ell5 has two equal rows: both enumerate, exactly
+    main = main_bilateral_spec()
+    assert len(certify_support(main)) == 4
+    assert enumerate_support(main, 3).points == tuple(sorted(
+        p for p in product(range(-5, 6), repeat=2)
+        if (v := term_valuation(main, p)) is not None and v <= 3))
+    ell5 = multi_sum_spec(5)
+    assert enumerate_support(ell5, 6).points == tuple(sorted(
+        p for p in product(range(4), repeat=5)
+        if term_valuation(ell5, p) <= 6))
+    # (i + j)^2 + k^2 - 5k over N^3 is semidefinite too; fixing i must
+    # allow for k^2 - 5k dipping to -6, which puts (2, 0, 2) in the support
+    i, j, k = (AffineForm.index(t, 3) for t in range(3))
+    dip = make_sum_spec(3, "NNN", QuadForm.square(i + j) + QuadForm.square(k)
+                        + QuadForm.linear(k).scale(-5))
+    support = enumerate_support(dip, 0).points
+    assert support == tuple(sorted(
+        p for p in product(range(8), repeat=3) if term_valuation(dip, p) <= 0))
+    assert (2, 0, 2) in support
+
+
+def test_pieces_outside_the_domain_are_dropped():
+    # on N^2, (xq;q)_j never has a negative subscript; the region where it
+    # would, i^2 with j free, has no certificate
+    i, j = AffineForm.index(0, 2), AffineForm.index(1, 2)
+    spec = make_sum_spec(
+        2, "NN", QuadForm.square(i) + QuadForm.binom2(j.shift(1)),
+        denoms=[DenomFactor(XQ, 1, j)])
+    assert len(certify_support(spec)) == 1
+    assert enumerate_support(spec, 3).points == (
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1))
+
+
+def test_region_with_growing_dip_is_refused():
+    # 1/(q; q^3)_n at n = -m has valuation -3m(m+1)/2 + m, beating n^2
+    n = AffineForm.index(0, 1)
+    spec = make_sum_spec(1, "Z", QuadForm.square(n),
+                         denoms=[DenomFactor(Q1, 3, n)])
+    with pytest.raises(UnboundedSupport) as exc:
+        enumerate_support(spec, 6)
+    assert "region n0 <= -1" in str(exc.value)
+    assert term_valuation(spec, (-4,)) == 16 - 26
+
+
+@st.composite
+def definite_sums(draw):
+    """Sums with A = L^T L + 2I over N or Z, with or without (q;q)_(n_i)
+    or (xq;q)_(n_i) denominators, and the radius outside which every term
+    has valuation > order."""
+    dim = draw(st.integers(1, 3))
+    ints = st.integers(-2, 2)
+    L = [[draw(ints) for _ in range(dim)] for _ in range(dim)]
+    A = [[sum(L[k][i] * L[k][j] for k in range(dim)) + 2 * (i == j)
+          for j in range(dim)] for i in range(dim)]
+    B = [Fraction(draw(st.integers(-4, 4)), 2) for _ in range(dim)]
+    C = draw(st.integers(-2, 2))
+    quad = QuadForm(tuple(tuple(Fraction(a) for a in row) for row in A),
+                    tuple(B), Fraction(C))
+    domains = "".join(draw(st.sampled_from("NZ")) for _ in range(dim))
+    args = [None, Q1, Monomial(1, 1, (("x", 1),))]
+    denoms = [DenomFactor(arg, 1, AffineForm.index(i, dim))
+              for i in range(dim) if (arg := draw(st.sampled_from(args)))]
+    spec = make_sum_spec(dim, domains, quad, denoms=denoms)
+    order = draw(st.integers(0, 6))
+    # n.A.n/2 >= |n|^2 and each dip is >= -(n_i^2 + |n_i|)/2, so
+    # val >= sum_i (n_i^2/2 - c |n_i|) + C with c = 1/2 + max |B_i|, and
+    # a point with some |n_i| = t >= R has val > order when
+    # R^2/2 - c R - (dim - 1) c^2/2 + C > order and R >= c
+    c = Fraction(1, 2) + max(abs(b) for b in B)
+    R = int(c) + 1
+    while R * R / 2 - c * R - (dim - 1) * c * c / 2 + C <= order:
+        R += 1
+    return spec, order, R
+
+
+@settings(max_examples=60, deadline=None)
+@given(definite_sums())
+def test_support_matches_brute_force_box(case):
+    spec, order, R = case
+    box = [range(0, R) if d == "N" else range(1 - R, R) for d in spec.domains]
+    want = tuple(sorted(
+        p for p in product(*box)
+        if (v := term_valuation(spec, p)) is not None and v <= order))
+    report = enumerate_support(spec, order)
+    assert report.points == want
+    assert all(max(map(abs, p)) < report.shells_scanned for p in want)
