@@ -623,7 +623,7 @@ def verify_identity(lowered: LoweredIdentity, order: int, details: dict,
                         min(order * d, 12))
                 except ValueError:
                     pass        # formal variables present; no linear preview
-    except (QSeriesError, RecursionError) as exc:
+    except (QSeriesError, RecursionError, MemoryError) as exc:
         report = VerificationReport(lowered.name, order, "error",
                                     error=f"{type(exc).__name__}: {exc}",
                                     details=details)

@@ -27,7 +27,7 @@ from .catalog import (
     list_identities,
     verify_identity,
 )
-from .ctengine import ProofReplayError, prove_main_theorem
+from .ctengine import normalize_zwindow, prove_main_theorem
 from .qfactorial import expand_product_spec
 from .qring import QSeriesError
 from .report import VerificationReport
@@ -42,6 +42,7 @@ from .speclang import (
 from .summation import SumSpec, eval_sum_scaled
 
 _EXIT = {"pass": 0, "mismatch": 1, "error": 2}
+_RUNTIME_ERRORS = (QSeriesError, RecursionError, MemoryError)
 
 
 def _err(exc: Exception) -> str:
@@ -68,6 +69,13 @@ def _emit(record: dict) -> None:
 
 def _log(line: str) -> None:
     print(line, file=sys.stderr)
+
+
+def _error(message: str) -> int:
+    """Emit a bare error record; the exit status for it."""
+    _emit({"status": "error", "error": message})
+    _log(f"[error] {message}")
+    return 2
 
 
 def _human(report: VerificationReport, timing: bool = True) -> str:
@@ -104,13 +112,13 @@ def _parse_params(text: str) -> dict:
     return out
 
 
-def _parse_zwindow(text: str | None):
+def _parse_zwindow(text: str | None) -> tuple[int, int] | None:
     if text is None:
         return None
     if "," in text:
         lo, hi = text.split(",", 1)
-        return (int(lo), int(hi))
-    return int(text)
+        return normalize_zwindow((int(lo), int(hi)))
+    return normalize_zwindow(int(text))
 
 
 # ------------------------------------------------------------------- verify
@@ -121,7 +129,10 @@ def cmd_verify(args) -> int:
     if args.catalog and args.file:
         _log("choose either --catalog or a file, not both")
         return 2
-    zwindow = _parse_zwindow(args.zwindow)
+    try:
+        zwindow = _parse_zwindow(args.zwindow)
+    except ValueError as exc:
+        return _error(f"bad --zwindow {args.zwindow!r}: {exc}")
     if args.catalog:
         if args.catalog == "all":
             if args.param:
@@ -184,18 +195,14 @@ def cmd_expand(args) -> int:
     try:
         spec, d = lower_expression(parse_expression(source))
     except (ParseError, LoweringError) as exc:
-        _emit({"status": "error", "error": _err(exc)})
-        _log(f"[error] {_err(exc)}")
-        return 2
+        return _error(_err(exc))
     try:
         if isinstance(spec, SumSpec):
             series = eval_sum_scaled(spec, args.order)[0]
         else:
             series = expand_product_spec(spec, args.order)
-    except (QSeriesError, RecursionError) as exc:
-        _emit({"status": "error", "error": _err(exc)})
-        _log(f"[error] {_err(exc)}")
-        return 2
+    except _RUNTIME_ERRORS as exc:
+        return _error(_err(exc))
 
     record: dict = {"status": "ok", "order": args.order, "exact": series.exact,
                     "series": series.to_text()}
@@ -224,9 +231,9 @@ def cmd_prove_main(args) -> int:
                      "stages": ["exponent bookkeeping on the grid",
                                 "constant term vs paired sum",
                                 "paired sum vs direct sum"]})
-    except ProofReplayError as exc:
+    except _RUNTIME_ERRORS as exc:
         report = VerificationReport("main-replay", args.order, "error",
-                                    error=str(exc),
+                                    error=_err(exc),
                                     details={"grid": args.grid})
     report.elapsed = time.perf_counter() - start
     _emit(report.to_record(with_elapsed=not args.no_timing))
@@ -309,6 +316,9 @@ def _join_zwindow(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_join_zwindow(argv))
+    for flag in ("order", "grid"):
+        if getattr(args, flag, 0) < 0:
+            return _error(f"--{flag} must be >= 0, got {getattr(args, flag)}")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -27,6 +27,7 @@ from .qfactorial import (
     NotTruncatable,
     ProductSpec,
     expand_product_spec,
+    poch_recip_finite,
 )
 from .qring import Monomial, NotInvertible, QSeriesError, QueryBeyondOrder, Series
 from .report import VerificationReport, find_first_mismatch
@@ -126,10 +127,6 @@ def zmul(f: ZSeries, g: ZSeries) -> ZSeries:
     return ZSeries(out, order)
 
 
-def z_extract(f: ZSeries, k: int) -> Series:
-    return f.extract(k)
-
-
 # ------------------------------------------------------ Jacobi triple product
 
 
@@ -194,55 +191,31 @@ class ZFactor:
         return self.expo == -1 and self.mon.qexp == 0
 
 
-def _downgraded(coeffs: dict[int, Series], order: int) -> dict[int, Series]:
-    """Re-mark coefficients as inexact at `order`.
+def _euler_zseries(f: ZFactor, order: int) -> ZSeries:
+    """Expand a closed (mon*z^e; q^b)_inf^(+-1) by Euler's two series.
 
-    The builders below multiply finitely many binomials, so their exact
-    flags would claim completeness the omitted above-order factors do not
-    deliver.
+    [z^(e*n)] is (-1)^n q^(b*binom(n,2)) mon^n / (q^b; q^b)_n for the
+    product and mon^n / (q^b; q^b)_n for its reciprocal (Gasper-Rahman,
+    eqs. (1.3.15)-(1.3.16)).  1/(q^b; q^b)_n starts at 1, so the leading
+    monomial's q-weight is the coefficient's valuation; it rises with n,
+    and the window stops at the first n above `order`.
     """
-    return {k: Series({key: c for key, c in s.terms.items() if key[0] <= order},
-                      order, min(0, s.floor))
-            for k, s in coeffs.items()}
+    coeffs: dict[int, Series] = {}
+    power = Monomial.unit()  # mon^n
+    n = 0
+    while True:
+        lead = power if f.expo == -1 else power * Monomial(
+            -1 if n % 2 else 1, f.basepow * binom2(n))
+        if lead.qexp > order:
+            return ZSeries(coeffs, order)
+        recip = poch_recip_finite(Monomial.q(f.basepow), f.basepow, n, order)
+        coeffs[f.zexp * n] = Series(recip.mul_monomial(lead).terms, order)
+        power = power * f.mon
+        n += 1
 
 
-def _zbinomials(f: ZFactor, order: int) -> ZSeries:
-    """Expand (mon*z^e; q^b)_inf by multiplying its binomials under `order`."""
-    coeffs: dict[int, Series] = {0: Series.one()}
-    k = 0
-    while f.mon.qexp + k * f.basepow <= order:
-        term = Monomial(-f.mon.coeff, f.mon.qexp + k * f.basepow, f.mon.vars)
-        new = dict(coeffs)
-        for j, s in coeffs.items():
-            shifted = s.mul_monomial(term)
-            key = j + f.zexp
-            new[key] = new[key] + shifted if key in new else shifted
-        # Later binomials only add q-weight, so a coefficient already
-        # above the order stays above it: prune as we go.
-        coeffs = {j: s.truncate(min(order, s.order)) for j, s in new.items()
-                  if s.valuation is not None and s.valuation <= order}
-        k += 1
-    return ZSeries(_downgraded(coeffs, order), order)
-
-
-def _zgeometric(f: ZFactor, order: int) -> ZSeries:
-    """Expand 1/(mon*z^e; q^b)_inf, sound only when mon carries q."""
-    out = ZSeries.unit(order)
-    k = 0
-    while f.mon.qexp + k * f.basepow <= order:
-        weight = f.mon.qexp + k * f.basepow
-        geo: dict[int, Series] = {0: Series.one()}
-        t = 1
-        while t * weight <= order:
-            geo[t * f.zexp] = Series.from_monomial(
-                f.mon ** t * Monomial.q(k * f.basepow * t))
-            t += 1
-        out = zmul(out, ZSeries(geo, order))
-        k += 1
-    return ZSeries(_downgraded(out.coeffs, order), order)
-
-
-def _normalize_zwindow(zwindow) -> tuple[int, int]:
+def normalize_zwindow(zwindow) -> tuple[int, int]:
+    """An int K as [-K, K], or a (lo, hi) pair; ValueError when empty."""
     if isinstance(zwindow, int):
         if zwindow < 0:
             raise ValueError(f"window half-width {zwindow} must be >= 0")
@@ -268,25 +241,17 @@ def expand_zfactors(factors, order: int, zwindow=None) -> ZSeries:
     # An open factor's tail has the widest z-range; multiplied in last,
     # it keeps the intermediate products small.
     for f in sorted(factors, key=lambda f: f.is_open):
-        if f.expo == 1:
-            if f.mon.qexp < 0:
-                raise NotTruncatable(
-                    f"argument {f.mon.text()} has negative q-weight; the "
-                    "binomial expansion never settles")
-            closed = zmul(closed, _zbinomials(f, order))
-        elif f.is_open:
+        if f.is_open:
             # Split off the weight-zero geometric 1/(1 - mon z^e); the
             # q-shifted remainder of the product is an ordinary closed
             # reciprocal and joins the others.
             opens.append(f)
-            tail = ZFactor(f.mon * Monomial.q(f.basepow), f.zexp,
-                           f.basepow, -1)
-            closed = zmul(closed, _zgeometric(tail, order))
-        elif f.mon.qexp > 0:
-            closed = zmul(closed, _zgeometric(f, order))
-        else:
+            f = ZFactor(f.mon * Monomial.q(f.basepow), f.zexp, f.basepow, -1)
+        elif f.mon.qexp < 0:
             raise NotTruncatable(
-                f"reciprocal argument {f.mon.text()} has negative q-weight")
+                f"argument {f.mon.text()} has negative q-weight; its "
+                "z-expansion never settles")
+        closed = zmul(closed, _euler_zseries(f, order))
     if not opens:
         return closed
     if len(opens) > 1:
@@ -296,7 +261,7 @@ def expand_zfactors(factors, order: int, zwindow=None) -> ZSeries:
     if zwindow is None:
         raise NotTruncatable(
             "an open factor makes the z-window unbounded; pass zwindow")
-    lo, hi = _normalize_zwindow(zwindow)
+    lo, hi = normalize_zwindow(zwindow)
     open_f = opens[0]
     folded: dict[int, Series] = {}
     for k in range(lo, hi + 1):
@@ -351,7 +316,7 @@ def verify_zcoeff_identity(name: str, lhs_coeff, rhs: ZSeries, zwindow,
     Each pair is compared termwise up to `order`; the first discrepancy
     (tagged with its z-power) turns the report into a mismatch.
     """
-    lo, hi = _normalize_zwindow(zwindow)
+    lo, hi = normalize_zwindow(zwindow)
     for k in range(lo, hi + 1):
         lhs = lhs_coeff(k)
         rhs_k = rhs.extract(k)
@@ -460,7 +425,7 @@ def prove_main_theorem(order: int = 24, grid: int = 10) -> MainProof:
 
     pair = zmul(jtp_zseries(Monomial.var("x"), order),
                 jtp_zseries(Monomial.var("y", -1), order))
-    ct = z_extract(pair, 0)
+    ct = pair.extract(0)
     prefactor = expand_product_spec(ProductSpec((
         FactorSpec(Monomial.q(), 1, INF, 1),
         FactorSpec(Monomial.var("x", qexp=1), 1, INF, -1),

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from qident import catalog, cli
 from qident.catalog import default_instances, get_identity
 from qident.cli import main
+from qident.qring import NotInvertible
 
 GOLDEN = Path(__file__).parent / "data" / "verify_catalog_all_order10.jsonl"
 
@@ -183,6 +185,39 @@ def test_verify_deep_product_is_an_error_record(capsys, tmp_path):
     assert records[0]["error"].startswith("RecursionError:")
 
 
+@pytest.mark.parametrize("window", ["5,2", "abc", "-1"])
+def test_verify_bad_zwindow_is_an_error_record(capsys, window):
+    code, records, _ = run(capsys, "verify", "--catalog", "all",
+                           f"--zwindow={window}", "--order", "4")
+    assert code == 2
+    assert len(records) == 1
+    assert records[0]["status"] == "error"
+    assert records[0]["error"].startswith(f"bad --zwindow {window!r}")
+
+
+def test_verify_memory_error_is_an_error_record(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("out of memory")
+    monkeypatch.setattr(catalog, "_expand", exhausted)
+    code, records, _ = run(capsys, "verify", "--catalog", "rr1",
+                           "--order", "4")
+    assert code == 2
+    assert records[0]["name"] == "rr1"
+    assert records[0]["error"] == "MemoryError: out of memory"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--catalog", "rr1"],
+    ["expand", "1 / poch(q; q; inf)"],
+    ["prove-main"],
+])
+def test_negative_order_is_an_error_record(capsys, argv):
+    code, records, _ = run(capsys, *argv, "--order", "-1")
+    assert code == 2
+    assert records == [{"status": "error",
+                        "error": "--order must be >= 0, got -1"}]
+
+
 def test_verify_needs_a_target(capsys):
     code, records, err = run(capsys, "verify", "--order", "4")
     assert code == 2
@@ -279,6 +314,16 @@ def test_expand_deep_product_is_an_error_record(capsys):
     assert records[0]["error"].startswith("RecursionError:")
 
 
+def test_expand_memory_error_is_an_error_record(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("out of memory")
+    monkeypatch.setattr(cli, "expand_product_spec", exhausted)
+    code, records, _ = run(capsys, "expand", "poch(q; q; inf)")
+    assert code == 2
+    assert records == [{"status": "error",
+                        "error": "MemoryError: out of memory"}]
+
+
 def test_expand_from_file(capsys, tmp_path):
     path = tmp_path / "expr.txt"
     path.write_text("1 / poch(q; q; inf)\n")
@@ -297,6 +342,28 @@ def test_prove_main_small_order(capsys):
     assert records[0]["name"] == "main-replay"
     assert records[0]["details"]["grid_points"] == 11 * 11
     assert len(records[0]["details"]["stages"]) == 3
+
+
+def test_prove_main_negative_grid_is_an_error_record(capsys):
+    """A negative grid would check no exponent at all and still pass."""
+    code, records, _ = run(capsys, "prove-main", "--order", "4",
+                           "--grid", "-1")
+    assert code == 2
+    assert records == [{"status": "error",
+                        "error": "--grid must be >= 0, got -1"}]
+
+
+@pytest.mark.parametrize("exc", [NotInvertible("zero series has no inverse"),
+                                 RecursionError("too deep"),
+                                 MemoryError("out of memory")])
+def test_prove_main_runtime_errors_are_error_records(capsys, monkeypatch, exc):
+    def failing(order, grid):
+        raise exc
+    monkeypatch.setattr(cli, "prove_main_theorem", failing)
+    code, records, _ = run(capsys, "prove-main", "--order", "4")
+    assert code == 2
+    assert records[0]["name"] == "main-replay"
+    assert records[0]["error"] == f"{type(exc).__name__}: {exc}"
 
 
 # --------------------------------------------------------------------- list

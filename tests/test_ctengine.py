@@ -5,8 +5,12 @@ as oracles for the z-factor builders, and the per-z-power checks replay
 textbook bilateral summations before `prove_main_theorem` chains them.
 """
 
+import itertools
+
 import pytest
 
+from qident import qfactorial, qring
+from qident.catalog import get_identity
 from qident.ctengine import (
     MainProof,
     ZFactor,
@@ -18,7 +22,6 @@ from qident.ctengine import (
     paired_quadform,
     prove_main_theorem,
     verify_zcoeff_identity,
-    z_extract,
     zmul,
 )
 from qident.qfactorial import (
@@ -62,7 +65,7 @@ def test_jtp_coefficients_are_exact_signed_monomials():
         c = zs.coeffs[n]
         assert c.exact
         assert c.terms == {(binom2(n), ()): sign(n)}
-    assert z_extract(zs, -1).terms == {(1, ()): -1}
+    assert zs.extract(-1).terms == {(1, ()): -1}
 
 
 def test_jtp_with_companion_variable():
@@ -115,7 +118,7 @@ def test_zmul_downgrades_order_for_negative_valuations():
 
 def test_constant_term_of_paired_triple_products():
     pair = zmul(jtp_zseries(X, 24), jtp_zseries(Monomial.var("y", -1), 24))
-    ct = z_extract(pair, 0)
+    ct = pair.extract(0)
     # sum over i of (xy)^i q^{i^2}, for every i the paired windows admit
     assert ct.exact
     assert ct.terms == {(i * i, (("x", i), ("y", i)) if i else ()): 1
@@ -141,6 +144,81 @@ def test_geometric_factor_matches_the_plain_euler_sum():
     for j in range(5):
         expect = poch_recip_finite(Q1, 1, j, 12).mul_monomial(Monomial(1, j, ()))
         assert find_first_mismatch(zs.extract(j), expect, 12) is None
+
+
+def _product_with_formal_z(f: ZFactor, order: int, top: int) -> Series:
+    """(mon z^e; q^b)_inf^expo to `order`, with z an ordinary variable.
+
+    Every binomial 1 - mon q^(bk) z^e at q-weight <= order is multiplied
+    out (a later one is 1 to this order) and the product inverted for a
+    reciprocal.  An open reciprocal's q-free k = 0 binomial cannot be
+    inverted in q, so its geometric series is taken up to z^(e*top).
+    """
+    z = Monomial.var("z", f.zexp)
+    prod = Series.one()
+    k = 1 if f.is_open else 0
+    while f.mon.qexp + f.basepow * k <= order:
+        arg = f.mon * Monomial.q(f.basepow * k) * z
+        prod = prod * Series.poly({(0, ()): 1, arg.key(): -arg.coeff})
+        k += 1
+    if f.expo == 1:
+        return prod.truncate(order)
+    prod = prod.invert(order)
+    if f.is_open:
+        powers = [(f.mon * z) ** t for t in range(top + 1)]
+        prod = prod * Series.poly({m.key(): m.coeff for m in powers})
+    return prod
+
+
+def _by_z_power(s: Series) -> dict[int, dict]:
+    out: dict[int, dict] = {}
+    for (qe, vk), c in s.terms.items():
+        rest = tuple((n, e) for n, e in vk if n != "z")
+        out.setdefault(dict(vk).get("z", 0), {})[(qe, rest)] = c
+    return out
+
+
+_SHAPES = [
+    ZFactor(Monomial(c, w, var), zexp, b, expo)
+    for expo, zexp, b, c, var, w in itertools.product(
+        (1, -1), (1, -1, 2, -2), (1, 2, 3), (1, -1), ((), (("x", 1),)),
+        (0, 1, 2))]
+
+
+@pytest.mark.parametrize("order", [0, 1, 12])
+def test_euler_expansion_matches_the_formal_z_product(order):
+    """Every factor shape, closed or open, against the product expanded
+    with z as a formal variable and regrouped by z-power."""
+    window = (-5, 5)
+    for f in _SHAPES:
+        zs = expand_zfactors([f], order, window if f.is_open else None)
+        want = _by_z_power(_product_with_formal_z(f, order, 5))
+        assert zs.order == order
+        if f.is_open:
+            assert zs.bounds == window
+            got = {k: zs.extract(k).terms for k in range(-5, 6)}
+            want = {k: want.get(k, {}) for k in range(-5, 6)}
+        else:
+            got = {k: s.terms for k, s in zs.coeffs.items()}
+            for s in zs.coeffs.values():
+                assert s.order == order and not s.exact
+        assert got == want, f
+
+
+def test_zfactor_expansion_convolution_count(monkeypatch):
+    """Euler's closed forms leave the coefficient products of zmul and
+    the (q^b; q^b)_n prefixes as the only convolutions: the m = 1 product
+    side of the 1psi1 sum at order 16 needs 473 from cold caches."""
+    for cached in (qfactorial._finite_poly, qfactorial.poch_finite,
+                   qfactorial.poch_recip_finite, qfactorial.poch_infinite):
+        cached.cache_clear()
+    calls = []
+    real = qring._convolve
+    monkeypatch.setattr(qring, "_convolve",
+                        lambda *a: calls.append(1) or real(*a))
+    ident = get_identity("ramanujan-1psi1", m=1)
+    expand_zfactors(ident.lowered.rhs.zfactors, 16, ident.zwindow)
+    assert len(calls) <= 600
 
 
 def test_negative_q_weight_arguments_are_refused():
