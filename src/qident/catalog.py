@@ -1,12 +1,13 @@
 """Curated corpus of verifiable identities with parameterized builders.
 
-Every entry is defined by its statement alone: a builder writes the
-statement tree (exported as canonical text) and `get_identity` lowers it
-through `validate_identity`, so the text is the single source of truth.
-Entries whose statement declares ``z`` (the kernel lemmas of the
-constant-term proof) are compared one z-power at a time, over a default
-z-window the registry keeps.  `verify_identity` checks any lowered
-statement, from the catalog or from a file.
+Every entry is defined by its statement text alone: a builder writes both
+sides in the statement language (families with a variable number of
+indices spell their sums out with f-strings), and `get_identity` parses
+them and lowers the tree through `validate_identity`, the same path a
+statement file takes.  Entries whose statement declares ``z`` (the kernel
+lemmas of the constant-term proof) are compared one z-power at a time,
+over a default z-window the registry keeps.  `verify_identity` checks any
+lowered statement, from the catalog or from a file.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .qfactorial import NotTruncatable, expand_product_spec
 from .qring import QSeriesError
 from .report import VerificationReport, compare_series
 from .speclang import (
-    ExpPoly,
     Expr,
     Group,
     IdentityAST,
@@ -30,7 +30,7 @@ from .speclang import (
     Mul,
     PochCall,
     SumCall,
-    normalize_mono,
+    parse_expression,
     serialize_identity,
     validate_identity,
 )
@@ -96,271 +96,137 @@ class CatalogEntry:
         return "series" if self.zwindow is None else "zcoeff"
 
 
-# ------------------------------------------------------- statement shorthand
-
-
-_EV = ExpPoly.var
-_EC = ExpPoly.const
-
-
-def _poly(e) -> ExpPoly:
-    return e if isinstance(e, ExpPoly) else ExpPoly.const(e)
-
-
-def _m(name: str, exp=1) -> MonoPow:
-    return MonoPow(name, _poly(exp))
-
-
-def _pc(arg, base, count, sign: int = 1) -> PochCall:
-    c = None if count is None else _poly(count)
-    return PochCall(normalize_mono(arg), normalize_mono(base), c, sign)
-
-
-def _mul(num, den=()) -> Mul:
-    factors = [(1, f) for f in num] + [(-1, f) for f in den]
-    if not factors:
-        factors = [(1, IntAtom(1))]
-    if factors[0][0] < 0:
-        factors.insert(0, (1, IntAtom(1)))
-    return Mul(tuple(factors))
-
-
-def _expr(num, den=()) -> Expr:
-    return Expr(((1, _mul(num, den)),))
-
-
-def _sum(decls, num, den=()) -> SumCall:
-    return SumCall(tuple(decls), _expr(num, den))
-
-
-_MINUS_ONE = Expr(((-1, Mul(((1, IntAtom(1)),))),))
-
-
-def _sign(exp) -> Group:
-    """(-1) raised to an index expression."""
-    return Group(_MINUS_ONE, _poly(exp))
-
-
 def _name_for(key: str, params) -> str:
     bits = "".join(f"_{n}{v}" for n, v in params)
     return key.replace("-", "_") + bits
 
 
-Q1 = (("q", 1),)
-
-
 # ------------------------------------------------------------------ builders
 
 
+_DOUBLE_PRODUCT = ("poch(-q; q^2; inf) * poch(-q; q^2; inf) "
+                   "* poch(q^2; q^2; inf) / poch(q; q; inf)")
+
+
 def _build_rr(shift: int, moduli: tuple[int, int]):
-    n = _EV("n")
-    lhs = _expr([_sum((("n", "N"),),
-                      [_m("q", n * n + n.scale(shift))],
-                      [_pc(Q1, Q1, n)])])
-    rhs = _expr([IntAtom(1)],
-                [_pc((("q", moduli[0]),), (("q", 5),), None),
-                 _pc((("q", moduli[1]),), (("q", 5),), None)])
-    return (), lhs, rhs
-
-
-def _staircase_quad(k: int, i: int) -> tuple[ExpPoly, list[str]]:
-    """N_1^2 + .. + N_{k-1}^2 + N_i + .. + N_{k-1} in n_1..n_{k-1}."""
-    names = [f"n{t}" for t in range(1, k)]
-    tails = []
-    for j in range(k - 1):
-        s = ExpPoly()
-        for t in range(j, k - 1):
-            s = s + _EV(names[t])
-        tails.append(s)
-    quad = ExpPoly()
-    for s in tails:
-        quad = quad + s * s
-    for j in range(i - 1, k - 1):
-        quad = quad + tails[j]
-    return quad, names
+    a, b = moduli
+    return ((), f"sum(n >= 0; q^(n^2 + {shift}*n) / poch(q; q; n))",
+            f"1 / poch(q^{a}; q^5; inf) / poch(q^{b}; q^5; inf)")
 
 
 def _build_staircase(k: int, i: int, last_base: int):
-    quad, names = _staircase_quad(k, i)
-    dens = [_pc(Q1, Q1, _EV(nm)) for nm in names]
+    """N_1^2 + .. + N_{k-1}^2 + N_i + .. + N_{k-1} over n_1..n_{k-1},
+    where N_j = n_j + .. + n_{k-1}."""
+    names = [f"n{t}" for t in range(1, k)]
+    tails = [" + ".join(names[j:]) for j in range(k - 1)]
+    quad = " + ".join([f"({s})^2" for s in tails]
+                      + [f"({s})" for s in tails[i - 1:]])
+    dens = [f"poch(q; q; {nm})" for nm in names]
     if last_base == 2:
-        dens[-1] = _pc((("q", 2),), (("q", 2),), _EV(names[-1]))
-    decls = [(nm, "N") for nm in names]
-    modulus = 2 * k + 1 if last_base == 1 else 2 * k
-    lhs = _expr([_sum(decls, [_m("q", quad)], dens)])
-    rhs = _expr([_pc((("q", i),), (("q", modulus),), None),
-                 _pc((("q", modulus - i),), (("q", modulus),), None),
-                 _pc((("q", modulus),), (("q", modulus),), None)],
-                [_pc(Q1, Q1, None)])
-    return (), lhs, rhs
-
-
-def _hex_quad(a: str, b: str) -> ExpPoly:
-    i, j = _EV(a), _EV(b)
-    return i * i - i * j + j * j
-
-
-def _double_product_rhs() -> Expr:
-    return _expr([_pc((("q", 1),), (("q", 2),), None, -1),
-                  _pc((("q", 1),), (("q", 2),), None, -1),
-                  _pc((("q", 2),), (("q", 2),), None)],
-                 [_pc(Q1, Q1, None)])
+        dens[-1] = f"poch(q^2; q^2; {names[-1]})"
+    decls = ", ".join(f"{nm} >= 0" for nm in names)
+    m = 2 * k + 1 if last_base == 1 else 2 * k
+    return ((), f"sum({decls}; q^({quad}) / {' / '.join(dens)})",
+            f"poch(q^{i}; q^{m}; inf) * poch(q^{m - i}; q^{m}; inf) "
+            f"* poch(q^{m}; q^{m}; inf) / poch(q; q; inf)")
 
 
 def _build_main():
-    i, j = _EV("i"), _EV("j")
-    lhs = _expr([_sum((("i", "Z"), ("j", "Z")),
-                      [_m("x", i), _m("y", j), _m("q", _hex_quad("i", "j"))],
-                      [_pc((("x", 1), ("q", 1)), Q1, i),
-                       _pc((("y", 1), ("q", 1)), Q1, j)])])
-    rhs = _expr([_pc(Q1, Q1, None),
-                 _pc((("x", 1), ("y", 1), ("q", 1)), (("q", 2),), None, -1),
-                 _pc((("x", -1), ("y", -1), ("q", 1)), (("q", 2),), None, -1),
-                 _pc((("q", 2),), (("q", 2),), None)],
-                [_pc((("x", 1), ("q", 1)), Q1, None),
-                 _pc((("y", 1), ("q", 1)), Q1, None)])
-    return ("x", "y"), lhs, rhs
+    return (("x", "y"),
+            "sum(i in Z, j in Z; x^i * y^j * q^(i^2 - i*j + j^2) "
+            "/ poch(x*q; q; i) / poch(y*q; q; j))",
+            "poch(q; q; inf) * poch(-x*y*q; q^2; inf) "
+            "* poch(-x^(-1)*y^(-1)*q; q^2; inf) * poch(q^2; q^2; inf) "
+            "/ poch(x*q; q; inf) / poch(y*q; q; inf)")
 
 
 def _build_cor_double():
-    lhs = _expr([_sum((("i", "N"), ("j", "N")),
-                      [_m("q", _hex_quad("i", "j"))],
-                      [_pc(Q1, Q1, _EV("i")), _pc(Q1, Q1, _EV("j"))])])
-    return (), lhs, _double_product_rhs()
+    return ((), "sum(i >= 0, j >= 0; q^(i^2 - i*j + j^2) "
+                "/ poch(q; q; i) / poch(q; q; j))", _DOUBLE_PRODUCT)
 
 
 def _build_cor_triple():
-    i, j, k = _EV("i"), _EV("j"), _EV("k")
-    quad = i * i + j * j + k * k + i * k + j * k
-    lhs = _expr([_sum((("i", "N"), ("j", "N"), ("k", "N")),
-                      [_m("q", quad)],
-                      [_pc(Q1, Q1, i), _pc(Q1, Q1, j), _pc(Q1, Q1, k)])])
-    return (), lhs, _double_product_rhs()
+    return ((), "sum(i >= 0, j >= 0, k >= 0; q^(i^2 + j^2 + k^2 + i*k + j*k) "
+                "/ poch(q; q; i) / poch(q; q; j) / poch(q; q; k))",
+            _DOUBLE_PRODUCT)
 
 
 def _build_cor_multi(ell: int):
     names = [f"n{t}" for t in range(1, ell + 1)]
 
-    def tail(first: int) -> ExpPoly:
-        s = ExpPoly()
-        for t in range(first, ell + 1):
-            s = s + _EV(f"n{t}")
-        return s
+    def tail(first: int) -> str:
+        return " + ".join(names[first - 1:])
 
-    n1, n2 = _EV("n1"), _EV("n2")
-    u, v = n1 + tail(3), n2 + tail(3)
-    quad = u * u - u * v + v * v
-    for t in range(4, ell + 1):
-        quad = quad + (n1 + tail(t)) * (n2 + tail(t))
-    quad = quad + n1 * n2
-    lhs = _expr([_sum([(nm, "N") for nm in names],
-                      [_m("q", quad)],
-                      [_pc(Q1, Q1, _EV(nm)) for nm in names])])
-    return (), lhs, _double_product_rhs()
+    u, v = f"n1 + {tail(3)}", f"n2 + {tail(3)}"
+    quad = [f"({u})^2 - ({u})*({v}) + ({v})^2"]
+    quad += [f"(n1 + {tail(t)})*(n2 + {tail(t)})" for t in range(4, ell + 1)]
+    quad.append("n1*n2")
+    decls = ", ".join(f"{nm} >= 0" for nm in names)
+    dens = " / ".join(f"poch(q; q; {nm})" for nm in names)
+    return ((), f"sum({decls}; q^({' + '.join(quad)}) / {dens})",
+            _DOUBLE_PRODUCT)
 
 
-def _cao_wang_quad(a: int, i: ExpPoly, j: ExpPoly) -> ExpPoly:
-    return (i.binom2() + (j + _EC(1)).binom2()
-            + (j - i).binom2().scale(a))
+def _cao_wang_quad(a: int) -> str:
+    return f"binom(i, 2) + binom(j + 1, 2) + {a}*binom(j - i, 2)"
 
 
 def _build_cao_wang(a: int):
-    i, j = _EV("i"), _EV("j")
-    lhs = _expr([_sum((("i", "N"), ("j", "N")),
-                      [_m("u", i - j), _m("q", _cao_wang_quad(a, i, j))],
-                      [_pc(Q1, Q1, i), _pc(Q1, Q1, j)])])
-    base = (("q", a + 1),)
-    rhs = _expr([_pc((("u", 1), ("q", a)), base, None, -1),
-                 _pc((("u", -1), ("q", 1)), base, None, -1),
-                 _pc((("q", a + 1),), base, None)],
-                [_pc(Q1, Q1, None)])
-    return ("u",), lhs, rhs
+    return (("u",),
+            f"sum(i >= 0, j >= 0; u^(i - j) * q^({_cao_wang_quad(a)}) "
+            "/ poch(q; q; i) / poch(q; q; j))",
+            f"poch(-u*q^{a}; q^{a + 1}; inf) * poch(-u^(-1)*q; q^{a + 1}; inf) "
+            f"* poch(q^{a + 1}; q^{a + 1}; inf) / poch(q; q; inf)")
 
 
 def _build_remark_ua1():
-    i, j = _EV("i"), _EV("j")
-    lhs = _expr([_sum((("i", "N"), ("j", "N")),
-                      [_m("q", _cao_wang_quad(1, i, j))],
-                      [_pc(Q1, Q1, i), _pc(Q1, Q1, j)])])
-    return (), lhs, _double_product_rhs()
+    return ((), f"sum(i >= 0, j >= 0; q^({_cao_wang_quad(1)}) "
+                "/ poch(q; q; i) / poch(q; q; j))", _DOUBLE_PRODUCT)
 
 
 def _build_andrews_p20(i: int, j: int):
-    k = _EV("k")
-    lhs = _expr([IntAtom(1)], [_pc(Q1, Q1, i), _pc(Q1, Q1, j)])
-    quad = k * k - k.scale(i + j) + _EC(i * j)
-    rhs = _expr([_sum((("k", "N"),),
-                      [_m("q", quad)],
-                      [_pc(Q1, Q1, k),
-                       _pc(Q1, Q1, _EC(i) - k),
-                       _pc(Q1, Q1, _EC(j) - k)])])
-    return (), lhs, rhs
+    return ((), f"1 / poch(q; q; {i}) / poch(q; q; {j})",
+            f"sum(k >= 0; q^(k^2 - {i + j}*k + {i * j}) / poch(q; q; k) "
+            f"/ poch(q; q; {i} - k) / poch(q; q; {j} - k))")
 
 
 def _build_q_binomial():
-    kk = _EV("k")
-    lhs = _expr([_sum((("k", "N"),),
-                      [_pc((("a", 1),), Q1, kk), _m("z", kk)],
-                      [_pc(Q1, Q1, kk)])])
-    rhs = _expr([_pc((("a", 1), ("z", 1)), Q1, None)],
-                [_pc((("z", 1),), Q1, None)])
-    return ("a", "z"), lhs, rhs
+    return (("a", "z"), "sum(k >= 0; poch(a; q; k) * z^k / poch(q; q; k))",
+            "poch(a*z; q; inf) / poch(z; q; inf)")
 
 
 def _build_1psi1(m: int):
-    kk = _EV("k")
-    lhs = _expr([_sum((("k", "Z"),),
-                      [_pc((("a", 1),), Q1, kk), _m("z", kk)],
-                      [_pc((("q", m),), Q1, kk)])])
-    rhs = _expr([_pc(Q1, Q1, None),
-                 _pc((("a", 1), ("z", 1)), Q1, None),
-                 _pc((("a", -1), ("z", -1), ("q", 1)), Q1, None),
-                 _pc((("a", -1), ("q", m)), Q1, None)],
-                [_pc((("q", m),), Q1, None),
-                 _pc((("z", 1),), Q1, None),
-                 _pc((("a", -1), ("z", -1), ("q", m)), Q1, None),
-                 _pc((("a", -1), ("q", 1)), Q1, None)])
-    return ("a", "z"), lhs, rhs
+    return (("a", "z"),
+            f"sum(k in Z; poch(a; q; k) * z^k / poch(q^{m}; q; k))",
+            "poch(q; q; inf) * poch(a*z; q; inf) "
+            f"* poch(a^(-1)*z^(-1)*q; q; inf) * poch(a^(-1)*q^{m}; q; inf) "
+            f"/ poch(q^{m}; q; inf) / poch(z; q; inf) "
+            f"/ poch(a^(-1)*z^(-1)*q^{m}; q; inf) / poch(a^(-1)*q; q; inf)")
 
 
 def _build_bilateral_euler(m: int):
-    kk = _EV("k")
-    lhs = _expr([_sum((("k", "Z"),),
-                      [_sign(kk), _m("z", kk), _m("q", kk.binom2())],
-                      [_pc((("q", m),), Q1, kk)])])
-    rhs = _expr([_pc(Q1, Q1, None), _pc((("z", 1),), Q1, None),
-                 _pc((("z", -1), ("q", 1)), Q1, None)],
-                [_pc((("q", m),), Q1, None),
-                 _pc((("z", -1), ("q", m)), Q1, None)])
-    return ("z",), lhs, rhs
+    return (("z",),
+            "sum(k in Z; (-1)^k * z^k * q^(binom(k, 2)) "
+            f"/ poch(q^{m}; q; k))",
+            "poch(q; q; inf) * poch(z; q; inf) * poch(z^(-1)*q; q; inf) "
+            f"/ poch(q^{m}; q; inf) / poch(z^(-1)*q^{m}; q; inf)")
 
 
 def _build_circle_x():
-    ii = _EV("i")
-    lhs = _expr([_sum((("i", "Z"),),
-                      [_sign(ii), _m("x", ii), _m("z", ii),
-                       _m("q", ii.binom2())],
-                      [_pc((("x", 1), ("q", 1)), Q1, ii)])])
-    rhs = _expr([_pc(Q1, Q1, None),
-                 _pc((("x", 1), ("z", 1)), Q1, None),
-                 _pc((("x", -1), ("z", -1), ("q", 1)), Q1, None)],
-                [_pc((("x", 1), ("q", 1)), Q1, None),
-                 _pc((("z", -1), ("q", 1)), Q1, None)])
-    return ("x", "z"), lhs, rhs
+    return (("x", "z"),
+            "sum(i in Z; (-1)^i * x^i * z^i * q^(binom(i, 2)) "
+            "/ poch(x*q; q; i))",
+            "poch(q; q; inf) * poch(x*z; q; inf) "
+            "* poch(x^(-1)*z^(-1)*q; q; inf) "
+            "/ poch(x*q; q; inf) / poch(z^(-1)*q; q; inf)")
 
 
 def _build_circle_y():
-    jj = _EV("j")
-    lhs = _expr([_sum((("j", "Z"),),
-                      [_sign(jj), _m("y", jj), _m("z", -jj),
-                       _m("q", jj.binom2() + jj)],
-                      [_pc((("y", 1), ("q", 1)), Q1, jj)])])
-    rhs = _expr([_pc(Q1, Q1, None),
-                 _pc((("y", 1), ("z", -1), ("q", 1)), Q1, None),
-                 _pc((("y", -1), ("z", 1)), Q1, None)],
-                [_pc((("y", 1), ("q", 1)), Q1, None),
-                 _pc((("z", 1),), Q1, None)])
-    return ("y", "z"), lhs, rhs
+    return (("y", "z"),
+            "sum(j in Z; (-1)^j * y^j * z^(-j) * q^(binom(j + 1, 2)) "
+            "/ poch(y*q; q; j))",
+            "poch(q; q; inf) * poch(y*z^(-1)*q; q; inf) "
+            "* poch(y^(-1)*z; q; inf) / poch(y*q; q; inf) / poch(z; q; inf)")
 
 
 # ------------------------------------------------------------------ registry
@@ -525,7 +391,8 @@ def get_identity(key: str, **params) -> Identity:
                 f"{key}: {p.name}={v} outside [{p.lo}, {top}]")
     inst = tuple(sorted(params.items()))
     vars_, lhs, rhs = entry.builder(**params)
-    ast = IdentityAST(_name_for(key, inst), vars_, (), lhs, rhs)
+    ast = IdentityAST(_name_for(key, inst), vars_, (),
+                      parse_expression(lhs), parse_expression(rhs))
     return Identity(key, inst, ast, validate_identity(ast), entry.zwindow)
 
 

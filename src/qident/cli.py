@@ -321,12 +321,8 @@ def main(argv=None) -> int:
             return _error(f"--{flag} must be >= 0, got {getattr(args, flag)}")
     try:
         return args.func(args)
-    except ValueError as exc:
-        _log(f"[error] {exc}")
-        return 2
-    except OSError as exc:
-        _log(f"[error] {exc}")
-        return 2
+    except (ValueError, OSError) as exc:
+        return _error(_err(exc))
 
 
 if __name__ == "__main__":

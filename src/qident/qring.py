@@ -119,10 +119,6 @@ class Monomial:
             raise NotInvertible(f"monomial coefficient {self.coeff} is not a unit")
         return Monomial(self.coeff, -self.qexp, tuple((n, -e) for n, e in self.vars))
 
-    @property
-    def is_unit_one(self) -> bool:
-        return self.coeff == 1 and self.qexp == 0 and not self.vars
-
     def key(self) -> TermKey:
         return (self.qexp, self.vars)
 

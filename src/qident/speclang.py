@@ -954,6 +954,20 @@ def _lower_sum(node: SumCall, formal: set[str], params: dict,
     return spec
 
 
+def _poch_factor(poch: PochCall, params: dict, expo: int) -> FactorSpec:
+    """A Pochhammer symbol outside a sum, raised to the power `expo`."""
+    count = INF
+    if poch.count is not None:
+        cp = poch.count.substitute(params)
+        if not cp.is_constant or cp.constant_value().denominator != 1:
+            raise LoweringError(
+                "Pochhammer subscripts outside a sum must be constant "
+                "integers")
+        count = int(cp.constant_value())
+    return FactorSpec(_monomial_from_key(poch.arg, poch.coeff),
+                      _base_qexp(poch.base), count, expo)
+
+
 def _lower_product(factors, params: dict) -> ProductSpec:
     prefactor = Monomial.unit()
     out: list[FactorSpec] = []
@@ -978,17 +992,7 @@ def _lower_product(factors, params: dict) -> ProductSpec:
                     else Monomial.var(factor.name))
             prefactor = prefactor * base ** e
         elif isinstance(factor, PochCall):
-            count = INF
-            if factor.count is not None:
-                cp = factor.count.substitute(params)
-                if not cp.is_constant or cp.constant_value().denominator != 1:
-                    raise LoweringError(
-                        "Pochhammer subscripts outside a sum must be "
-                        "constant integers")
-                count = int(cp.constant_value())
-            out.append(FactorSpec(
-                _monomial_from_key(factor.arg, factor.coeff),
-                _base_qexp(factor.base), count, op))
+            out.append(_poch_factor(factor, params, op))
         elif isinstance(factor, Group) and factor.exp is not None:
             inner = _unwrap_factors(_single_term(factor.inner, "a grouped factor"))
             ep = factor.exp.substitute(params)
@@ -999,19 +1003,8 @@ def _lower_product(factors, params: dict) -> ProductSpec:
                     or ep.constant_value() == 0):
                 raise LoweringError(
                     "only Pochhammer symbols take constant nonzero powers")
-            poch = inner[0][1]
-            count = INF
-            if poch.count is not None:
-                cp = poch.count.substitute(params)
-                if not cp.is_constant or cp.constant_value().denominator != 1:
-                    raise LoweringError(
-                        "Pochhammer subscripts outside a sum must be "
-                        "constant integers")
-                count = int(cp.constant_value())
-            out.append(FactorSpec(
-                _monomial_from_key(poch.arg, poch.coeff),
-                _base_qexp(poch.base), count,
-                op * int(ep.constant_value())))
+            out.append(_poch_factor(inner[0][1], params,
+                                    op * int(ep.constant_value())))
         else:
             raise LoweringError(
                 f"cannot lower factor {_factor_text(factor)} in a product")

@@ -5,6 +5,8 @@ are checked here numerically (same truncated coefficients) or, where the
 normalizer makes two statements literally identical, structurally.
 """
 
+from pathlib import Path
+
 import pytest
 
 from qident.catalog import (
@@ -17,7 +19,8 @@ from qident.catalog import (
     specialize_to_one,
     verify_identity,
 )
-from qident.ctengine import ZSumSpec
+from qident.ctengine import ZSumSpec, bilateral_double_spec, \
+    hexagonal_quadform
 from qident.qfactorial import expand_product_spec
 from qident.speclang import ParseError, parse_identity, serialize_identity, \
     tokenize, validate_identity
@@ -272,6 +275,42 @@ def test_corpus_mutations_fail_close_to_the_edit():
                     f"{key}: deleting {tok.text!r} reported "
                     f"{(err.line, err.col)}, past {bound}")
     assert raising >= 50
+
+
+CATALOG_TEXTS = Path(__file__).parent / "data" / "catalog_texts.txt"
+
+
+def pinned_instances():
+    """The instances whose canonical text catalog_texts.txt holds: every
+    parameterless entry, then each family over a grid wider than its
+    defaults."""
+    out = [(row["key"], {}) for row in list_identities() if not row["params"]]
+    for key in ("andrews-gordon", "bressoud"):
+        out += [(key, {"k": k, "i": i})
+                for k in range(2, 8) for i in range(1, k + 1)]
+    for key in ("ramanujan-1psi1", "bilateral-euler"):
+        out += [(key, {"m": m}) for m in range(1, 7)]
+    out += [("cao-wang", {"a": a}) for a in range(1, 7)]
+    out += [("cor-multi", {"ell": ell}) for ell in range(4, 9)]
+    out += [("andrews-p20", {"i": i, "j": j})
+            for i in (0, 1, 4, 9) for j in (0, 1, 4, 9)]
+    return out
+
+
+def pinned_texts() -> str:
+    return "\n".join(get_identity(key, **params).text
+                     for key, params in pinned_instances())
+
+
+def test_catalog_texts_match_the_pinned_file_byte_for_byte():
+    assert pinned_texts() == CATALOG_TEXTS.read_text()
+
+
+def test_main_statement_sums_exactly_what_the_replay_sums():
+    """prove-main evaluates bilateral_double_spec(hexagonal_quadform());
+    the catalog statement must lower to that very spec."""
+    assert get_identity("main").lowered.lhs == \
+        bilateral_double_spec(hexagonal_quadform())
 
 
 def test_statement_text_is_useful_as_a_file():

@@ -110,6 +110,24 @@ def test_verify_unknown_key_and_bad_params(capsys):
     capsys.readouterr()
 
 
+def test_verify_bad_param_text_is_an_error_record(capsys):
+    code, records, _ = run(capsys, "verify", "--catalog", "cao-wang",
+                           "--param", "a=x")
+    assert code == 2
+    assert records == [{
+        "status": "error",
+        "error": "ValueError: bad parameter 'a=x'; expected NAME=INTEGER"}]
+
+
+def test_verify_missing_file_is_an_error_record(capsys, tmp_path):
+    code, records, _ = run(capsys, "verify", str(tmp_path / "absent.qid"))
+    assert code == 2
+    assert len(records) == 1
+    assert records[0]["status"] == "error"
+    assert records[0]["error"].startswith("FileNotFoundError:")
+    assert "absent.qid" in records[0]["error"]
+
+
 def test_verify_zwindow_flag(capsys):
     code, records, _ = run(capsys, "verify", "--catalog", "bilateral-euler",
                            "--param", "m=1", "--order", "10",

@@ -9,10 +9,11 @@ import itertools
 
 import pytest
 
-from qident import qfactorial, qring
+from qident import ctengine, qfactorial, qring
 from qident.catalog import get_identity
 from qident.ctengine import (
     MainProof,
+    ProofReplayError,
     ZFactor,
     ZSeries,
     binom2,
@@ -371,3 +372,15 @@ def test_prove_main_grid_guard_catches_wrong_forms():
     skewed = qp + QuadForm.linear(AffineForm.index(0, 2))
     assert any(skewed.evaluate((a, b)) != qh.evaluate((a, b))
                for a in grid for b in grid)
+
+
+def test_prove_main_refuses_a_stated_sum_unequal_to_the_paired_one(
+        monkeypatch):
+    """The stated form plus i agrees with the paired one at the only grid
+    point (0, 0); the exact spec comparison must still refuse it."""
+    stated = ctengine.hexagonal_quadform
+    monkeypatch.setattr(
+        ctengine, "hexagonal_quadform",
+        lambda: stated() + QuadForm.linear(AffineForm.index(0, 2)))
+    with pytest.raises(ProofReplayError, match="^paired sum vs direct sum"):
+        prove_main_theorem(order=4, grid=0)
