@@ -127,8 +127,7 @@ def _parse_zwindow(text: str | None) -> tuple[int, int] | None:
 def cmd_verify(args) -> int:
     reports: list[VerificationReport] = []
     if args.catalog and args.file:
-        _log("choose either --catalog or a file, not both")
-        return 2
+        return _error("choose either --catalog or a file, not both")
     try:
         zwindow = _parse_zwindow(args.zwindow)
     except ValueError as exc:
@@ -136,8 +135,7 @@ def cmd_verify(args) -> int:
     if args.catalog:
         if args.catalog == "all":
             if args.param:
-                _log("--param only applies to a single catalog key")
-                return 2
+                return _error("--param only applies to a single catalog key")
             targets = default_instances()
         else:
             targets = [(args.catalog, _parse_params(args.param))]
@@ -170,8 +168,8 @@ def cmd_verify(args) -> int:
                                            {"source": args.file},
                                            zwindow=zwindow))
     else:
-        _log("nothing to verify: give --catalog KEY or an identity file")
-        return 2
+        return _error("nothing to verify: give --catalog KEY or an identity "
+                      "file")
 
     code = 0
     for report in reports:

@@ -26,8 +26,8 @@ from .qfactorial import (
     FactorSpec,
     NotTruncatable,
     ProductSpec,
+    expand_factors,
     expand_product_spec,
-    poch_recip_finite,
 )
 from .qring import Monomial, NotInvertible, QSeriesError, QueryBeyondOrder, Series
 from .report import VerificationReport, find_first_mismatch
@@ -208,8 +208,8 @@ def _euler_zseries(f: ZFactor, order: int) -> ZSeries:
             -1 if n % 2 else 1, f.basepow * binom2(n))
         if lead.qexp > order:
             return ZSeries(coeffs, order)
-        recip = poch_recip_finite(Monomial.q(f.basepow), f.basepow, n, order)
-        coeffs[f.zexp * n] = Series(recip.mul_monomial(lead).terms, order)
+        coeffs[f.zexp * n] = expand_factors(
+            lead, [(Monomial.q(f.basepow), f.basepow, n, -1)], order)
         power = power * f.mon
         n += 1
 

@@ -6,6 +6,14 @@ argument carries at least q^1.  Negative subscripts follow
 (a; q^b)_{-n} = 1 / (a q^{-nb}; q^b)_n, which also produces this kernel's
 zero convention: the reciprocal of a factorial with a vanishing factor is
 the zero series, used to collapse bilateral sums onto N.
+
+Every finite factor goes through one rule, `reflect`: a binomial 1 - A
+of negative q-weight is -A (1 - 1/A) (Gasper-Rahman, *Basic
+Hypergeometric Series*, Appendix I), so a factor is a signed monomial at
+its exact valuation times runs of binomials of q-weight >= 0.  Those
+runs have valuation 0 and are needed only to depth order - valuation;
+`_run` builds them one binomial at a time and caches every prefix at the
+working order.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qring import Monomial, NotInvertible, QSeriesError, Series
+from .qring import Monomial, QSeriesError, Series
 
 INF = None  # sentinel for an infinite product count
 
@@ -52,73 +60,150 @@ class ProductSpec:
     prefactor: Monomial = Monomial.unit()
 
 
-@lru_cache(maxsize=None)
-def _finite_poly(arg: Monomial, basepow: int, n: int) -> Series:
-    """(arg; q^basepow)_n for n >= 0, as an exact Laurent polynomial."""
-    if n == 0:
-        return Series.one()
-    shifted = Monomial(-arg.coeff, arg.qexp + basepow * (n - 1), arg.vars)
-    terms = {(0, ()): 1}
-    # additive merge: the shift can land on q^0 itself (e.g. (1;q)_n)
-    terms[shifted.key()] = terms.get(shifted.key(), 0) + shifted.coeff
-    binomial = Series.poly(terms)
-    return _finite_poly(arg, basepow, n - 1) * binomial
+# (arg, basepow, count, expo): the run prod_{k<count} (1 - arg q^{bk})^expo
+Run = tuple[Monomial, int, int, int]
 
 
-def _vanishing_factor(arg: Monomial, basepow: int, n: int) -> bool:
-    """Does (arg; q^basepow)_n contain a factor 1 - 1 (n >= 0)?"""
-    if arg.vars or arg.coeff != 1 or arg.qexp % basepow:
+def _binomials(arg: Monomial, basepow: int, n: int) -> tuple[Monomial, int]:
+    """(first, count): the binomials of (arg; q^basepow)_n are
+    1 - first q^{bk} for k < count, in its denominator when n < 0."""
+    if n >= 0:
+        return arg, n
+    return arg * Monomial.q(n * basepow), -n
+
+
+def vanishes(arg: Monomial, basepow: int, n: int) -> bool:
+    """Does (arg; q^basepow)_n, for any integer n, hold a binomial 1 - 1?"""
+    first, count = _binomials(arg, basepow, n)
+    if first.vars or first.coeff != 1 or first.qexp % basepow:
         return False
-    j = arg.qexp // basepow
-    return -j in range(n)  # factor k = -j satisfies arg * q^{bk} = 1
+    return 0 <= -first.qexp // basepow < count
 
 
-@lru_cache(maxsize=None)
+def reflect(arg: Monomial, basepow: int, n: int,
+            expo: int = 1) -> tuple[Monomial, tuple[Run, ...]] | None:
+    """(arg; q^basepow)_n ^ expo, expo = +-1, as (lead, runs), or None.
+
+    None is the zero series (a binomial 1 - 1 in the numerator), and a
+    binomial 1 - 1 in the denominator raises ZeroDivisor.  Otherwise the
+    factor is lead * prod of the runs: `lead` is prod (-A)^(+-1) over the
+    binomials 1 - A of negative q-weight, and the runs, all of q-weight
+    >= 0, hold those binomials reflected to 1 - 1/A and the others as
+    they are.  1/A needs A's coefficient to be a unit (NotInvertible).
+    """
+    first, count = _binomials(arg, basepow, n)
+    power = expo if n >= 0 else -expo
+    if vanishes(arg, basepow, n):
+        if power > 0:
+            return None
+        raise ZeroDivisor(f"{'1/' if expo < 0 else ''}({arg.text()}; "
+                          f"q^{basepow})_{n} divides by a vanishing factor")
+    r = min(count, max(0, -(first.qexp // basepow)))  # weights below 0
+    lead = Monomial.unit()
+    runs = []
+    if r:
+        last = first * Monomial.q(basepow * (r - 1))
+        runs.append((last.inverse(), basepow, r, power))
+        lead = (Monomial(-first.coeff, first.qexp, first.vars) ** r
+                * Monomial.q(basepow * (r * (r - 1) // 2))) ** power
+    if count > r:
+        runs.append((first * Monomial.q(basepow * r), basepow, count - r,
+                     power))
+    return lead, tuple(runs)
+
+
+# (arg, basepow, expo, order) -> [run of 0, 1, 2, ... binomials]
+_RUNS: dict[tuple, list[Series]] = {}
+
+
+def _run(arg: Monomial, basepow: int, count: int, expo: int,
+         order: int | None) -> Series:
+    """prod_{k<count} (1 - arg q^{bk})^expo for arg of q-weight >= 0.
+
+    Truncated at `order`, where the binomials of q-weight above `order`
+    are 1 and are skipped; the exact polynomial when `order` is None
+    (expo = 1 only).  Each length extends the cached one before it.
+    """
+    if order is not None:
+        count = min(count, max(0, (order - arg.qexp) // basepow + 1))
+    prefixes = _RUNS.setdefault((arg, basepow, expo, order), [
+        Series.one() if order is None else Series({(0, ()): 1}, order)])
+    while len(prefixes) <= count:
+        a = arg * Monomial.q(basepow * (len(prefixes) - 1))
+        binomial = Series.one() - Series.from_monomial(a)
+        if expo < 0:
+            binomial = binomial.invert(order)
+        prefixes.append(prefixes[-1] * binomial)
+    return prefixes[count]
+
+
+def expand_factors(lead: Monomial, factors, order: int | None,
+                   pieces=()) -> Series:
+    """lead * prod (arg; q^b)_n^expo over `factors` * prod `pieces`.
+
+    `factors` holds (arg, basepow, n, expo) with expo = +-1 and any
+    integer n; `pieces` are valuation-0 series sound to `order`, used
+    only when the product does not dip below q^0.  The product is zero
+    if any factor is (a ZeroDivisor from another factor still raises).
+    Otherwise its valuation v is that of lead times the reflected leads,
+    and each run is needed only to depth order - v.  A product dipping
+    below q^0 keeps its floor there and its order at `order`.  The runs
+    are built even when v > order, so that a run with no inverse raises
+    rather than passing for zero.  With `order` None the runs are
+    polynomials and the product is exact.
+    """
+    runs: list[Run] = []
+    zero = False
+    for arg, basepow, n, expo in factors:
+        reflected = reflect(arg, basepow, n, expo)
+        if reflected is None:
+            zero = True
+            continue
+        lead = lead * reflected[0]
+        runs += reflected[1]
+    if zero:
+        return Series({}, order or 0, 0, exact=order is None)
+    v = lead.qexp
+    if order is None:
+        acc, work = Series.from_monomial(lead), None
+    else:
+        acc = Series({lead.key(): lead.coeff}, order, min(v, 0))
+        work = order - min(v, 0)
+    for piece in [_run(*run, work) for run in runs] + list(pieces):
+        acc = acc * piece
+    return acc
+
+
+def _poch(arg: Monomial, basepow: int, n: int, expo: int,
+          order: int | None) -> Series:
+    if order is None and (n >= 0) != (expo > 0):
+        raise ValueError("an inverse factorial needs a truncation order")
+    return expand_factors(Monomial.unit(), [(arg, basepow, n, expo)], order)
+
+
 def poch_finite(arg: Monomial, basepow: int = 1, n: int = 0,
                 order: int | None = None) -> Series:
-    """(arg; q^basepow)_n.
+    """(arg; q^basepow)_n for any integer n, truncated at `order`.
 
-    For n >= 0 this is the exact polynomial.  For n < 0 it is
-    1/(arg q^{n*basepow}; q^basepow)_{-n}: an inverse series (to `order`)
-    when that polynomial is a unit, and ZeroDivisor when it has a
-    vanishing factor -- e.g. (q;q)_{-1} divides by 1 - 1.
+    With `order` None and n >= 0 it is the exact polynomial.  For n < 0
+    it is 1/(arg q^{n*basepow}; q^basepow)_{-n}, which needs an order,
+    and ZeroDivisor when that polynomial has a vanishing factor -- e.g.
+    (q;q)_{-1} divides by 1 - 1.
     """
-    if n >= 0:
-        return _finite_poly(arg, basepow, n)
-    m = -n
-    shifted = Monomial(arg.coeff, arg.qexp - m * basepow, arg.vars)
-    if _vanishing_factor(shifted, basepow, m):
-        raise ZeroDivisor(
-            f"({arg.text()}; q^{basepow})_{n} has a vanishing factor; "
-            "the value is infinite (its reciprocal is the zero series)")
-    poly = _finite_poly(shifted, basepow, m)
-    if order is None:
-        raise ValueError("negative subscripts need an explicit truncation order")
-    return poly.invert(order)
+    return _poch(arg, basepow, n, 1, order)
 
 
-@lru_cache(maxsize=None)
 def poch_recip_finite(arg: Monomial, basepow: int = 1, n: int = 0,
                       order: int | None = None) -> Series:
-    """1/(arg; q^basepow)_n for any integer n.
+    """1/(arg; q^basepow)_n for any integer n, truncated at `order`.
 
-    n >= 0 inverts the exact polynomial (NotInvertible if it is not a
-    unit).  n < 0 is the exact Laurent polynomial
-    (arg q^{-|n| basepow}; q^basepow)_{|n|}, and the zero series when that
-    polynomial vanishes -- the convention that collapses bilateral sums.
+    n >= 0 needs an order, and raises ZeroDivisor on a vanishing factor
+    (NotInvertible if the inverse has no Laurent-polynomial q-levels).
+    n < 0 is the polynomial (arg q^{-|n| basepow}; q^basepow)_{|n|},
+    exact when `order` is None, and the zero series when that polynomial
+    vanishes -- the convention that collapses bilateral sums.
     """
-    if n >= 0:
-        if order is None:
-            raise ValueError("reciprocal factorials need a truncation order")
-        if _vanishing_factor(arg, basepow, n):
-            raise ZeroDivisor(
-                f"1/({arg.text()}; q^{basepow})_{n} divides by a vanishing factor")
-        return _finite_poly(arg, basepow, n).invert(order)
-    m = -n
-    shifted = Monomial(arg.coeff, arg.qexp - m * basepow, arg.vars)
-    if _vanishing_factor(shifted, basepow, m):
-        return Series({}, order if order is not None else 0, 0, exact=True)
-    return _finite_poly(shifted, basepow, m)
+    return _poch(arg, basepow, n, -1, order)
 
 
 @lru_cache(maxsize=None)
@@ -133,13 +218,7 @@ def poch_infinite(arg: Monomial, basepow: int = 1, order: int = 32) -> Series:
         raise NotTruncatable(
             f"({arg.text()}; q^{basepow})_inf: argument carries no positive "
             "q-weight, the product never stabilizes below the order")
-    acc = Series({(0, ()): 1}, order)
-    k = 0
-    while arg.qexp + basepow * k <= order:
-        shifted = Monomial(-arg.coeff, arg.qexp + basepow * k, arg.vars)
-        acc = acc * Series.poly({(0, ()): 1, shifted.key(): shifted.coeff})
-        k += 1
-    return acc
+    return _run(arg, basepow, order // basepow + 1, 1, order)
 
 
 def expand_product_spec(spec: ProductSpec, order: int) -> Series:
@@ -149,24 +228,18 @@ def expand_product_spec(spec: ProductSpec, order: int) -> Series:
     exact).  Raises if the result would dip below q^0, which a
     well-formed product side never does.
     """
-    acc = Series({(0, ()): 1}, order)
-    acc = acc * Series.from_monomial(spec.prefactor)
+    finite, pieces = [], []
     for f in spec.factors:
-        for _ in range(abs(f.expo)):
-            if f.expo > 0:
-                if f.count is INF:
-                    piece = poch_infinite(f.arg, f.basepow, order)
-                else:
-                    piece = poch_finite(f.arg, f.basepow, f.count, order)
-            else:
-                if f.count is INF:
-                    piece = poch_infinite(f.arg, f.basepow, order).invert(order)
-                else:
-                    piece = poch_recip_finite(f.arg, f.basepow, f.count, order)
-            acc = acc * piece
-    val = acc.valuation
+        expo = 1 if f.expo > 0 else -1
+        if f.count is not INF:
+            finite += [(f.arg, f.basepow, f.count, expo)] * abs(f.expo)
+            continue
+        piece = poch_infinite(f.arg, f.basepow, order)
+        pieces += [piece if expo > 0 else piece.invert(order)] * abs(f.expo)
+    series = expand_factors(spec.prefactor, finite, order, pieces)
+    val = series.valuation
     if val is not None and val < 0:
         raise QSeriesError(
             f"product expansion has negative q-valuation {val}; "
             "not a power series")
-    return acc.truncate(min(acc.order, order))
+    return series

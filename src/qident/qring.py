@@ -10,10 +10,10 @@ Terms are kept sparsely in a dict keyed by ``(qexp, vars)`` where ``vars``
 is a tuple of ``(name, exponent)`` pairs sorted by name with zero exponents
 dropped.  Nothing in this module touches floats.
 
-Negative q-exponents are allowed only inside *exact* series (finite Laurent
-polynomials assembled term by term, flagged ``exact=True``); truncated
-series keep a ``floor`` recording the lowest q-exponent their window
-admits.  Multiplication computes the largest sound truncation order from
+Negative q-exponents are allowed in *exact* series (finite Laurent
+polynomials known in full, flagged ``exact=True``) and in truncated series
+down to their ``floor``, the lowest q-exponent their window admits.
+Multiplication computes the largest sound truncation order from
 the operands' orders and valuations rather than silently pretending.
 """
 
@@ -109,10 +109,8 @@ class Monomial:
     def __pow__(self, n: int) -> "Monomial":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Monomial.unit()
-        for _ in range(n):
-            out = out * self
-        return out
+        return Monomial(self.coeff ** n, self.qexp * n,
+                        tuple((name, e * n) for name, e in self.vars))
 
     def inverse(self) -> "Monomial":
         if self.coeff not in (1, -1):
@@ -220,12 +218,6 @@ class Series:
                 raise ValueError("negative q-exponent present")
         return out
 
-    def variables(self) -> set[str]:
-        names: set[str] = set()
-        for (_, vk) in self.terms:
-            names.update(n for n, _ in vk)
-        return names
-
     # -- structural helpers ------------------------------------------------
 
     def truncate(self, order: int, floor: int | None = None) -> "Series":
@@ -293,16 +285,6 @@ class Series:
                 f"no sound coefficients (cap {cap})")
         terms = _convolve(self.terms, other.terms, cap)
         return Series(terms, cap, min(0, self.floor + other.floor))
-
-    def __pow__(self, n: int) -> "Series":
-        if n < 0:
-            return self.invert() ** (-n)
-        if n == 0:
-            return Series.one()
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
 
     def invert(self, order: int | None = None) -> "Series":
         """Multiplicative inverse, sound to `order`.
@@ -414,42 +396,6 @@ def _convolve(a: dict[TermKey, int], b: dict[TermKey, int],
             elif k in out:
                 del out[k]
     return out
-
-
-def _clamp(s: Series, window: int) -> Series:
-    """Downgrade a series to an order-`window` truncation (keep exact ones
-    whole when they already fit)."""
-    if s.exact:
-        if s.is_zero() or max(qe for qe, _ in s.terms) <= window:
-            return s
-        kept = {k: c for k, c in s.terms.items() if k[0] <= window}
-        bottom = min((k[0] for k in kept), default=0)
-        return Series(kept, window, min(0, bottom))
-    order = min(s.order, window)
-    kept = {k: c for k, c in s.terms.items() if k[0] <= order}
-    return Series(kept, order, s.floor)
-
-
-def product_capped(factors: list[Series], cap: int) -> Series:
-    """Product of exact/truncated factors, truncated at q-order `cap`.
-
-    Intermediate results are trimmed using the exact valuations of the
-    factors still to come, which keeps deep-Laurent assemblies (negative
-    q-exponents) small: a term dropped above an intermediate window can
-    only land above `cap` once the remaining factors are multiplied in.
-    """
-    vals = [f.valuation for f in factors]
-    if any(v is None for v in vals):
-        return Series({}, cap, 0)
-    if sum(vals) > cap:
-        return Series({}, cap, 0)
-    acc: Series = Series.one()
-    for i, f in enumerate(factors):
-        acc = _clamp(acc, cap - sum(vals[i:]))
-        acc = acc * f
-        if acc.is_zero() and not acc.exact:
-            return Series({}, cap, 0)
-    return _clamp(acc, cap)
 
 
 def parse_series(text: str) -> Series:

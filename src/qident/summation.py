@@ -21,14 +21,8 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
 
-from .qfactorial import poch_recip_finite
-from .qring import (
-    Monomial,
-    QSeriesError,
-    Series,
-    TruncationUnsound,
-    product_capped,
-)
+from .qfactorial import expand_factors, vanishes
+from .qring import Monomial, QSeriesError, Series
 
 
 class DomainError(QSeriesError):
@@ -262,11 +256,9 @@ def _recip_offset(arg: Monomial, basepow: int, n: int) -> int | None:
     """
     if n >= 0:
         return 0
-    m = -n
-    if not arg.vars and arg.coeff == 1 and arg.qexp % basepow == 0:
-        if 1 <= arg.qexp // basepow <= m:
-            return None  # a vanishing factor: the whole term dies
-    return _dip(arg.qexp, basepow, m)
+    if vanishes(arg, basepow, n):
+        return None  # a vanishing factor: the whole term dies
+    return _dip(arg.qexp, basepow, -n)
 
 
 def term_valuation(spec: SumSpec, point) -> Fraction | None:
@@ -282,11 +274,12 @@ def term_valuation(spec: SumSpec, point) -> Fraction | None:
 
 
 def term_series(spec: SumSpec, point, order: int) -> Series:
-    """The single term at `point`, assembled exactly.
+    """The single term at `point`, truncated at `order`.
 
-    Terms whose valuation is >= 0 come back truncated at `order` with
-    floor 0; a term dipping below q^0 is kept as an exact Laurent
-    polynomial so the caller's accumulator can cancel it exactly.
+    Every Pochhammer factor is reflected (see `qfactorial.reflect`), so
+    the term is a signed monomial at its exact valuation v times pieces
+    of valuation 0, each built only to depth order - v.  A term with
+    v < 0 keeps its floor at q^v for the accumulator to cancel.
     """
     _check_point(spec, point)
     q = spec.quad.evaluate(point)
@@ -303,40 +296,11 @@ def term_series(spec: SumSpec, point, order: int) -> Series:
         if e:
             exps[name] = e
     mono = Monomial(sign, int(q), tuple(sorted(exps.items())))
-
-    recips = [(f.arg, f.basepow, _int_value(f.count, point, "subscript"))
-              for f in spec.denoms]
-    for f in spec.numers:
-        # (a; q^b)_n = 1 / (a q^(b n); q^b)_(-n) for every integer n
-        n = _int_value(f.count, point, "subscript")
-        recips.append((f.arg * Monomial.q(f.basepow * n), f.basepow, -n))
-    offsets = 0
-    for arg, basepow, n in recips:
-        off = _recip_offset(arg, basepow, n)
-        if off is None:
-            return Series.zero(order)
-        offsets += off
-
-    widened = order - offsets  # inverse factors must outreach the Laurent dip
-    exact_parts: list[Series] = []
-    inverse_parts: list[Series] = []
-    for arg, basepow, n in recips:
-        piece = poch_recip_finite(arg, basepow, n, widened)
-        (exact_parts if piece.exact else inverse_parts).append(piece)
-
-    pieces = [Series.from_monomial(mono)] + exact_parts + inverse_parts
-    if int(q) + offsets < 0 and not inverse_parts:
-        prod = pieces[0]
-        for p in pieces[1:]:
-            prod = prod * p
-        return prod
-    prod = product_capped(pieces, order)
-    if prod.exact:
-        return prod  # complete Laurent polynomial, nothing was cut
-    if prod.order < order:
-        raise TruncationUnsound(
-            f"term at {point} only sound to order {prod.order} < {order}")
-    return prod.truncate(order, min(0, int(q) + offsets))
+    factors = [(f.arg, f.basepow, _int_value(f.count, point, "subscript"),
+                expo)
+               for expo, group in ((-1, spec.denoms), (1, spec.numers))
+               for f in group]
+    return expand_factors(mono, factors, order)
 
 
 # ------------------------------------------------------- support enumeration

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qident import catalog, cli
+from qident import catalog, cli, qfactorial, qring
 from qident.catalog import default_instances, get_identity
 from qident.cli import main
 from qident.qring import NotInvertible
@@ -29,6 +29,23 @@ def run(capsys, *argv):
     out, err = capsys.readouterr()
     records = [json.loads(line) for line in out.splitlines()]
     return code, records, err
+
+
+def count_convolutions(monkeypatch) -> dict:
+    """Count qring._convolve calls from cold caches, and the products of
+    their operand sizes, which bound the term pairs they visit."""
+    qfactorial._RUNS.clear()
+    qfactorial.poch_infinite.cache_clear()
+    seen = {"calls": 0, "pairs": 0}
+    real = qring._convolve
+
+    def counted(a, b, cap):
+        seen["calls"] += 1
+        seen["pairs"] += len(a) * len(b)
+        return real(a, b, cap)
+
+    monkeypatch.setattr(qring, "_convolve", counted)
+    return seen
 
 
 # ------------------------------------------------------------------- verify
@@ -184,8 +201,7 @@ def test_verify_files_of_z_statements_need_a_zwindow(capsys, tmp_path):
 
 def test_verify_far_vertex_passes(capsys):
     """The sum side of andrews-p20 has its support near n = min(i, j),
-    far from the origin: n = 37..40 at i = j = 40 (i = j = 400 passes
-    too, but its product side alone takes about 20 s)."""
+    far from the origin: n = 37..40 at i = j = 40."""
     code, records, _ = run(capsys, "verify", "--catalog", "andrews-p20",
                            "--param", "i=40,j=40", "--order", "10")
     assert code == 0
@@ -194,13 +210,40 @@ def test_verify_far_vertex_passes(capsys):
         "points": 4, "shells": 41}
 
 
-def test_verify_deep_product_is_an_error_record(capsys, tmp_path):
+def test_verify_deep_factorials_build_only_to_the_order(capsys,
+                                                        monkeypatch):
+    """1/(q;q)_400 to order 10 needs its first ten binomials only, on
+    the product side and in every term of the sum side alike."""
+    seen = count_convolutions(monkeypatch)
+    code, records, _ = run(capsys, "verify", "--catalog", "andrews-p20",
+                           "--param", "i=400,j=400", "--order", "10")
+    assert code == 0
+    assert records[0]["status"] == "pass"
+    assert records[0]["details"]["support"]["rhs"] == {
+        "points": 4, "shells": 401}
+    assert seen["calls"] <= 60 and seen["pairs"] <= 5000, seen
+
+
+def test_verify_wide_zwindow_builds_numerators_only_to_the_order(
+        capsys, monkeypatch):
+    """[z^k] of the q-binomial sum holds (a;q)_k for k up to 80, and only
+    its binomials of q-weight <= 4 reach the order."""
+    seen = count_convolutions(monkeypatch)
+    code, records, _ = run(capsys, "verify", "--catalog", "q-binomial",
+                           "--zwindow", "80", "--order", "4")
+    assert code == 0
+    assert records[0]["details"]["zcoeffs_checked"] == 161
+    assert seen["calls"] <= 600 and seen["pairs"] <= 20000, seen
+
+
+def test_verify_deep_product_gets_a_verdict(capsys, tmp_path):
     path = tmp_path / "deep.qid"
     path.write_text("identity deep { lhs: poch(q; q; 1200); rhs: 1; }")
     code, records, _ = run(capsys, "verify", str(path), "--order", "10")
-    assert code == 2
-    assert records[0]["status"] == "error"
-    assert records[0]["error"].startswith("RecursionError:")
+    assert code == 1
+    assert records[0]["status"] == "mismatch"
+    assert records[0]["first_mismatch"] == {
+        "exponents": {"q": 1}, "lhs": -1, "rhs": 0}
 
 
 @pytest.mark.parametrize("window", ["5,2", "abc", "-1"])
@@ -239,8 +282,21 @@ def test_negative_order_is_an_error_record(capsys, argv):
 def test_verify_needs_a_target(capsys):
     code, records, err = run(capsys, "verify", "--order", "4")
     assert code == 2
-    assert records == []
+    assert records == [{"status": "error", "error": "nothing to verify: "
+                        "give --catalog KEY or an identity file"}]
     assert "nothing to verify" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--catalog", "all", "--param", "k=2"],
+     "--param only applies to a single catalog key"),
+    (["--catalog", "rr1", "identities.qid"],
+     "choose either --catalog or a file, not both"),
+], ids=["param-with-all", "catalog-with-file"])
+def test_verify_usage_errors_are_error_records(capsys, argv, message):
+    code, records, _ = run(capsys, "verify", *argv, "--order", "4")
+    assert code == 2
+    assert records == [{"status": "error", "error": message}]
 
 
 # ------------------------------------------------------------------- expand
@@ -324,12 +380,24 @@ def test_expand_refuses_an_unbounded_region(capsys):
     assert "region n <= -1" in records[0]["error"]
 
 
-def test_expand_deep_product_is_an_error_record(capsys):
+def test_expand_deep_product_gives_the_pentagonal_coefficients(capsys):
+    """(q;q)_1200 agrees with (q;q)_inf below q^1201: Euler's pentagonal
+    numbers 1, 2, 5 carry the signs."""
     code, records, _ = run(capsys, "expand", "poch(q; q; 1200)",
-                           "--order", "10")
-    assert code == 2
-    assert records[0]["status"] == "error"
-    assert records[0]["error"].startswith("RecursionError:")
+                           "--order", "5")
+    assert code == 0
+    assert records[0]["status"] == "ok"
+    assert records[0]["qcoeffs"] == [1, -1, -1, 0, 0, 1]
+
+
+def test_expand_huge_power_is_a_zero_record(capsys):
+    """The power of q is formed in closed form, not by repeated
+    multiplication, and lies far above the order."""
+    code, records, _ = run(capsys, "expand", "q^(1000000000)",
+                           "--order", "5")
+    assert code == 0
+    assert records == [{"status": "ok", "order": 5, "exact": False,
+                        "series": "0", "qcoeffs": [0] * 6}]
 
 
 def test_expand_memory_error_is_an_error_record(capsys, monkeypatch):

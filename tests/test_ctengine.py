@@ -208,11 +208,11 @@ def test_euler_expansion_matches_the_formal_z_product(order):
 
 def test_zfactor_expansion_convolution_count(monkeypatch):
     """Euler's closed forms leave the coefficient products of zmul and
-    the (q^b; q^b)_n prefixes as the only convolutions: the m = 1 product
-    side of the 1psi1 sum at order 16 needs 473 from cold caches."""
-    for cached in (qfactorial._finite_poly, qfactorial.poch_finite,
-                   qfactorial.poch_recip_finite, qfactorial.poch_infinite):
-        cached.cache_clear()
+    the 1/(q^b; q^b)_n pieces as the only convolutions, each piece one
+    binomial longer than the cached one before it: the m = 1 product side
+    of the 1psi1 sum at order 16 needs 516 from cold caches."""
+    qfactorial._RUNS.clear()
+    qfactorial.poch_infinite.cache_clear()
     calls = []
     real = qring._convolve
     monkeypatch.setattr(qring, "_convolve",

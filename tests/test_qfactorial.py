@@ -16,8 +16,10 @@ from qident.qfactorial import (
     poch_finite,
     poch_infinite,
     poch_recip_finite,
+    reflect,
 )
-from qident.qring import Monomial, Series
+from qident.qring import Monomial, NotInvertible, Series
+from qident.summation import _dip
 
 A = Monomial(1, 0, (("a", 1),))
 X = Monomial(1, 0, (("x", 1),))
@@ -82,8 +84,6 @@ def test_finite_negative_subscript_is_laurent():
 
 def test_finite_negative_subscript_unrepresentable():
     # (xq;q)_{-1} = 1/(1-x) has no Laurent-polynomial q-levels
-    from qident.qring import NotInvertible
-
     with pytest.raises(NotInvertible):
         poch_finite(XQ, 1, -1, order=6)
 
@@ -121,8 +121,6 @@ def test_recurrence_all_subscripts():
 
 def test_recip_is_reciprocal():
     # whenever neither side flags, the two must multiply back to 1
-    from qident.qring import NotInvertible
-
     checked = 0
     for arg in (Q, XQ, A):
         for n in range(-6, 7):
@@ -147,6 +145,36 @@ def test_negative_subscript_matches_shifted_inverse():
         expected = expected.invert(10)
         got = poch_finite(A, 1, -n, order=10)
         assert got.truncate(6) == expected.truncate(6), f"n={n}"
+
+
+def test_reflected_lead_of_a_negative_subscript_is_the_dip():
+    """1/(x q^a; q^b)_(-m) reflects its binomials of negative q-weight
+    into a monomial at q^_dip(a, b, m), the valuation the support
+    certificate bounds, and leaves at most two runs of weight >= 0."""
+    for a in range(-4, 7):
+        for b in (1, 2, 3):
+            for m in range(8):
+                arg = Monomial(1, a, (("x", 1),))
+                lead, runs = reflect(arg, b, -m, -1)
+                assert lead.qexp == _dip(a, b, m), (a, b, m)
+                assert len(runs) <= 2
+                assert all(first.qexp >= 0 for first, *_ in runs)
+
+
+def test_reflection_needs_a_unit_coefficient():
+    # 1 - 2q^-1 = -2q^-1 (1 - q/2): the reflected binomial is not integral
+    with pytest.raises(NotInvertible):
+        reflect(Monomial(2, -1, ()), 1, 1)
+    assert reflect(Monomial(2, 1, ()), 1, 3) == (
+        Monomial.unit(), ((Monomial(2, 1, ()), 1, 3, 1),))
+
+
+def test_finite_factors_skip_binomials_above_the_order():
+    # (q;q)_n for any n >= 5 agrees with (q;q)_inf to order 5
+    for n in (5, 300, 100000):
+        assert poch_finite(Q, 1, n, order=5).qcoeffs(5) == [1, -1, -1, 0, 0, 1]
+        assert poch_recip_finite(Q, 1, n, order=5).qcoeffs(5) == [
+            1, 1, 2, 3, 5, 7]
 
 
 def test_top_variable_coefficient():

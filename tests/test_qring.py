@@ -16,7 +16,6 @@ from qident.qring import (
     Series,
     TruncationUnsound,
     parse_series,
-    product_capped,
 )
 
 
@@ -215,26 +214,3 @@ def test_mul_two_truncated_negative_valuations_rejected():
     b = Series(dict(Series.poly({(-3, ()): 1}).terms), order=0, floor=-3)
     with pytest.raises(TruncationUnsound):
         a * b
-
-
-def test_product_capped_matches_full_product():
-    rng = random.Random(3141)
-    for _ in range(30):
-        factors = []
-        for _ in range(rng.randrange(2, 5)):
-            terms = {}
-            for _ in range(rng.randrange(1, 4)):
-                qe = rng.randrange(-3, 4)
-                vk = (("x", rng.randrange(-1, 2)),) if rng.random() < 0.4 else ()
-                vk = tuple(p for p in vk if p[1] != 0)
-                terms[(qe, vk)] = rng.randrange(-4, 5)
-            if not any(c for c in terms.values()):
-                terms[(0, ())] = 1
-            factors.append(Series.poly(terms))
-        cap = rng.randrange(0, 6)
-        got = product_capped(factors, cap)
-        full = factors[0]
-        for f in factors[1:]:
-            full = full * f
-        expected = {k: c for k, c in full.terms.items() if k[0] <= cap}
-        assert got.terms == expected
