@@ -102,13 +102,17 @@ def _parse_params(text: str) -> dict:
     out: dict[str, int] = {}
     for piece in filter(None, (p.strip() for p in text.split(","))):
         name, eq, value = piece.partition("=")
+        name = name.strip()
         try:
-            if not eq or not name.strip():
+            if not eq or not name:
                 raise ValueError
-            out[name.strip()] = int(value)
+            value = int(value)
         except ValueError:
             raise ValueError(
                 f"bad parameter {piece!r}; expected NAME=INTEGER") from None
+        if name in out:
+            raise ValueError(f"parameter {name!r} given twice")
+        out[name] = value
     return out
 
 

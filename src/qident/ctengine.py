@@ -130,11 +130,11 @@ def zmul(f: ZSeries, g: ZSeries) -> ZSeries:
 # ------------------------------------------------------ Jacobi triple product
 
 
-def jtp_zseries(m: Monomial, order: int, basepow: int = 1) -> ZSeries:
-    """The triple product (q^b, m*z, q^b/(m*z); q^b)_inf as a ZSeries.
+def jtp_zseries(m: Monomial, order: int) -> ZSeries:
+    """The triple product (q, m*z, q/(m*z); q)_inf as a ZSeries.
 
-    The coefficient of z^n is exactly (-1)^n q^(b*binom(n,2)) m^n; the
-    window keeps every n whose q-weight b*binom(n,2) fits under `order`,
+    The coefficient of z^n is exactly (-1)^n q^binom(n,2) m^n; the
+    window keeps every n whose q-weight binom(n,2) fits under `order`,
     which is symmetric apart from the extra n=1 entry at weight zero.
     """
     if m.coeff not in (1, -1):
@@ -145,18 +145,11 @@ def jtp_zseries(m: Monomial, order: int, basepow: int = 1) -> ZSeries:
             "fold the companion's q-power into the z-substitution; a "
             "q-carrying companion breaks the window invariant")
     coeffs: dict[int, Series] = {}
-    n = 0
-    while basepow * binom2(n) <= order:
-        sign = -1 if n % 2 else 1
-        coeffs[n] = Series.from_monomial(
-            Monomial(sign, basepow * binom2(n), ()) * m ** n)
-        n += 1
-    n = -1
-    while basepow * binom2(n) <= order:
-        sign = -1 if n % 2 else 1
-        coeffs[n] = Series.from_monomial(
-            Monomial(sign, basepow * binom2(n), ()) * m ** n)
-        n -= 1
+    for n, step in ((0, 1), (-1, -1)):
+        while binom2(n) <= order:
+            coeffs[n] = Series.from_monomial(
+                Monomial(-1 if n % 2 else 1, binom2(n)) * m ** n)
+            n += step
     return ZSeries(coeffs, order)
 
 
@@ -321,7 +314,7 @@ def verify_zcoeff_identity(name: str, lhs_coeff, rhs: ZSeries, zwindow,
         lhs = lhs_coeff(k)
         rhs_k = rhs.extract(k)
         for side, s in (("lhs", lhs), ("rhs", rhs_k)):
-            if not s.exact and s.order < order:
+            if s.order < order:
                 return VerificationReport(
                     name, order, "error",
                     error=f"{side} at z^{k} only sound to order {s.order}")
@@ -374,16 +367,14 @@ class MainProof:
     `constant_term` is the product side assembled from [z^0] of the
     paired triple products and `paired_sum` evaluates the double sum with
     the exponent in its paired binomial form; the replay raises unless
-    they agree coefficientwise up to `order`.  `direct_sum` is the same
-    `Series` as `paired_sum`: the replay checks that the paired and the
-    stated double sums are equal as exact specs, which holds at every
-    order, so the sum is evaluated once.
+    they agree coefficientwise up to `order`.  The paired sum is also
+    the stated one: the replay checks that the two are equal as exact
+    specs, which holds at every order, so the sum is evaluated once.
     """
 
     order: int
     constant_term: Series
     paired_sum: Series
-    direct_sum: Series
     grid_points: int
 
 
@@ -444,4 +435,4 @@ def prove_main_theorem(order: int = 24, grid: int = 10) -> MainProof:
     paired_sum = eval_sum(paired, order)
     _require_match("constant term vs paired sum", constant_term, paired_sum,
                    order)
-    return MainProof(order, constant_term, paired_sum, paired_sum, points)
+    return MainProof(order, constant_term, paired_sum, points)

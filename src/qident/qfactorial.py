@@ -13,15 +13,15 @@ Hypergeometric Series*, Appendix I), so a factor is a signed monomial at
 its exact valuation times runs of binomials of q-weight >= 0.  Those
 runs have valuation 0 and are needed only to depth order - valuation;
 `_run` builds them one binomial at a time and caches every prefix at the
-working order.
+working order.  That cache, `_RUNS`, is the module's only one.  An
+exact polynomial is the same computation at order `EXACT`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .qring import Monomial, QSeriesError, Series
+from .qring import EXACT, Monomial, QSeriesError, Series
 
 INF = None  # sentinel for an infinite product count
 
@@ -117,19 +117,20 @@ _RUNS: dict[tuple, list[Series]] = {}
 
 
 def _run(arg: Monomial, basepow: int, count: int, expo: int,
-         order: int | None) -> Series:
+         order: int) -> Series:
     """prod_{k<count} (1 - arg q^{bk})^expo for arg of q-weight >= 0.
 
     Truncated at `order`, where the binomials of q-weight above `order`
-    are 1 and are skipped; the exact polynomial when `order` is None
-    (expo = 1 only).  Each length extends the cached one before it.
+    are 1 and are skipped; the exact polynomial at order `EXACT` (expo =
+    1 only).  Each length extends the cached one before it.
     """
-    if order is not None:
-        count = min(count, max(0, (order - arg.qexp) // basepow + 1))
-    prefixes = _RUNS.setdefault((arg, basepow, expo, order), [
-        Series.one() if order is None else Series({(0, ()): 1}, order)])
+    prefixes = _RUNS.setdefault((arg, basepow, expo, order),
+                                [Series.one(order)])
     while len(prefixes) <= count:
-        a = arg * Monomial.q(basepow * (len(prefixes) - 1))
+        shift = basepow * (len(prefixes) - 1)
+        if arg.qexp + shift > order:
+            return prefixes[-1]
+        a = arg * Monomial.q(shift)
         binomial = Series.one() - Series.from_monomial(a)
         if expo < 0:
             binomial = binomial.invert(order)
@@ -137,7 +138,7 @@ def _run(arg: Monomial, basepow: int, count: int, expo: int,
     return prefixes[count]
 
 
-def expand_factors(lead: Monomial, factors, order: int | None,
+def expand_factors(lead: Monomial, factors, order: int,
                    pieces=()) -> Series:
     """lead * prod (arg; q^b)_n^expo over `factors` * prod `pieces`.
 
@@ -149,7 +150,7 @@ def expand_factors(lead: Monomial, factors, order: int | None,
     and each run is needed only to depth order - v.  A product dipping
     below q^0 keeps its floor there and its order at `order`.  The runs
     are built even when v > order, so that a run with no inverse raises
-    rather than passing for zero.  With `order` None the runs are
+    rather than passing for zero.  At order `EXACT` the runs are
     polynomials and the product is exact.
     """
     runs: list[Run] = []
@@ -162,13 +163,10 @@ def expand_factors(lead: Monomial, factors, order: int | None,
         lead = lead * reflected[0]
         runs += reflected[1]
     if zero:
-        return Series({}, order or 0, 0, exact=order is None)
-    v = lead.qexp
-    if order is None:
-        acc, work = Series.from_monomial(lead), None
-    else:
-        acc = Series({lead.key(): lead.coeff}, order, min(v, 0))
-        work = order - min(v, 0)
+        return Series.zero(order)
+    floor = min(lead.qexp, 0)
+    acc = Series({lead.key(): lead.coeff}, order, floor)
+    work = order - floor
     for piece in [_run(*run, work) for run in runs] + list(pieces):
         acc = acc * piece
     return acc
@@ -176,8 +174,10 @@ def expand_factors(lead: Monomial, factors, order: int | None,
 
 def _poch(arg: Monomial, basepow: int, n: int, expo: int,
           order: int | None) -> Series:
-    if order is None and (n >= 0) != (expo > 0):
-        raise ValueError("an inverse factorial needs a truncation order")
+    if order is None:
+        if (n >= 0) != (expo > 0):
+            raise ValueError("an inverse factorial needs a truncation order")
+        order = EXACT
     return expand_factors(Monomial.unit(), [(arg, basepow, n, expo)], order)
 
 
@@ -206,7 +206,6 @@ def poch_recip_finite(arg: Monomial, basepow: int = 1, n: int = 0,
     return _poch(arg, basepow, n, -1, order)
 
 
-@lru_cache(maxsize=None)
 def poch_infinite(arg: Monomial, basepow: int = 1, order: int = 32) -> Series:
     """(arg; q^basepow)_inf expanded exactly to `order`.
 

@@ -8,17 +8,20 @@ Laurent polynomial in them with exact integer coefficients.
 
 Terms are kept sparsely in a dict keyed by ``(qexp, vars)`` where ``vars``
 is a tuple of ``(name, exponent)`` pairs sorted by name with zero exponents
-dropped.  Nothing in this module touches floats.
+dropped.
 
-Negative q-exponents are allowed in *exact* series (finite Laurent
-polynomials known in full, flagged ``exact=True``) and in truncated series
-down to their ``floor``, the lowest q-exponent their window admits.
-Multiplication computes the largest sound truncation order from
-the operands' orders and valuations rather than silently pretending.
+A series' ``order`` is its one truncation state.  A finite Laurent
+polynomial known in full is a series of order ``EXACT``, infinity: the
+one float in the module, which never reaches a coefficient or exponent.
+Negative q-exponents are allowed down to a series' ``floor``, the lowest
+q-exponent its window admits.  A sum is known to the smaller order; a
+product to min(order_a + val_b, order_b + val_a), the largest sound
+order, which is ``EXACT`` only when both operands are.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -26,6 +29,8 @@ VKey = tuple[tuple[str, int], ...]
 TermKey = tuple[int, VKey]
 
 RESERVED_BASE = "q"
+
+EXACT = math.inf  # the order of a series known in full
 
 
 class QSeriesError(Exception):
@@ -135,15 +140,14 @@ class Series:
     """A Laurent series in q (with formal variables), exact up to `order`.
 
     ``terms`` maps ``(qexp, vars)`` to a nonzero int.  ``order`` is the last
-    q-exponent whose coefficient is complete.  ``floor`` (<= 0) is the lower
-    edge of the admitted window.  ``exact`` marks finite Laurent polynomials
-    known in full, for which ``order`` is just ``max(0, top exponent)``.
+    q-exponent whose coefficient is complete, ``EXACT`` for a polynomial
+    known in full.  ``floor`` is the lower edge of the admitted window.
     """
 
-    __slots__ = ("terms", "order", "floor", "exact")
+    __slots__ = ("terms", "order", "floor")
 
-    def __init__(self, terms: dict[TermKey, int], order: int, floor: int = 0,
-                 exact: bool = False):
+    def __init__(self, terms: dict[TermKey, int], order: int = EXACT,
+                 floor: int = 0):
         clean: dict[TermKey, int] = {}
         for (qe, vk), c in terms.items():
             if c == 0 or qe > order:
@@ -154,25 +158,22 @@ class Series:
         self.terms = clean
         self.order = order
         self.floor = floor
-        self.exact = exact
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int = 0) -> "Series":
-        return cls({}, order, 0, exact=True)
+    def zero(cls, order: int = EXACT) -> "Series":
+        return cls({}, order)
 
     @classmethod
-    def one(cls, order: int = 0) -> "Series":
-        return cls({(0, ()): 1}, order, 0, exact=True)
+    def one(cls, order: int = EXACT) -> "Series":
+        return cls({(0, ()): 1}, order)
 
     @classmethod
     def poly(cls, terms: Mapping[TermKey, int]) -> "Series":
-        """Exact Laurent polynomial; order/floor derived from the support."""
-        keys = [k for k, c in terms.items() if c != 0]
-        top = max((qe for qe, _ in keys), default=0)
-        bottom = min((qe for qe, _ in keys), default=0)
-        return cls(dict(terms), max(0, top), min(0, bottom), exact=True)
+        """Exact Laurent polynomial; its floor derived from the support."""
+        bottom = min((qe for (qe, _), c in terms.items() if c), default=0)
+        return cls(dict(terms), EXACT, min(0, bottom))
 
     @classmethod
     def from_monomial(cls, m: Monomial) -> "Series":
@@ -189,6 +190,17 @@ class Series:
     # -- inspection --------------------------------------------------------
 
     @property
+    def exact(self) -> bool:
+        """Is the series a polynomial known in full?"""
+        return self.order == EXACT
+
+    def _last(self, order: int) -> int:
+        """`order`, or for ``EXACT`` the top q-exponent (at least 0)."""
+        if order < EXACT:
+            return order
+        return max([0, *(qe for qe, _ in self.terms)])
+
+    @property
     def valuation(self) -> int | None:
         """Least q-exponent with a nonzero term, or None for the zero series."""
         if not self.terms:
@@ -199,14 +211,14 @@ class Series:
         return not self.terms
 
     def coeff(self, qexp: int, vars: Mapping[str, int] | VKey = ()) -> int:
-        if qexp > self.order and not self.exact:
+        if qexp > self.order:
             raise QueryBeyondOrder(f"coefficient of q^{qexp} beyond order {self.order}")
         return self.terms.get((qexp, _normalize_vars(vars)), 0)
 
     def qcoeffs(self, upto: int | None = None) -> list[int]:
         """Coefficient list [q^0 .. q^upto] for a series free of formal variables."""
-        n = self.order if upto is None else upto
-        if not self.exact and n > self.order:
+        n = self._last(self.order) if upto is None else upto
+        if n > self.order:
             raise QueryBeyondOrder(f"order {self.order} < requested {n}")
         out = [0] * (n + 1)
         for (qe, vk), c in self.terms.items():
@@ -222,35 +234,25 @@ class Series:
 
     def truncate(self, order: int, floor: int | None = None) -> "Series":
         """Drop knowledge above `order` (and optionally raise the floor)."""
-        if not self.exact and order > self.order:
+        if order > self.order:
             raise TruncationUnsound(f"cannot extend order {self.order} to {order}")
         fl = self.floor if floor is None else floor
         kept = {k: c for k, c in self.terms.items() if fl <= k[0] <= order}
-        still_exact = self.exact and kept == self.terms
-        return Series(kept, order, fl, exact=still_exact)
+        return Series(kept, order, fl)
 
     def mul_monomial(self, m: Monomial) -> "Series":
         terms = {(qe + m.qexp, _vmul(vk, m.vars)): c * m.coeff
                  for (qe, vk), c in self.terms.items()}
-        if self.exact:
-            return Series.poly(terms)
         return Series(terms, self.order + m.qexp, self.floor + m.qexp)
 
     def scale(self, c: int) -> "Series":
-        if c == 0:
-            return Series({}, self.order, self.floor, exact=self.exact)
         return Series({k: c * v for k, v in self.terms.items()},
-                      self.order, self.floor, exact=self.exact)
+                      self.order, self.floor)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":
-        if self.exact and other.exact:
-            terms = dict(self.terms)
-            for k, c in other.terms.items():
-                terms[k] = terms.get(k, 0) + c
-            return Series.poly(terms)
-        order = min(s.order for s in (self, other) if not s.exact)
+        order = min(self.order, other.order)
         floor = min(self.floor, other.floor)
         terms = {k: c for k, c in self.terms.items() if k[0] <= order}
         for k, c in other.terms.items():
@@ -266,19 +268,11 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         if self.is_zero() or other.is_zero():
-            if self.exact and other.exact:
-                return Series({}, 0, 0, exact=True)
-            order = min(s.order for s in (self, other) if not s.exact)
-            return Series({}, order, 0)
-        if self.exact and other.exact:
-            terms = _convolve(self.terms, other.terms, None)
-            return Series.poly(terms)
-        caps = []
-        if not self.exact:
-            caps.append(self.order + other.valuation)
-        if not other.exact:
-            caps.append(other.order + self.valuation)
-        cap = min(caps)
+            # A zero has no valuation; a partner's negative one lowers
+            # the order all the same.
+            low = min([0, *(s.valuation for s in (self, other) if s.terms)])
+            return Series({}, min(self.order, other.order) + low)
+        cap = min(self.order + other.valuation, other.order + self.valuation)
         if cap < 0:
             raise TruncationUnsound(
                 "product of truncated series with negative valuations retains "
@@ -307,8 +301,8 @@ class Series:
             raise NotInvertible(f"leading coefficient {c} is not a unit")
         m = Monomial(c, v, vk)
         if order is None:
-            order = self.order if self.exact else self.order - 2 * v
-        if not self.exact and order > self.order - 2 * v:
+            order = self._last(self.order - 2 * v)
+        if order > self.order - 2 * v:
             raise TruncationUnsound(
                 f"inverse sound only to order {self.order - 2 * v}, "
                 f"requested {order}")
@@ -351,7 +345,7 @@ class Series:
         if d < 1:
             raise ValueError("rescale factor must be a positive integer")
         terms = {(qe * d, vk): c for (qe, vk), c in self.terms.items()}
-        return Series(terms, self.order * d, self.floor * d, exact=self.exact)
+        return Series(terms, self.order * d, self.floor * d)
 
     # -- comparison / text ---------------------------------------------------
 
@@ -378,16 +372,16 @@ class Series:
 
 
 def _convolve(a: dict[TermKey, int], b: dict[TermKey, int],
-              cap: int | None) -> dict[TermKey, int]:
+              cap: int) -> dict[TermKey, int]:
     """Dict convolution; drops products above the q-exponent cap."""
     if len(a) > len(b):
         a, b = b, a
     bitems = sorted(b.items())  # ordered by qexp first, enables early break
     out: dict[TermKey, int] = {}
     for (qa, va), ca in a.items():
-        limit = None if cap is None else cap - qa
+        limit = cap - qa
         for (qb, vb), cb in bitems:
-            if limit is not None and qb > limit:
+            if qb > limit:
                 break
             k = (qa + qb, _vmul(va, vb))
             s = out.get(k, 0) + ca * cb
@@ -406,7 +400,7 @@ def parse_series(text: str) -> Series:
     """
     text = text.strip()
     if text == "0":
-        return Series({}, 0, 0, exact=True)
+        return Series.zero()
     terms: dict[TermKey, int] = {}
     for chunk in text.split(" + "):
         pieces = chunk.strip().split("*")

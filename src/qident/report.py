@@ -70,7 +70,7 @@ def compare_series(name: str, lhs: Series, rhs: Series, order: int,
                    details: dict | None = None) -> VerificationReport:
     """Coefficientwise comparison up to `order` as a report."""
     for side, s in (("lhs", lhs), ("rhs", rhs)):
-        if not s.exact and s.order < order:
+        if s.order < order:
             return VerificationReport(
                 name, order, "error",
                 error=f"{side} only expanded to order {s.order} < {order}")

@@ -16,7 +16,7 @@ certificate is refused, never scanned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
@@ -629,12 +629,13 @@ def rescale_sum(spec: SumSpec, d: int) -> SumSpec:
     """The same sum with q replaced by q^d (the spec itself when d is 1)."""
     if d == 1:
         return spec
-    denoms = tuple(
-        DenomFactor(Monomial(f.arg.coeff, f.arg.qexp * d, f.arg.vars),
-                    f.basepow * d, f.count)
-        for f in spec.denoms)
-    return SumSpec(spec.dim, spec.domains, spec.quad.scale(d), spec.signform,
-                   spec.varweights, denoms)
+
+    def stretch(factors):
+        return tuple(replace(f, arg=replace(f.arg, qexp=f.arg.qexp * d),
+                             basepow=f.basepow * d) for f in factors)
+
+    return replace(spec, quad=spec.quad.scale(d), denoms=stretch(spec.denoms),
+                   numers=stretch(spec.numers))
 
 
 def eval_sum(spec: SumSpec, order: int) -> Series:

@@ -35,7 +35,6 @@ def count_convolutions(monkeypatch) -> dict:
     """Count qring._convolve calls from cold caches, and the products of
     their operand sizes, which bound the term pairs they visit."""
     qfactorial._RUNS.clear()
-    qfactorial.poch_infinite.cache_clear()
     seen = {"calls": 0, "pairs": 0}
     real = qring._convolve
 
@@ -134,6 +133,14 @@ def test_verify_bad_param_text_is_an_error_record(capsys):
     assert records == [{
         "status": "error",
         "error": "ValueError: bad parameter 'a=x'; expected NAME=INTEGER"}]
+
+
+def test_verify_repeated_param_is_an_error_record(capsys):
+    code, records, _ = run(capsys, "verify", "--catalog", "cao-wang",
+                           "--param", "a=1,a=2")
+    assert code == 2
+    assert records == [{"status": "error",
+                        "error": "ValueError: parameter 'a' given twice"}]
 
 
 def test_verify_missing_file_is_an_error_record(capsys, tmp_path):

@@ -212,7 +212,6 @@ def test_zfactor_expansion_convolution_count(monkeypatch):
     binomial longer than the cached one before it: the m = 1 product side
     of the 1psi1 sum at order 16 needs 516 from cold caches."""
     qfactorial._RUNS.clear()
-    qfactorial.poch_infinite.cache_clear()
     calls = []
     real = qring._convolve
     monkeypatch.setattr(qring, "_convolve",
@@ -356,7 +355,7 @@ def test_prove_main_theorem_small_order():
     assert isinstance(proof, MainProof)
     assert proof.grid_points == 21 * 21
     ct = proof.constant_term
-    assert find_first_mismatch(ct, proof.direct_sum, 16) is None
+    assert find_first_mismatch(ct, proof.paired_sum, 16) is None
     assert ct.coeff(0) == 1
     assert ct.coeff(1, {"x": 1, "y": 1}) == 1
     assert ct.coeff(1, {"x": -1, "y": -1}) == 1

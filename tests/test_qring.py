@@ -8,8 +8,11 @@ partition counting), not from the code under test.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident.qring import (
+    EXACT,
     Monomial,
     NotInvertible,
     QueryBeyondOrder,
@@ -214,3 +217,160 @@ def test_mul_two_truncated_negative_valuations_rejected():
     b = Series(dict(Series.poly({(-3, ()): 1}).terms), order=0, floor=-3)
     with pytest.raises(TruncationUnsound):
         a * b
+
+
+# --- ring laws against a naive reference, exact and truncated mixed ----------
+#
+# An operand comes with a completion: itself for an exact polynomial, and
+# for a truncated series its known terms plus random terms above its
+# order, standing in for the unknown tail.  Every coefficient a result
+# claims (q-exponent <= its order) must match the reference computed from
+# the completions, whatever the tails are.  The reference works on plain
+# (q, x, y) exponent triples and cuts nothing the result could claim.
+
+def _triples(series):
+    out = {}
+    for (qe, vk), c in series.terms.items():
+        v = dict(vk)
+        out[(qe, v.pop("x", 0), v.pop("y", 0))] = c
+        assert not v and type(qe) is int and type(c) is int
+    return out
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_mul(a, b, depth=None):
+    out = {}
+    for (qa, xa, ya), ca in a.items():
+        for (qb, xb, yb), cb in b.items():
+            k = (qa + qb, xa + xb, ya + yb)
+            if depth is None or k[0] <= depth:
+                out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _claimed(reference, order):
+    return {k: c for k, c in reference.items() if k[0] <= order}
+
+
+def _order_ok(order):
+    return order == EXACT or type(order) is int
+
+
+_MONO = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+_COEFF = st.integers(-3, 3).filter(bool)
+
+
+def _vk(x, y):
+    return tuple((n, e) for n, e in (("x", x), ("y", y)) if e)
+
+
+@st.composite
+def _terms(draw, lo, hi, max_size):
+    if lo > hi:
+        return {}
+    keys = draw(st.lists(st.tuples(st.integers(lo, hi), _MONO),
+                         max_size=max_size, unique=True))
+    return {(q, x, y): draw(_COEFF) for q, (x, y) in keys}
+
+
+def _build(known, order, floor):
+    return Series({(q, _vk(x, y)): c for (q, x, y), c in known.items()},
+                  order, floor)
+
+
+@st.composite
+def operands(draw):
+    """(series, completion); exact ones may have negative valuation."""
+    floor = draw(st.integers(-2, 0))
+    if draw(st.booleans()):
+        known = draw(_terms(floor, 5, 6))
+        return _build(known, EXACT, floor), known
+    order = draw(st.integers(0, 5))
+    known = draw(_terms(floor, order, 6))
+    tail = draw(_terms(order + 1, order + 3, 4))
+    return _build(known, order, floor), {**known, **tail}
+
+
+@st.composite
+def units(draw):
+    """(series, completion, lead) with a single unit monomial at q^v."""
+    v = draw(st.integers(-2, 2))
+    lead = (v, *draw(_MONO))
+    sign = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        known = {**draw(_terms(v + 1, v + 5, 5)), lead: sign}
+        return _build(known, EXACT, min(v, 0)), known, lead, sign
+    order = draw(st.integers(max(v, 0), max(v, 0) + 4))
+    known = {**draw(_terms(v + 1, order, 5)), lead: sign}
+    tail = draw(_terms(order + 1, order + 3, 3))
+    return _build(known, order, min(v, 0)), {**known, **tail}, lead, sign
+
+
+def _cap(a, b):
+    """The product's order by the cap rule; a zero brings no valuation."""
+    va, vb = a.valuation, b.valuation
+    if va is None or vb is None:
+        low = min([0] + [v for v in (va, vb) if v is not None])
+        return min(a.order, b.order) + low
+    return min(a.order + vb, b.order + va)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(), operands())
+def test_add_matches_reference(pa, pb):
+    (a, fa), (b, fb) = pa, pb
+    s = a + b
+    assert s.order == min(a.order, b.order) and _order_ok(s.order)
+    assert s.exact == (a.exact and b.exact)
+    assert _triples(s) == _claimed(_ref_add(fa, fb), s.order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(), operands())
+def test_mul_matches_reference(pa, pb):
+    (a, fa), (b, fb) = pa, pb
+    cap = _cap(a, b)
+    if cap < 0 and not (a.is_zero() or b.is_zero()):
+        with pytest.raises(TruncationUnsound):
+            a * b
+        return
+    p = a * b
+    assert p.order == cap and _order_ok(p.order)
+    assert p.exact == (a.exact and b.exact)
+    assert _triples(p) == _claimed(_ref_mul(fa, fb), p.order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(units(), st.one_of(st.none(), st.integers(-3, 8)))
+def test_invert_matches_reference(case, requested):
+    u, fu, (v, x, y), sign = case
+    sound = u.order - 2 * v
+    if requested is not None and requested > sound:
+        with pytest.raises(TruncationUnsound):
+            u.invert(requested)
+        return
+    w = u.invert(requested)
+    # without an argument: the sound order, or an exact series' top degree
+    order = requested
+    if order is None:
+        top = max([0] + [qe for qe, _, _ in _triples(u)])
+        order = top if u.exact else sound
+    assert w.order == order and type(w.order) is int
+    # 1/u = sign q^-v x^-x y^-y * sum_k (-s)^k, s = sign q^-v x^-x y^-y u - 1,
+    # where s starts at q^1, so k runs to the depth order + v.
+    depth = order + v
+    shift = {(-v, -x, -y): sign}
+    minus_s = _ref_add({(0, 0, 0): 1}, {k: -c for k, c in
+                                         _ref_mul(fu, shift).items()})
+    total, power = {}, {(0, 0, 0): 1}
+    for _ in range(max(0, depth + 1)):
+        total = _ref_add(total, power)
+        power = _ref_mul(power, minus_s, depth)
+    want = _claimed(_ref_mul(total, shift), order) if depth >= 0 else {}
+    assert _triples(w) == want

@@ -26,6 +26,7 @@ from qident.summation import (
     eval_sum,
     eval_sum_scaled,
     make_sum_spec,
+    rescale_sum,
     term_series,
     term_valuation,
 )
@@ -291,6 +292,19 @@ def test_fractional_exponents_need_scaled_eval():
     # scaled base: q stands for q^(1/2), so n=1 contributes q^(2*1/2)=q^1
     assert s.coeff(1, ()) == 1
     assert s.coeff(0, ()) == 1
+
+
+def test_rescale_keeps_numerator_factors():
+    """q -> q^2 doubles the q-exponent and base of every factor, the
+    numerators' as well as the denominators'."""
+    n = AffineForm.index(0, 1)
+    spec = make_sum_spec(1, "N", QuadForm.square(n).scale("1/2"),
+                         denoms=[DenomFactor(Q1, 1, n)],
+                         numers=[DenomFactor(XQ, 1, n)])
+    scaled = rescale_sum(spec, 2)
+    assert scaled.quad == QuadForm.square(n)
+    assert scaled.denoms == (DenomFactor(Monomial(1, 2, ()), 2, n),)
+    assert scaled.numers == (DenomFactor(Monomial(1, 2, (("x", 1),)), 2, n),)
 
 
 def test_support_report_shape():
