@@ -191,9 +191,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    source = args.expr
-    if Path(source).is_file():
-        source = Path(source).read_text()
+    try:
+        is_file = Path(args.expr).is_file()
+    except OSError:  # e.g. expression text too long for a file name
+        is_file = False
+    source = Path(args.expr).read_text() if is_file else args.expr
     try:
         spec, d = lower_expression(parse_expression(source))
     except (ParseError, LoweringError) as exc:
@@ -226,17 +228,14 @@ def cmd_expand(args) -> int:
 def cmd_prove_main(args) -> int:
     start = time.perf_counter()
     try:
-        proof = prove_main_theorem(args.order, args.grid)
+        prove_main_theorem(args.order)
         report = VerificationReport(
             "main-replay", args.order, "pass",
-            details={"grid": args.grid, "grid_points": proof.grid_points,
-                     "stages": ["exponent bookkeeping on the grid",
-                                "constant term vs paired sum",
+            details={"stages": ["constant term vs paired sum",
                                 "paired sum vs direct sum"]})
     except _RUNTIME_ERRORS as exc:
         report = VerificationReport("main-replay", args.order, "error",
-                                    error=_err(exc),
-                                    details={"grid": args.grid})
+                                    error=_err(exc))
     report.elapsed = time.perf_counter() - start
     _emit(report.to_record(with_elapsed=not args.no_timing))
     _log(_human(report, timing=not args.no_timing))
@@ -293,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay the constant-term proof of the bilateral "
                             "double-sum identity")
     p.add_argument("--order", type=int, default=24)
-    p.add_argument("--grid", type=int, default=10,
-                   help="half-width of the exponent bookkeeping grid")
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_prove_main)
 
@@ -318,9 +315,8 @@ def _join_zwindow(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_join_zwindow(argv))
-    for flag in ("order", "grid"):
-        if getattr(args, flag, 0) < 0:
-            return _error(f"--{flag} must be >= 0, got {getattr(args, flag)}")
+    if getattr(args, "order", 0) < 0:
+        return _error(f"--order must be >= 0, got {args.order}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

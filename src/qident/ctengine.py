@@ -5,7 +5,9 @@ Pochhammer symbol into a `ZSeries` (a Laurent polynomial in z whose
 coefficients are truncated q-series), multiplying them out, and reading
 off single z-powers.  Pairing two Jacobi triple products and extracting
 the constant term replays the double-sum product formula mechanically;
-`prove_main_theorem` runs that replay end to end.
+`prove_main_theorem` runs that replay end to end.  It reads the sum it
+proves from statement text, the catalog's `main` entry, and checks it
+against `PAIRED_SUM`, the same sum with its exponent in paired form.
 
 Window invariant
 ----------------
@@ -22,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .qfactorial import (
-    INF,
-    FactorSpec,
     NotTruncatable,
     ProductSpec,
     expand_factors,
@@ -31,15 +31,7 @@ from .qfactorial import (
 )
 from .qring import Monomial, NotInvertible, QSeriesError, QueryBeyondOrder, Series
 from .report import VerificationReport, find_first_mismatch
-from .summation import (
-    AffineForm,
-    DenomFactor,
-    QuadForm,
-    SumSpec,
-    eval_sum,
-    make_sum_spec,
-    term_series,
-)
+from .summation import SumSpec, eval_sum, term_series
 
 
 class ProofReplayError(QSeriesError):
@@ -331,33 +323,12 @@ def verify_zcoeff_identity(name: str, lhs_coeff, rhs: ZSeries, zwindow,
 # ------------------------------------------------------------ the main replay
 
 
-def bilateral_double_spec(quad: QuadForm) -> SumSpec:
-    """The bilateral double sum over Z^2 with weights x^i y^j q^Q(i,j)
-    over (xq;q)_i (yq;q)_j, for a caller-chosen exponent form."""
-    i = AffineForm.index(0, 2)
-    j = AffineForm.index(1, 2)
-    return make_sum_spec(
-        2, "ZZ", quad,
-        varweights={"x": (1, 0), "y": (0, 1)},
-        denoms=(DenomFactor(Monomial.var("x", qexp=1), 1, i),
-                DenomFactor(Monomial.var("y", qexp=1), 1, j)))
-
-
-def hexagonal_quadform() -> QuadForm:
-    """i^2 - ij + j^2 as a rational quadratic form on Z^2."""
-    i = AffineForm.index(0, 2)
-    j = AffineForm.index(1, 2)
-    return (QuadForm.square(i) + QuadForm.square(j)
-            + QuadForm.product(i, j).scale(-1))
-
-
-def paired_quadform() -> QuadForm:
-    """binom(i,2) + binom(j+1,2) + binom(j-i,2), the exponent produced by
-    pairing two triple products and taking the z-constant term."""
-    i = AffineForm.index(0, 2)
-    j = AffineForm.index(1, 2)
-    return (QuadForm.binom2(i) + QuadForm.binom2(j.shift(1))
-            + QuadForm.binom2(j - i))
+# The double sum with its exponent in the form the pairing below produces,
+# and the z-free prefactor of the constant term; the replay lowers both.
+PAIRED_SUM = ("sum(i in Z, j in Z; x^i * y^j "
+              "* q^(binom(i, 2) + binom(j + 1, 2) + binom(j - i, 2)) "
+              "/ poch(x*q; q; i) / poch(y*q; q; j))")
+PREFACTOR = "poch(q; q; inf) / poch(x*q; q; inf) / poch(y*q; q; inf)"
 
 
 @dataclass
@@ -365,74 +336,53 @@ class MainProof:
     """Outcome of the constant-term replay of the double-sum identity.
 
     `constant_term` is the product side assembled from [z^0] of the
-    paired triple products and `paired_sum` evaluates the double sum with
-    the exponent in its paired binomial form; the replay raises unless
-    they agree coefficientwise up to `order`.  The paired sum is also
-    the stated one: the replay checks that the two are equal as exact
-    specs, which holds at every order, so the sum is evaluated once.
+    paired triple products and `paired_sum` evaluates `PAIRED_SUM`, the
+    very spec of the catalog's `main` statement; the replay raises
+    unless they agree coefficientwise up to `order`.
     """
 
     order: int
     constant_term: Series
     paired_sum: Series
-    grid_points: int
 
 
-def _require_match(name: str, lhs: Series, rhs: Series, order: int) -> None:
-    diff = find_first_mismatch(lhs, rhs, order)
-    if diff is not None:
-        e = diff["exponents"]
-        mono = " ".join(f"{v}^{e[v]}" for v in e)
-        raise ProofReplayError(
-            f"{name}: first differing monomial {mono}: "
-            f"{diff['lhs']} != {diff['rhs']}")
-
-
-def prove_main_theorem(order: int = 24, grid: int = 10) -> MainProof:
+def prove_main_theorem(order: int = 24) -> MainProof:
     """Replay the constant-term proof of the bilateral double-sum identity.
 
     Steps, in the order the argument runs:
 
-    1. check the exponent bookkeeping binom(i,2) + binom(j+1,2) +
-       binom(j-i,2) = i^2 - ij + j^2 pointwise on [-grid, grid]^2;
-    2. check that the double sum with the paired exponent form and the
-       double sum as stated are the same exact spec;
-    3. pair the triple products in z for the companions x and 1/y (the
+    1. lower `PAIRED_SUM` and check that it is the same exact spec as the
+       left side of the catalog's `main` statement, whose exponent is
+       i^2 - ij + j^2; this holds at every order, so the sum is
+       evaluated once;
+    2. pair the triple products in z for the companions x and 1/y (the
        latter is exactly the z -> q/z image of the companion y), extract
-       the z-constant term, and multiply by the z-free prefactor
-       (q;q)_inf / ((xq;q)_inf (yq;q)_inf);
-    4. evaluate the double sum once and demand it agrees with the
-       constant term coefficientwise up to `order`.
+       the z-constant term, and multiply by the z-free `PREFACTOR`;
+    3. evaluate the double sum and demand it agrees with the constant
+       term coefficientwise up to `order`.
     """
-    q_paired = paired_quadform()
-    q_direct = hexagonal_quadform()
-    points = 0
-    for a in range(-grid, grid + 1):
-        for b in range(-grid, grid + 1):
-            lhs = q_paired.evaluate((a, b))
-            rhs = q_direct.evaluate((a, b))
-            if lhs != rhs:
-                raise ProofReplayError(
-                    f"exponent bookkeeping fails at (i, j) = ({a}, {b}): "
-                    f"{lhs} != {rhs}")
-            points += 1
+    from . import catalog, speclang  # both import this module at load time
 
-    paired = bilateral_double_spec(q_paired)
-    if paired != bilateral_double_spec(q_direct):
+    try:
+        paired, prefactor = (
+            speclang.lower_expression(speclang.parse_expression(text))[0]
+            for text in (PAIRED_SUM, PREFACTOR))
+    except (speclang.ParseError, speclang.LoweringError) as exc:
         raise ProofReplayError(
-            "paired sum vs direct sum: the paired exponent form and the "
-            "stated one are different quadratic forms")
+            f"paired sum vs direct sum: {type(exc).__name__}: {exc}") from None
+    if paired != catalog.get_identity("main").lowered.lhs:
+        raise ProofReplayError(
+            "paired sum vs direct sum: the paired sum and the stated one "
+            "lower to different specs")
 
     pair = zmul(jtp_zseries(Monomial.var("x"), order),
                 jtp_zseries(Monomial.var("y", -1), order))
-    ct = pair.extract(0)
-    prefactor = expand_product_spec(ProductSpec((
-        FactorSpec(Monomial.q(), 1, INF, 1),
-        FactorSpec(Monomial.var("x", qexp=1), 1, INF, -1),
-        FactorSpec(Monomial.var("y", qexp=1), 1, INF, -1))), order)
-    constant_term = prefactor * ct
-
+    constant_term = expand_product_spec(prefactor, order) * pair.extract(0)
     paired_sum = eval_sum(paired, order)
-    _require_match("constant term vs paired sum", constant_term, paired_sum,
-                   order)
-    return MainProof(order, constant_term, paired_sum, points)
+    diff = find_first_mismatch(constant_term, paired_sum, order)
+    if diff is not None:
+        mono = " ".join(f"{v}^{k}" for v, k in diff["exponents"].items())
+        raise ProofReplayError(
+            f"constant term vs paired sum: first differing monomial {mono}: "
+            f"{diff['lhs']} != {diff['rhs']}")
+    return MainProof(order, constant_term, paired_sum)

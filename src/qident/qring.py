@@ -306,6 +306,12 @@ class Series:
             raise TruncationUnsound(
                 f"inverse sound only to order {self.order - 2 * v}, "
                 f"requested {order}")
+        if order == EXACT:
+            if len(self.terms) > 1:
+                raise TruncationUnsound(
+                    "the inverse of a polynomial that is not a monomial is "
+                    "an infinite series; request a finite order")
+            return Series.from_monomial(m.inverse())
         # u = self / m has constant term exactly 1 at q^0.
         u = self.mul_monomial(m.inverse())
         depth = order + v  # inverse of u is needed to this q-grade

@@ -645,27 +645,32 @@ def normalize_mono(parts) -> MonoKey:
                         key=lambda it: (it[0] == "q", it[0])))
 
 
-def parse_file(text: str) -> list[IdentityAST]:
-    return _Parser(tokenize(text)).parse_file()
-
-
-def parse_identity(text: str) -> IdentityAST:
+def _parse_all(text: str, rule):
+    """Apply the parser method `rule` to all of `text`.  Nesting deeper
+    than the interpreter's stack is a ParseError at the token reached."""
     parser = _Parser(tokenize(text))
-    ast = parser.parse_identity_block()
+    try:
+        out = rule(parser)
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("nesting too deep", tok.line, tok.col) from None
     trailing = parser.peek()
     if trailing.kind != "EOF":
         parser.fail(f"unexpected trailing {trailing.text!r}")
-    return ast
+    return out
+
+
+def parse_file(text: str) -> list[IdentityAST]:
+    return _parse_all(text, _Parser.parse_file)
+
+
+def parse_identity(text: str) -> IdentityAST:
+    return _parse_all(text, _Parser.parse_identity_block)
 
 
 def parse_expression(text: str) -> Expr:
     """One standalone side expression (a sum or a product), no block."""
-    parser = _Parser(tokenize(text))
-    expr = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        parser.fail(f"unexpected trailing {trailing.text!r}")
-    return expr
+    return _parse_all(text, _Parser.parse_expr)
 
 
 # ---------------------------------------------------------------- serializer

@@ -38,8 +38,7 @@ def test_criterion_1_bilateral_double_sum_identity_at_order_24():
 
 
 def test_criterion_2_constant_term_proof_replay():
-    proof = prove_main_theorem(order=24, grid=10)
-    assert proof.grid_points == 21 * 21
+    proof = prove_main_theorem(order=24)
     assert proof.constant_term.terms == proof.paired_sum.terms
 
 

@@ -19,8 +19,7 @@ from qident.catalog import (
     specialize_to_one,
     verify_identity,
 )
-from qident.ctengine import ZSumSpec, bilateral_double_spec, \
-    hexagonal_quadform
+from qident.ctengine import ZSumSpec
 from qident.qfactorial import expand_product_spec
 from qident.speclang import ParseError, parse_identity, serialize_identity, \
     tokenize, validate_identity
@@ -304,13 +303,6 @@ def pinned_texts() -> str:
 
 def test_catalog_texts_match_the_pinned_file_byte_for_byte():
     assert pinned_texts() == CATALOG_TEXTS.read_text()
-
-
-def test_main_statement_sums_exactly_what_the_replay_sums():
-    """prove-main evaluates bilateral_double_spec(hexagonal_quadform());
-    the catalog statement must lower to that very spec."""
-    assert get_identity("main").lowered.lhs == \
-        bilateral_double_spec(hexagonal_quadform())
 
 
 def test_statement_text_is_useful_as_a_file():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qident import catalog, cli, qfactorial, qring
+from qident import catalog, cli, ctengine, qfactorial, qring
 from qident.catalog import default_instances, get_identity
 from qident.cli import main
 from qident.qring import NotInvertible
@@ -98,6 +98,19 @@ def test_verify_parse_error_is_exit_two(capsys, tmp_path):
     path.write_text("identity x { lhs: q^; rhs: q; }")
     code, records, _ = run(capsys, "verify", str(path))
     assert code == 2
+    assert records[0]["status"] == "error"
+    assert records[0]["error"].startswith("ParseError:")
+
+
+DEEP = "(" * 300 + "q" + ")" * 300
+
+
+def test_verify_deeply_nested_statement_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.qid"
+    path.write_text(f"identity deep {{ lhs: {DEEP}; rhs: q; }}")
+    code, records, _ = run(capsys, "verify", str(path), "--order", "4")
+    assert code == 2
+    assert len(records) == 1
     assert records[0]["status"] == "error"
     assert records[0]["error"].startswith("ParseError:")
 
@@ -365,6 +378,25 @@ def test_expand_parse_error_is_exit_two(capsys):
     assert records[0]["error"].startswith("ParseError:")
 
 
+def test_expand_deeply_nested_expression_is_a_parse_error(capsys):
+    code, records, _ = run(capsys, "expand", DEEP, "--order", "4")
+    assert code == 2
+    assert len(records) == 1
+    assert records[0]["status"] == "error"
+    assert records[0]["error"].startswith("ParseError:")
+
+
+def test_expand_text_too_long_for_a_file_name(capsys):
+    """Probing a 300-byte text as a path fails with ENAMETOOLONG; the text
+    is then an expression: (1 - q^2)^20 to order 4."""
+    expr = " * ".join(["poch(q^2; q; 1)"] * 20)
+    assert len(expr.encode()) > 255 and "/" not in expr
+    code, records, _ = run(capsys, "expand", expr, "--order", "4")
+    assert code == 0
+    assert records[0]["status"] == "ok"
+    assert records[0]["qcoeffs"] == [1, 0, -20, 0, 190]
+
+
 def test_expand_skewed_theta_keeps_its_far_terms(capsys):
     """Only the points (3j, j) lie below the order, with empty shells
     between them; q^9 comes from (+-9, +-3)."""
@@ -430,27 +462,34 @@ def test_expand_from_file(capsys, tmp_path):
 
 def test_prove_main_small_order(capsys):
     code, records, _ = run(capsys, "prove-main", "--order", "12",
-                           "--grid", "5")
+                           "--no-timing")
     assert code == 0
-    assert records[0]["name"] == "main-replay"
-    assert records[0]["details"]["grid_points"] == 11 * 11
-    assert len(records[0]["details"]["stages"]) == 3
+    assert records == [{"name": "main-replay", "order": 12, "status": "pass",
+                        "details": {"stages": [
+                            "constant term vs paired sum",
+                            "paired sum vs direct sum"]}}]
 
 
-def test_prove_main_negative_grid_is_an_error_record(capsys):
-    """A negative grid would check no exponent at all and still pass."""
-    code, records, _ = run(capsys, "prove-main", "--order", "4",
-                           "--grid", "-1")
+def test_prove_main_paired_sum_that_does_not_lower_is_an_error_record(
+        capsys, monkeypatch):
+    """The paired form plus i has no certified support: its LoweringError
+    comes out as a replay error record, not as a traceback."""
+    tail = "binom(j - i, 2)"
+    monkeypatch.setattr(ctengine, "PAIRED_SUM",
+                        ctengine.PAIRED_SUM.replace(tail, tail + " + i"))
+    code, records, _ = run(capsys, "prove-main", "--order", "4")
     assert code == 2
-    assert records == [{"status": "error",
-                        "error": "--grid must be >= 0, got -1"}]
+    assert len(records) == 1
+    assert records[0]["status"] == "error"
+    assert records[0]["error"].startswith(
+        "ProofReplayError: paired sum vs direct sum: LoweringError")
 
 
 @pytest.mark.parametrize("exc", [NotInvertible("zero series has no inverse"),
                                  RecursionError("too deep"),
                                  MemoryError("out of memory")])
 def test_prove_main_runtime_errors_are_error_records(capsys, monkeypatch, exc):
-    def failing(order, grid):
+    def failing(order):
         raise exc
     monkeypatch.setattr(cli, "prove_main_theorem", failing)
     code, records, _ = run(capsys, "prove-main", "--order", "4")

@@ -105,6 +105,17 @@ def test_invert_unit_monomial_factoring():
     assert (s * inv).coeff(0) == 1
 
 
+def test_invert_to_order_infinity_is_exact_only_for_a_monomial():
+    """1/(1 - q) has no last term; a monomial's inverse has one, but only
+    if the monomial is known in full."""
+    with pytest.raises(TruncationUnsound):
+        Series.poly({(0, ()): 1, (1, ()): -1}).invert(EXACT)
+    with pytest.raises(TruncationUnsound):
+        Series({(0, ()): 1}, 5).invert(EXACT)
+    inv = Series.poly({(2, (("x", 1),)): -1}).invert(EXACT)
+    assert inv == Series.poly({(-2, (("x", -1),)): -1})
+
+
 def test_invert_leading_variable_monomial():
     # -x + q factors as (-x)(1 - q/x); the inverse lives in Z[x^-1][[q]]
     s = Series.poly({(0, (("x", 1),)): -1, (1, ()): 1})
