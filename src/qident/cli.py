@@ -7,7 +7,7 @@ byte-identical stdout, except for the "elapsed" timing fields, which
 `--no-timing` drops.
 
 Exit status: 0 when everything passed, 1 when some identity failed its
-coefficient check, 2 for parse, lowering, or evaluation errors.
+coefficient check, 2 for usage, parse, lowering, or evaluation errors.
 """
 
 from __future__ import annotations
@@ -260,8 +260,20 @@ def cmd_list(args) -> int:
 # --------------------------------------------------------------------- main
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2;
+    its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qident",
         description="verify q-series identities coefficient by coefficient")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -314,7 +326,10 @@ def _join_zwindow(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_join_zwindow(argv))
+    try:
+        args = build_parser().parse_args(_join_zwindow(argv))
+    except UsageError as exc:
+        return _error(str(exc))
     if getattr(args, "order", 0) < 0:
         return _error(f"--order must be >= 0, got {args.order}")
     try:

@@ -15,6 +15,8 @@ from qident.cli import main
 from qident.qring import NotInvertible
 
 GOLDEN = Path(__file__).parent / "data" / "verify_catalog_all_order10.jsonl"
+DENSE = Path(__file__).parent / "data" / "dense_order120.qid"
+DENSE_GOLDEN = DENSE.parent / "verify_dense_order120.jsonl"
 
 BROKEN = """\
 identity broken {
@@ -319,6 +321,19 @@ def test_verify_usage_errors_are_error_records(capsys, argv, message):
     assert records == [{"status": "error", "error": message}]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--catalog", "rr1", "--order", "x"],
+     "qident verify: argument --order: invalid int value: 'x'"),
+    (["prove-main", "--grid", "3"],
+     "qident: unrecognized arguments: --grid 3"),
+], ids=["bad-int", "unknown-flag"])
+def test_argparse_usage_errors_are_error_records(capsys, argv, message):
+    code, records, err = run(capsys, *argv)
+    assert code == 2
+    assert records == [{"status": "error", "error": message}]
+    assert message in err
+
+
 # ------------------------------------------------------------------- expand
 
 
@@ -543,6 +558,21 @@ def test_catalog_output_matches_the_golden_records(capsys):
     assert main(["verify", "--catalog", "all", "--order", "10",
                  "--no-timing"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+def test_dense_statements_match_the_golden_records(capsys, monkeypatch):
+    """Long dense pure-q series at order 120, which take the packed product
+    path: Rogers-Ramanujan, Euler's pentagonal theorem, the double and
+    triple sums, and andrews-p20 at i = 68, j = 52, whose coefficients
+    reach 2^45.  The records were made before the packed path existed."""
+    packed = []
+    real = qring._packed_product
+    monkeypatch.setattr(qring, "_packed_product",
+                        lambda *args: packed.append(1) or real(*args))
+    monkeypatch.chdir(DENSE.parent)
+    assert main(["verify", DENSE.name, "--order", "120", "--no-timing"]) == 0
+    assert capsys.readouterr().out == DENSE_GOLDEN.read_text()
+    assert packed
 
 
 def test_statement_files_verify_like_the_catalog(capsys, tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import qring
 from qident.qring import (
     EXACT,
     Monomial,
@@ -121,6 +122,21 @@ def test_invert_leading_variable_monomial():
     s = Series.poly({(0, (("x", 1),)): -1, (1, ()): 1})
     inv = s.invert(3)
     assert (s * inv).to_text() == "1*q^0"
+
+
+def test_monomial_constructor_validates_its_variables():
+    for vars in ((("q", 1),), (("x", 1), ("x", 2)), (("", 1),)):
+        with pytest.raises(ValueError):
+            Monomial(1, 0, vars)
+    with pytest.raises(ValueError):
+        Monomial.var("q")
+    m = Monomial(2, 1, (("y", 1), ("x", 0), ("x", -1)))
+    assert m.vars == (("x", -1), ("y", 1))
+    # products, powers and inverses build on normalized vars
+    assert (m * Monomial.var("y", -1)).vars == (("x", -1),)
+    assert m ** 0 == Monomial.unit()
+    assert Monomial.var("x") ** -2 == Monomial(1, 0, (("x", -2),))
+    assert Monomial.var("x", 3, -1).inverse() == Monomial(1, 1, (("x", -3),))
 
 
 def test_coeff_queries():
@@ -282,12 +298,12 @@ def _vk(x, y):
 
 
 @st.composite
-def _terms(draw, lo, hi, max_size):
+def _terms(draw, lo, hi, max_size, mono=_MONO, coeff=_COEFF):
     if lo > hi:
         return {}
-    keys = draw(st.lists(st.tuples(st.integers(lo, hi), _MONO),
+    keys = draw(st.lists(st.tuples(st.integers(lo, hi), mono),
                          max_size=max_size, unique=True))
-    return {(q, x, y): draw(_COEFF) for q, (x, y) in keys}
+    return {(q, x, y): draw(coeff) for q, (x, y) in keys}
 
 
 def _build(known, order, floor):
@@ -342,9 +358,7 @@ def test_add_matches_reference(pa, pb):
     assert _triples(s) == _claimed(_ref_add(fa, fb), s.order)
 
 
-@settings(max_examples=200, deadline=None)
-@given(operands(), operands())
-def test_mul_matches_reference(pa, pb):
+def _check_mul(pa, pb):
     (a, fa), (b, fb) = pa, pb
     cap = _cap(a, b)
     if cap < 0 and not (a.is_zero() or b.is_zero()):
@@ -355,6 +369,131 @@ def test_mul_matches_reference(pa, pb):
     assert p.order == cap and _order_ok(p.order)
     assert p.exact == (a.exact and b.exact)
     assert _triples(p) == _claimed(_ref_mul(fa, fb), p.order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(), operands())
+def test_mul_matches_reference(pa, pb):
+    _check_mul(pa, pb)
+
+
+# Long and wide operands, which reach both paths of the product kernel:
+# dense pure-q runs of 8 to 60 terms with coefficients up to 2^80 (packed
+# into big ints when both have at least qring._PACK_MIN_TERMS terms), and
+# x, y exponents up to 40 (keyed by one int each).
+
+_BIG = st.integers(-2 ** 80, 2 ** 80)
+_WIDE = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+
+
+@st.composite
+def dense_operands(draw):
+    """(series, completion): pure q, consecutive powers from `lo`, a few
+    coefficients possibly zero; a truncated one has a dense tail."""
+    floor = draw(st.integers(-4, 0))
+    lo = draw(st.integers(floor, 3))
+    n = draw(st.integers(8, 60))
+    coeffs = draw(st.lists(_BIG, min_size=n, max_size=n))
+    known = {(lo + i, 0, 0): c for i, c in enumerate(coeffs) if c}
+    if draw(st.booleans()):
+        return _build(known, EXACT, floor), known
+    order = draw(st.integers(lo + len(coeffs) // 2, lo + len(coeffs) + 3))
+    known = {k: c for k, c in known.items() if k[0] <= order}
+    tail = draw(st.lists(_BIG, min_size=1, max_size=12))
+    tail = {(order + 1 + i, 0, 0): c for i, c in enumerate(tail) if c}
+    return _build(known, order, floor), {**known, **tail}
+
+
+@st.composite
+def wide_operands(draw):
+    """(series, completion) with x, y exponents up to 40."""
+    floor = draw(st.integers(-3, 0))
+    if draw(st.booleans()):
+        known = draw(_terms(floor, 10, 30, _WIDE, _BIG))
+        return _build(known, EXACT, floor), known
+    order = draw(st.integers(0, 10))
+    known = draw(_terms(floor, order, 30, _WIDE, _BIG))
+    tail = draw(_terms(order + 1, order + 4, 8, _WIDE, _BIG))
+    return _build(known, order, floor), {**known, **tail}
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_operands(), dense_operands())
+def test_mul_matches_reference_on_long_operands(pa, pb):
+    _check_mul(pa, pb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_operands(), st.one_of(dense_operands(), wide_operands()))
+def test_mul_matches_reference_on_wide_operands(pa, pb):
+    _check_mul(pa, pb)
+
+
+def _paths(monkeypatch):
+    """The kernel paths later products take, in call order."""
+    ran = []
+    for name in ("_packed_product", "_keyed_product"):
+        real = getattr(qring, name)
+        monkeypatch.setattr(qring, name, lambda *args, _real=real, _name=name:
+                            ran.append(_name) or _real(*args))
+    return ran
+
+
+def _row(coeffs, lo=0):
+    return {(lo + i, 0, 0): c for i, c in enumerate(coeffs) if c}
+
+
+# (a, order_a, b, order_b) as completions; order None for an exact operand
+_PACKED_CASES = {
+    # 16 * 2^13 * 2^14 = 2^31 needs a fifth byte in its field ...
+    "field-grows": (_row([2 ** 13] * 16), None, _row([2 ** 14] * 16), None),
+    "field-grows-negative": (_row([-2 ** 13] * 16), None,
+                             _row([2 ** 14] * 16), None),
+    # ... and 16 * 511 * 262657 = 2^31 - 16 just fits in four
+    "field-just-fits": (_row([511] * 16), None, _row([262657] * 16), None),
+    "field-just-fits-negative": (_row([511] * 16), None,
+                                 _row([-262657] * 16), None),
+    # the odd coefficients cancel to 0 exactly
+    "cancellation": (_row([1] * 20), None,
+                     _row([(-1) ** i for i in range(20)]), None),
+    "negative-floors": (_row([3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8, 9], -5),
+                        None, _row(list(range(1, 21)), -2), 30),
+    # the cap, 20 + 0, cuts the exact operand's run of 40 to 21 terms
+    "cap-below-span": (_row([2 ** 70 + i for i in range(40)]), None,
+                       _row([-1] * 16), 20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PACKED_CASES))
+def test_packed_path_matches_reference(monkeypatch, case):
+    ran = _paths(monkeypatch)
+    fa, order_a, fb, order_b = _PACKED_CASES[case]
+    a = _build(fa, EXACT if order_a is None else order_a, -5)
+    b = _build(fb, EXACT if order_b is None else order_b, -5)
+    _check_mul((a, fa), (b, fb))
+    assert ran == ["_packed_product"]
+
+
+def test_keyed_path_matches_reference(monkeypatch):
+    ran = _paths(monkeypatch)
+    fa = {(-2, 40, -40): 2 ** 80, (0, 0, 0): 1, (1, -40, 39): -3,
+          (3, 17, 0): 5, (5, 0, -1): -1}
+    fb = {(0, 40, 40): -1, (1, -40, 1): 2 ** 64, (2, 0, 0): 7,
+          (4, -1, -40): 1, (6, 3, 3): 9}
+    _check_mul((_build(fa, EXACT, -2), fa), (_build(fb, 8, 0), fb))
+    _check_mul((_build(fa, EXACT, -2), fa), (_build(fb, EXACT, 0), fb))
+    # x^40 * x^-40 leaves a pure-q term, and the two products that land
+    # on q^1 cancel to 0
+    fc = {(0, 40, 0): 1, (1, 0, 0): 1}
+    fd = {(0, -40, 0): 1, (0, 0, 0): 1, (1, -40, 0): -1, (2, 0, 0): 5}
+    _check_mul((_build(fc, EXACT, 0), fc), (_build(fd, EXACT, 0), fd))
+    # short pure-q operands take the keyed path too
+    fe, ff = _row([1, 2, 3]), _row(list(range(1, 30)))
+    _check_mul((_build(fe, EXACT, 0), fe), (_build(ff, 20, 0), ff))
+    # so do long sparse ones, whose packed rows would span 10^9 fields
+    fg = {(i * 10 ** 8, 0, 0): i + 1 for i in range(16)}
+    _check_mul((_build(fg, EXACT, 0), fg), (_build(fg, EXACT, 0), fg))
+    assert ran == ["_keyed_product"] * 5
 
 
 @settings(max_examples=200, deadline=None)
