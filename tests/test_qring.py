@@ -379,7 +379,7 @@ def test_mul_matches_reference(pa, pb):
 
 # Long and wide operands, which reach both paths of the product kernel:
 # dense pure-q runs of 8 to 60 terms with coefficients up to 2^80 (packed
-# into big ints when both have at least qring._PACK_MIN_TERMS terms), and
+# into big ints when that costs less than the term-by-term loop), and
 # x, y exponents up to 40 (keyed by one int each).
 
 _BIG = st.integers(-2 ** 80, 2 ** 80)
@@ -461,6 +461,10 @@ _PACKED_CASES = {
     # the cap, 20 + 0, cuts the exact operand's run of 40 to 21 terms
     "cap-below-span": (_row([2 ** 70 + i for i in range(40)]), None,
                        _row([-1] * 16), 20),
+    # 1/(1 - q^5) below q^120 times a dense row: 1525 multiply-adds
+    # against 363 fields
+    "sparse-step-5": (_row(([1] + [0] * 4) * 24 + [1]), None,
+                      _row(list(range(1, 122))), 120),
 }
 
 
@@ -493,7 +497,11 @@ def test_keyed_path_matches_reference(monkeypatch):
     # so do long sparse ones, whose packed rows would span 10^9 fields
     fg = {(i * 10 ** 8, 0, 0): i + 1 for i in range(16)}
     _check_mul((_build(fg, EXACT, 0), fg), (_build(fg, EXACT, 0), fg))
-    assert ran == ["_keyed_product"] * 5
+    # and 1/(1 - q^20) below q^120 times a dense row: 427 multiply-adds
+    # against 363 fields
+    fh, fi = _row(([1] + [0] * 19) * 6 + [1]), _row(list(range(1, 122)))
+    _check_mul((_build(fh, EXACT, 0), fh), (_build(fi, 120, 0), fi))
+    assert ran == ["_keyed_product"] * 6
 
 
 @settings(max_examples=200, deadline=None)
