@@ -17,6 +17,8 @@ from qident.qring import NotInvertible
 GOLDEN = Path(__file__).parent / "data" / "verify_catalog_all_order10.jsonl"
 DENSE = Path(__file__).parent / "data" / "dense_order120.qid"
 DENSE_GOLDEN = DENSE.parent / "verify_dense_order120.jsonl"
+ZSTATEMENTS = DENSE.parent / "zstatements.qid"
+ZGOLDEN = DENSE.parent / "verify_zstatements.jsonl"
 
 BROKEN = """\
 identity broken {
@@ -573,6 +575,17 @@ def test_dense_statements_match_the_golden_records(capsys, monkeypatch):
     assert main(["verify", DENSE.name, "--order", "120", "--no-timing"]) == 0
     assert capsys.readouterr().out == DENSE_GOLDEN.read_text()
     assert packed
+
+
+def test_z_statements_match_the_golden_records(capsys, monkeypatch):
+    """Statements in z over an asymmetric window: two that pass, one that
+    mismatches at q^1 z^1, and two that the z expansion refuses (two open
+    factors, an argument of negative q-weight).  The order-10 catalog
+    golden holds passes only."""
+    monkeypatch.chdir(ZSTATEMENTS.parent)
+    assert main(["verify", ZSTATEMENTS.name, "--zwindow", "-3,4",
+                 "--order", "12", "--no-timing"]) == 2
+    assert capsys.readouterr().out == ZGOLDEN.read_text()
 
 
 def test_statement_files_verify_like_the_catalog(capsys, tmp_path):
