@@ -136,10 +136,10 @@ def cmd_verify(args) -> int:
         zwindow = _parse_zwindow(args.zwindow)
     except ValueError as exc:
         return _error(f"bad --zwindow {args.zwindow!r}: {exc}")
+    if args.param and (args.file or args.catalog == "all"):
+        return _error("--param only applies to a single catalog key")
     if args.catalog:
         if args.catalog == "all":
-            if args.param:
-                return _error("--param only applies to a single catalog key")
             targets = default_instances()
         else:
             targets = [(args.catalog, _parse_params(args.param))]

@@ -1,22 +1,20 @@
 """Constant-term engine: Laurent expansion in an auxiliary variable z.
 
-Bilateral product sides are handled by expanding every z-carrying
-Pochhammer symbol into a `ZSeries` (a Laurent polynomial in z whose
-coefficients are truncated q-series), multiplying them out, and reading
-off single z-powers.  Pairing two Jacobi triple products and extracting
-the constant term replays the double-sum product formula mechanically;
-`prove_main_theorem` runs that replay end to end.  It reads the sum it
-proves from statement text, the catalog's `main` entry, and checks it
-against `PAIRED_SUM`, the same sum with its exponent in paired form.
+z is a formal variable of `Series`, like x or y.  Every z-carrying
+Pochhammer symbol of a bilateral product side expands to a series in z,
+the kernel multiplies them out, and `zcoeffs` reads off single z-powers.
+Pairing two Jacobi triple products and extracting the constant term
+replays the double-sum product formula mechanically; `prove_main_theorem`
+runs that replay end to end.  It reads the sum it proves from statement
+text, the catalog's `main` entry, and checks it against `PAIRED_SUM`, the
+same sum with its exponent in paired form.
 
-Window invariant
-----------------
-A z-power absent from a ZSeries is not claimed to be zero: its true
-coefficient has q-valuation above the series' `order`, so skipping it in
-products and extractions loses nothing at or below the working order.
-Every constructor below is careful to keep that invariant, because it is
-what makes multiplication of two ZSeries sound without tracking infinite
-windows.
+The z-window is the truncation: a series sound to order N holds every
+term of q-weight at most N at every z-power, and the kernel's product
+order already allows for coefficients of negative q-valuation.  Only an
+open factor such as 1/(z; q)_inf puts every z-power at q-weight zero; it
+is folded over a z-window the caller names, and the series that comes
+out holds the z-powers of that window only.
 """
 
 from __future__ import annotations
@@ -29,9 +27,11 @@ from .qfactorial import (
     expand_factors,
     expand_product_spec,
 )
-from .qring import Monomial, NotInvertible, QSeriesError, QueryBeyondOrder, Series
+from .qring import Monomial, NotInvertible, QSeriesError, Series
 from .report import VerificationReport, find_first_mismatch
 from .summation import SumSpec, eval_sum, term_series
+
+Z = "z"  # the auxiliary variable
 
 
 class ProofReplayError(QSeriesError):
@@ -43,90 +43,31 @@ def binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
-# ------------------------------------------------------------------ ZSeries
+def zcoeffs(s: Series, ks=None):
+    """Yield (k, [z^k] s) for each k of `ks`, or of the z-powers s holds,
+    each built at its turn and sound to the order of s."""
+    rows: dict[int, list] = {}
+    for key in s.terms:
+        rows.setdefault(dict(key[1]).get(Z, 0), []).append(key)
+    for k in rows if ks is None else ks:
+        terms = {(qe, tuple(p for p in vk if p[0] != Z)): s.terms[qe, vk]
+                 for qe, vk in rows.get(k, ())}
+        yield k, Series(terms, s.order, s.floor)
 
 
-class ZSeries:
-    """Laurent polynomial in z over truncated q-series coefficients.
-
-    ``coeffs`` maps a z-exponent to its coefficient Series.  ``order`` is
-    the q-order to which the object as a whole is sound (see the module
-    docstring for the window invariant).  When ``bounds`` is set the
-    invariant holds only for z-powers inside ``[lo, hi]`` — such series
-    come out of folding an open factor over a requested window — and
-    extraction outside that window raises instead of guessing.
-    """
-
-    __slots__ = ("coeffs", "order", "bounds")
-
-    def __init__(self, coeffs: dict[int, Series], order: int,
-                 bounds: tuple[int, int] | None = None):
-        self.coeffs = {k: s for k, s in coeffs.items() if not s.is_zero()}
-        self.order = order
-        self.bounds = bounds
-
-    @classmethod
-    def unit(cls, order: int) -> "ZSeries":
-        return cls({0: Series.one()}, order)
-
-    @property
-    def window(self) -> tuple[int, int] | None:
-        """Span of retained z-powers, or None when no coefficient survives."""
-        if not self.coeffs:
-            return None
-        return (min(self.coeffs), max(self.coeffs))
-
-    def extract(self, k: int) -> Series:
-        """Coefficient of z^k; an inexact zero when the window skipped it."""
-        if self.bounds is not None and not (self.bounds[0] <= k <= self.bounds[1]):
-            raise QueryBeyondOrder(
-                f"z^{k} lies outside the computed window {self.bounds}")
-        return self.coeffs.get(k, Series({}, self.order, 0))
-
-    def scale_series(self, s: Series) -> "ZSeries":
-        """Multiply every coefficient by a z-free series."""
-        v = s.valuation
-        if v is None:
-            return ZSeries({}, self.order, self.bounds)
-        order = self.order + min(0, v)
-        return ZSeries({k: c * s for k, c in self.coeffs.items()},
-                       order, self.bounds)
-
-    def __repr__(self) -> str:
-        w = self.window
-        return f"ZSeries(window={w}, order={self.order}, bounds={self.bounds})"
-
-
-def zmul(f: ZSeries, g: ZSeries) -> ZSeries:
-    """Cauchy product in z; coefficient products cap their own q-orders."""
-    if f.bounds is not None or g.bounds is not None:
-        raise NotTruncatable(
-            "cannot multiply a window-clipped ZSeries; clip after multiplying")
-    order = min(f.order, g.order)
-    # A coefficient with negative q-valuation would let a skipped
-    # (above-order) partner fall back below the order: tighten for that.
-    neg = min((s.valuation for s in (*f.coeffs.values(), *g.coeffs.values())
-               if s.valuation is not None and s.valuation < 0), default=0)
-    order += neg
-    out: dict[int, Series] = {}
-    for a, sa in f.coeffs.items():
-        for b, sb in g.coeffs.items():
-            prod = sa * sb
-            if prod.is_zero():
-                continue
-            k = a + b
-            out[k] = out[k] + prod if k in out else prod
-    return ZSeries(out, order)
+def zmul(f: Series, g: Series) -> Series:
+    """The kernel's product, named apart so the z layer's can be timed."""
+    return f * g
 
 
 # ------------------------------------------------------ Jacobi triple product
 
 
-def jtp_zseries(m: Monomial, order: int) -> ZSeries:
-    """The triple product (q, m*z, q/(m*z); q)_inf as a ZSeries.
+def jtp_zseries(m: Monomial, order: int) -> Series:
+    """The triple product (q, m*z, q/(m*z); q)_inf as a series in z.
 
     The coefficient of z^n is exactly (-1)^n q^binom(n,2) m^n; the
-    window keeps every n whose q-weight binom(n,2) fits under `order`,
+    series keeps every n whose q-weight binom(n,2) fits under `order`,
     which is symmetric apart from the extra n=1 entry at weight zero.
     """
     if m.coeff not in (1, -1):
@@ -135,14 +76,15 @@ def jtp_zseries(m: Monomial, order: int) -> ZSeries:
     if m.qexp != 0:
         raise NotTruncatable(
             "fold the companion's q-power into the z-substitution; a "
-            "q-carrying companion breaks the window invariant")
-    coeffs: dict[int, Series] = {}
+            "q-carrying companion leaves z-powers below the order")
+    terms = {}
     for n, step in ((0, 1), (-1, -1)):
         while binom2(n) <= order:
-            coeffs[n] = Series.from_monomial(
-                Monomial(-1 if n % 2 else 1, binom2(n)) * m ** n)
+            mono = (Monomial(-1 if n % 2 else 1, binom2(n)) * m ** n
+                    * Monomial.var(Z, n))
+            terms[mono.key()] = mono.coeff
             n += step
-    return ZSeries(coeffs, order)
+    return Series(terms, order)
 
 
 # ------------------------------------------------------- z-carrying products
@@ -170,31 +112,31 @@ class ZFactor:
         """A reciprocal whose k=0 binomial sits at q-weight zero.
 
         Its geometric expansion puts every power of z at the same
-        q-weight, so no finite window is sound; the factor must be folded
-        lazily over an explicitly requested window instead.
+        q-weight, so no truncation in q bounds its z-powers; the factor
+        must be folded over an explicitly requested window instead.
         """
         return self.expo == -1 and self.mon.qexp == 0
 
 
-def _euler_zseries(f: ZFactor, order: int) -> ZSeries:
+def _euler_zseries(f: ZFactor, order: int) -> Series:
     """Expand a closed (mon*z^e; q^b)_inf^(+-1) by Euler's two series.
 
     [z^(e*n)] is (-1)^n q^(b*binom(n,2)) mon^n / (q^b; q^b)_n for the
     product and mon^n / (q^b; q^b)_n for its reciprocal (Gasper-Rahman,
     eqs. (1.3.15)-(1.3.16)).  1/(q^b; q^b)_n starts at 1, so the leading
     monomial's q-weight is the coefficient's valuation; it rises with n,
-    and the window stops at the first n above `order`.
+    and the series stops at the first n above `order`.
     """
-    coeffs: dict[int, Series] = {}
+    terms: dict = {}
     power = Monomial.unit()  # mon^n
     n = 0
     while True:
         lead = power if f.expo == -1 else power * Monomial(
             -1 if n % 2 else 1, f.basepow * binom2(n))
         if lead.qexp > order:
-            return ZSeries(coeffs, order)
-        coeffs[f.zexp * n] = expand_factors(
-            lead, [(Monomial.q(f.basepow), f.basepow, n, -1)], order)
+            return Series(terms, order)
+        terms.update(expand_factors(lead * Monomial.var(Z, f.zexp * n), [
+            (Monomial.q(f.basepow), f.basepow, n, -1)], order).terms)
         power = power * f.mon
         n += 1
 
@@ -211,21 +153,18 @@ def normalize_zwindow(zwindow) -> tuple[int, int]:
     return (lo, hi)
 
 
-def expand_zfactors(factors, order: int, zwindow=None) -> ZSeries:
-    """Multiply out a list of ZFactors to a ZSeries sound at `order`.
+def expand_zfactors(factors, order: int, zwindow=None,
+                    rest: Series | None = None) -> Series:
+    """ZFactors times the z-free series `rest`, sound to `order`.
 
     At most one factor may be "open" (reciprocal with q-free argument,
-    such as 1/(z;q)_inf): its window is unbounded at every order, so it
-    is folded lazily against the finite closed product, over the z-range
-    the caller asks for.  `zwindow` is an int K for [-K, K] or an
-    explicit (lo, hi) pair, and is required exactly when an open factor
-    is present.
+    such as 1/(z;q)_inf): its z-powers are unbounded at every order, so
+    it is folded into the product of the others over `zwindow`, an int K
+    for [-K, K] or a (lo, hi) pair, and the result holds that range only.
     """
-    closed = ZSeries.unit(order)
+    closed = Series.one(order)
     opens: list[ZFactor] = []
-    # An open factor's tail has the widest z-range; multiplied in last,
-    # it keeps the intermediate products small.
-    for f in sorted(factors, key=lambda f: f.is_open):
+    for f in factors:
         if f.is_open:
             # Split off the weight-zero geometric 1/(1 - mon z^e); the
             # q-shifted remainder of the product is an ordinary closed
@@ -237,6 +176,8 @@ def expand_zfactors(factors, order: int, zwindow=None) -> ZSeries:
                 f"argument {f.mon.text()} has negative q-weight; its "
                 "z-expansion never settles")
         closed = zmul(closed, _euler_zseries(f, order))
+    if rest is not None:
+        closed = closed * rest
     if not opens:
         return closed
     if len(opens) > 1:
@@ -246,17 +187,36 @@ def expand_zfactors(factors, order: int, zwindow=None) -> ZSeries:
     if zwindow is None:
         raise NotTruncatable(
             "an open factor makes the z-window unbounded; pass zwindow")
-    lo, hi = normalize_zwindow(zwindow)
-    open_f = opens[0]
-    folded: dict[int, Series] = {}
-    for k in range(lo, hi + 1):
-        acc = Series({}, order, 0)
-        for a, s in closed.coeffs.items():
-            d = k - a
-            if d % open_f.zexp == 0 and d // open_f.zexp >= 0:
-                acc = acc + s.mul_monomial(open_f.mon ** (d // open_f.zexp))
-        folded[k] = acc
-    return ZSeries(folded, order, bounds=(lo, hi))
+    return _fold(opens[0], closed, *normalize_zwindow(zwindow))
+
+
+def _fold(f: ZFactor, closed: Series, lo: int, hi: int) -> Series:
+    """closed / (1 - mon z^e) at the z-powers lo..hi.
+
+    F_k = C_k + mon F_(k-e), swept in the direction of e; the first |e|
+    F_k of the sweep sum their tail mon^t C_(k-te) directly.  Each C_k
+    enters one F_k, so there is at most one add per z-power of C."""
+    e, mon = f.zexp, f.mon
+    c = dict(zcoeffs(closed))
+    last: dict[int, Series] = {}  # F_k until F_(k+e) takes it
+    terms: dict = {}
+    for k in range(lo, hi + 1) if e > 0 else range(hi, lo - 1, -1):
+        prev = last.pop(k - e, None)
+        if prev is None:
+            acc = Series.zero(closed.order)
+            for a, s in c.items():
+                t, r = divmod(k - a, e)
+                if r == 0 and t >= 0:
+                    acc = acc + s.mul_monomial(mon ** t)
+        else:
+            acc = prev.mul_monomial(mon)
+            if k in c:
+                acc = c[k] + acc
+        last[k] = acc
+        zvk = {vk: tuple(sorted((*vk, (Z, k)))) if k else vk
+               for _, vk in acc.terms}  # one tuple per vars, not per term
+        terms.update(((qe, zvk[vk]), v) for (qe, vk), v in acc.terms.items())
+    return Series(terms, closed.order, closed.floor)
 
 
 @dataclass(frozen=True)
@@ -285,26 +245,25 @@ class ZProductSpec:
     zfactors: tuple[ZFactor, ...]
     rest: ProductSpec
 
-    def expand(self, order: int, zwindow=None) -> ZSeries:
-        zs = expand_zfactors(self.zfactors, order, zwindow)
-        return zs.scale_series(expand_product_spec(self.rest, order))
+    def expand(self, order: int, zwindow=None) -> Series:
+        return expand_zfactors(self.zfactors, order, zwindow,
+                               expand_product_spec(self.rest, order))
 
 
 # --------------------------------------------------------- per-z verification
 
 
-def verify_zcoeff_identity(name: str, lhs_coeff, rhs: ZSeries, zwindow,
+def verify_zcoeff_identity(name: str, lhs_coeff, rhs: Series, zwindow,
                            order: int) -> VerificationReport:
-    """Compare a z-indexed family of coefficients against a ZSeries.
+    """Compare a z-indexed family of coefficients against a series in z.
 
     `lhs_coeff` maps a z-exponent to the left side's coefficient Series.
     Each pair is compared termwise up to `order`; the first discrepancy
     (tagged with its z-power) turns the report into a mismatch.
     """
     lo, hi = normalize_zwindow(zwindow)
-    for k in range(lo, hi + 1):
+    for k, rhs_k in zcoeffs(rhs, range(lo, hi + 1)):
         lhs = lhs_coeff(k)
-        rhs_k = rhs.extract(k)
         for side, s in (("lhs", lhs), ("rhs", rhs_k)):
             if s.order < order:
                 return VerificationReport(
@@ -375,9 +334,9 @@ def prove_main_theorem(order: int = 24) -> MainProof:
             "paired sum vs direct sum: the paired sum and the stated one "
             "lower to different specs")
 
-    pair = zmul(jtp_zseries(Monomial.var("x"), order),
-                jtp_zseries(Monomial.var("y", -1), order))
-    constant_term = expand_product_spec(prefactor, order) * pair.extract(0)
+    [(_, ct)] = zcoeffs(zmul(jtp_zseries(Monomial.var("x"), order),
+                             jtp_zseries(Monomial.var("y", -1), order)), [0])
+    constant_term = expand_product_spec(prefactor, order) * ct
     paired_sum = eval_sum(paired, order)
     diff = find_first_mismatch(constant_term, paired_sum, order)
     if diff is not None:

@@ -316,7 +316,9 @@ def test_verify_needs_a_target(capsys):
      "--param only applies to a single catalog key"),
     (["--catalog", "rr1", "identities.qid"],
      "choose either --catalog or a file, not both"),
-], ids=["param-with-all", "catalog-with-file"])
+    (["identities.qid", "--param", "k=3"],
+     "--param only applies to a single catalog key"),
+], ids=["param-with-all", "catalog-with-file", "param-with-file"])
 def test_verify_usage_errors_are_error_records(capsys, argv, message):
     code, records, _ = run(capsys, "verify", *argv, "--order", "4")
     assert code == 2

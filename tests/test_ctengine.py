@@ -1,11 +1,13 @@
 """Laurent-in-z machinery: triple products, z-products, constant terms.
 
+z is a formal variable of `Series`; `zcoeffs` reads single z-powers off.
 The classical single-variable expansions (Euler's two summations) serve
 as oracles for the z-factor builders, and the per-z-power checks replay
 textbook bilateral summations before `prove_main_theorem` chains them.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -15,12 +17,12 @@ from qident.ctengine import (
     MainProof,
     ProofReplayError,
     ZFactor,
-    ZSeries,
     binom2,
     expand_zfactors,
     jtp_zseries,
     prove_main_theorem,
     verify_zcoeff_identity,
+    zcoeffs,
     zmul,
 )
 from qident.qfactorial import (
@@ -29,7 +31,7 @@ from qident.qfactorial import (
     poch_infinite,
     poch_recip_finite,
 )
-from qident.qring import Monomial, QueryBeyondOrder, Series
+from qident.qring import Monomial, Series
 from qident.report import find_first_mismatch
 
 ONE = Monomial.unit()
@@ -42,35 +44,40 @@ def sign(n):
     return -1 if n % 2 else 1
 
 
+def by_z(s):
+    return dict(zcoeffs(s))
+
+
 # ------------------------------------------------------- the triple product
 
 
 def test_jtp_window_tracks_the_order():
-    zs = jtp_zseries(ONE, 36)
+    zs = by_z(jtp_zseries(ONE, 36))
     # binom(9,2) = binom(-8,2) = 36 sits exactly on the order.
-    assert zs.window == (-8, 9)
-    assert 10 not in zs.coeffs and -9 not in zs.coeffs
+    assert (min(zs), max(zs)) == (-8, 9)
+    assert 10 not in zs and -9 not in zs
 
 
 def test_jtp_order_zero_keeps_the_weightless_pair():
-    zs = jtp_zseries(ONE, 0)
-    assert set(zs.coeffs) == {0, 1}
+    zs = by_z(jtp_zseries(ONE, 0))
+    assert set(zs) == {0, 1}
 
 
 def test_jtp_coefficients_are_exact_signed_monomials():
-    zs = jtp_zseries(ONE, 40)
+    jtp = jtp_zseries(ONE, 40)
+    assert jtp.order == 40
+    zs = by_z(jtp)
     for n in range(-8, 9):
-        c = zs.coeffs[n]
-        assert c.exact
-        assert c.terms == {(binom2(n), ()): sign(n)}
-    assert zs.extract(-1).terms == {(1, ()): -1}
+        assert zs[n].order == 40
+        assert zs[n].terms == {(binom2(n), ()): sign(n)}
+    assert jtp.terms[(1, (("z", -1),))] == -1
 
 
 def test_jtp_with_companion_variable():
-    zs = jtp_zseries(X, 20)
-    assert zs.coeffs[2].terms == {(1, (("x", 2),)): 1}
-    assert zs.coeffs[-1].terms == {(1, (("x", -1),)): -1}
-    assert zs.coeffs[3].terms == {(3, (("x", 3),)): -1}
+    zs = by_z(jtp_zseries(X, 20))
+    assert zs[2].terms == {(1, (("x", 2),)): 1}
+    assert zs[-1].terms == {(1, (("x", -1),)): -1}
+    assert zs[3].terms == {(3, (("x", 3),)): -1}
 
 
 def test_jtp_rejects_q_carrying_companions():
@@ -82,45 +89,59 @@ def test_jtp_reflection_swaps_companion_for_its_inverse():
     # Sending z -> q/z in the triple product with companion y lands on
     # the triple product with companion 1/y: coefficient of z^{-j} must
     # be (-1)^j y^j q^{binom(j+1,2)}.
-    zs = jtp_zseries(Monomial.var("y", -1), 30)
+    zs = by_z(jtp_zseries(Monomial.var("y", -1), 30))
     for j in range(-4, 5):
         expect = {(binom2(j + 1), (("y", j),) if j else ()): sign(j)}
-        assert zs.coeffs[-j].terms == expect
+        assert zs[-j].terms == expect
 
 
-# ------------------------------------------------------------ zmul / extract
+# ----------------------------------------------------------- zmul / zcoeffs
 
 
 def test_zmul_of_pure_powers_is_delta_orthogonal():
-    f = ZSeries({2: Series.one(10)}, 10)
-    g = ZSeries({-2: Series.one(10)}, 10)
+    f = Series({(0, (("z", 2),)): 1}, 10)
+    g = Series({(0, (("z", -2),)): 1}, 10)
     prod = zmul(f, g)
-    assert set(prod.coeffs) == {0}
-    assert prod.extract(0).coeff(0) == 1
-    missing = prod.extract(5)
+    assert set(by_z(prod)) == {0}
+    assert by_z(prod)[0].coeff(0) == 1
+    [(k, missing)] = zcoeffs(prod, [5])
+    assert k == 5
     assert missing.is_zero() and not missing.exact and missing.order == 10
 
 
 def test_zmul_unit_is_identity():
     zs = jtp_zseries(X, 12)
-    prod = zmul(ZSeries.unit(12), zs)
-    assert prod.coeffs.keys() == zs.coeffs.keys()
-    for k in zs.coeffs:
-        assert find_first_mismatch(prod.coeffs[k], zs.coeffs[k], 12) is None
+    prod = zmul(Series.one(12), zs)
+    assert prod.order == 12
+    assert prod.terms == zs.terms
 
 
 def test_zmul_downgrades_order_for_negative_valuations():
-    laurent = ZSeries({0: Series.poly({(-3, ()): 1})}, 10)
-    assert zmul(laurent, ZSeries.unit(10)).order == 7
+    laurent = Series({(-3, ()): 1}, 10, -3)
+    assert zmul(laurent, Series.one(10)).order == 7
+
+
+def test_every_z_coefficient_reports_the_product_order():
+    """A z^-1 term at q^-3 leaves the product sound to q^7 only, at every
+    z-power: the q^8..q^10 terms of [z^0] are unknown, though the z^0
+    coefficients of both factors were known to q^10."""
+    f = Series({(0, ()): 1, (-3, (("z", -1),)): 1}, 10, -3)
+    prod = zmul(f, Series.one(10))
+    assert prod.order == 7
+    coeffs = by_z(prod)
+    assert set(coeffs) == {0, -1}
+    assert all(c.order == 7 for c in coeffs.values())
+    [(_, absent)] = zcoeffs(prod, [3])
+    assert absent.is_zero() and absent.order == 7
 
 
 def test_constant_term_of_paired_triple_products():
     pair = zmul(jtp_zseries(X, 24), jtp_zseries(Monomial.var("y", -1), 24))
-    ct = pair.extract(0)
-    # sum over i of (xy)^i q^{i^2}, for every i the paired windows admit
-    assert ct.exact
+    [(_, ct)] = zcoeffs(pair, [0])
+    # sum over i of (xy)^i q^{i^2}, every term up to the order
+    assert ct.order == 24
     assert ct.terms == {(i * i, (("x", i), ("y", i)) if i else ()): 1
-                        for i in range(-6, 7)}
+                        for i in range(-4, 5)}
 
 
 # --------------------------------------------------------- z-factor builders
@@ -128,20 +149,20 @@ def test_constant_term_of_paired_triple_products():
 
 def test_binomial_factor_matches_the_alternating_euler_sum():
     # (z;q)_inf = sum_j (-1)^j q^{binom(j,2)} z^j / (q;q)_j
-    zs = expand_zfactors([ZFactor(ONE)], 12)
+    zs = by_z(expand_zfactors([ZFactor(ONE)], 12))
     for j in range(5):
         expect = poch_recip_finite(Q1, 1, j, 12).mul_monomial(
             Monomial(sign(j), binom2(j), ()))
-        assert find_first_mismatch(zs.extract(j), expect, 12) is None
-    assert zs.extract(-1).is_zero()
+        assert find_first_mismatch(zs[j], expect, 12) is None
+    assert -1 not in zs
 
 
 def test_geometric_factor_matches_the_plain_euler_sum():
     # 1/(qz;q)_inf = sum_j q^j z^j / (q;q)_j
-    zs = expand_zfactors([ZFactor(Q1, expo=-1)], 12)
+    zs = by_z(expand_zfactors([ZFactor(Q1, expo=-1)], 12))
     for j in range(5):
         expect = poch_recip_finite(Q1, 1, j, 12).mul_monomial(Monomial(1, j, ()))
-        assert find_first_mismatch(zs.extract(j), expect, 12) is None
+        assert find_first_mismatch(zs[j], expect, 12) is None
 
 
 def _product_with_formal_z(f: ZFactor, order: int, top: int) -> Series:
@@ -176,6 +197,10 @@ def _by_z_power(s: Series) -> dict[int, dict]:
     return out
 
 
+def _z_span(s: Series) -> int:
+    return max((abs(dict(vk).get("z", 0)) for _, vk in s.terms), default=0)
+
+
 _SHAPES = [
     ZFactor(Monomial(c, w, var), zexp, b, expo)
     for expo, zexp, b, c, var, w in itertools.product(
@@ -183,31 +208,54 @@ _SHAPES = [
         (0, 1, 2))]
 
 
+def _products(seed: int) -> list[tuple[ZFactor, ...]]:
+    """Every shape alone, and a fixed sample of pairs and triples with at
+    most one open factor among them."""
+    rng = random.Random(seed)
+    closed = [f for f in _SHAPES if not f.is_open]
+    opens = [f for f in _SHAPES if f.is_open]
+    out = [(f,) for f in _SHAPES]
+    for size in (2, 3):
+        for _ in range(12):
+            out.append(tuple(rng.sample(closed, size)))
+            out.append((*rng.sample(closed, size - 1), rng.choice(opens)))
+    return out
+
+
 @pytest.mark.parametrize("order", [0, 1, 12])
 def test_euler_expansion_matches_the_formal_z_product(order):
-    """Every factor shape, closed or open, against the product expanded
-    with z as a formal variable and regrouped by z-power."""
-    window = (-5, 5)
-    for f in _SHAPES:
-        zs = expand_zfactors([f], order, window if f.is_open else None)
-        want = _by_z_power(_product_with_formal_z(f, order, 5))
-        assert zs.order == order
-        if f.is_open:
-            assert zs.bounds == window
-            got = {k: zs.extract(k).terms for k in range(-5, 6)}
-            want = {k: want.get(k, {}) for k in range(-5, 6)}
+    """Every factor shape, closed or open, and products of two and three
+    of them, against the product expanded with z as a formal variable.
+
+    The geometric cut `top` of an open factor reaches past the window by
+    the z-span of all the other pieces, so every [z^k] in the window is
+    complete; a shorter cut would leave some of them short."""
+    lo, hi = window = (-5, 5)
+    for factors in _products(seed=order):
+        top = max(-lo, hi) + 1 + sum(
+            _z_span(_product_with_formal_z(f, order, 0)) for f in factors)
+        want = Series.one()
+        for f in factors:
+            want = want * _product_with_formal_z(f, order, top)
+        is_open = any(f.is_open for f in factors)
+        got = expand_zfactors(factors, order, window if is_open else None)
+        assert got.order == order, factors
+        if is_open:
+            held = _by_z_power(got)
+            assert set(held) <= set(range(lo, hi + 1)), factors
+            want = _by_z_power(want)
+            for k in range(lo, hi + 1):
+                assert held.get(k, {}) == want.get(k, {}), (factors, k)
         else:
-            got = {k: s.terms for k, s in zs.coeffs.items()}
-            for s in zs.coeffs.values():
-                assert s.order == order and not s.exact
-        assert got == want, f
+            assert got.terms == want.truncate(order).terms, factors
 
 
 def test_zfactor_expansion_convolution_count(monkeypatch):
-    """Euler's closed forms leave the coefficient products of zmul and
-    the 1/(q^b; q^b)_n pieces as the only convolutions, each piece one
-    binomial longer than the cached one before it: the m = 1 product side
-    of the 1psi1 sum at order 16 needs 516 from cold caches."""
+    """Euler's closed forms, multiplied once each into the product of the
+    others, and the 1/(q^b; q^b)_n pieces, each one binomial longer than
+    the cached one before it: the m = 1 product side of the 1psi1 sum at
+    order 16 needs 63 convolutions from cold caches (516 when every
+    pair of z-coefficients was multiplied apart)."""
     qfactorial._RUNS.clear()
     calls = []
     real = qring._convolve
@@ -215,7 +263,26 @@ def test_zfactor_expansion_convolution_count(monkeypatch):
                         lambda *a: calls.append(1) or real(*a))
     ident = get_identity("ramanujan-1psi1", m=1)
     expand_zfactors(ident.lowered.rhs.zfactors, 16, ident.zwindow)
-    assert len(calls) <= 600
+    assert len(calls) <= 70
+
+
+def test_open_factor_fold_adds_once_per_closed_z_power(monkeypatch):
+    """The open factor of the q-binomial side, 1/(z; q)_inf, folded over
+    [-2000, 2000]: F_k = C_k + F_(k-1) adds each z-power of the closed
+    product C once, and makes no add per z-power of the window."""
+    factors = get_identity("q-binomial").lowered.rhs.zfactors
+    closed = [f if not f.is_open else
+              ZFactor(f.mon * Monomial.q(f.basepow), f.zexp, f.basepow, -1)
+              for f in factors]
+    span = len(by_z(expand_zfactors(closed, 4)))
+    adds = []
+    real = Series.__add__
+    monkeypatch.setattr(Series, "__add__",
+                        lambda a, b: adds.append(1) or real(a, b))
+    folded = expand_zfactors(factors, 4, zwindow=2000)
+    assert 0 < len(adds) <= span
+    assert len(adds) <= 4001 + span
+    assert set(by_z(folded)) == set(range(0, 2001))
 
 
 def test_negative_q_weight_arguments_are_refused():
@@ -229,31 +296,19 @@ def test_open_factor_needs_an_explicit_window():
     factors = [ZFactor(ONE, expo=-1)]
     with pytest.raises(NotTruncatable):
         expand_zfactors(factors, 8)
-    zs = expand_zfactors(factors, 8, zwindow=(-2, 5))
+    zs = by_z(expand_zfactors(factors, 8, zwindow=(-2, 5)))
     # Euler: [z^k] of 1/(z;q)_inf is 1/(q;q)_k
     for k in range(4):
-        assert find_first_mismatch(zs.extract(k),
-                                   poch_recip_finite(Q1, 1, k, 8), 8) is None
-    assert zs.extract(-2).is_zero()
-    with pytest.raises(QueryBeyondOrder):
-        zs.extract(7)
+        assert find_first_mismatch(zs[k], poch_recip_finite(Q1, 1, k, 8),
+                                   8) is None
+    # only the window is folded: nothing below z^0, nothing past z^5
+    assert set(zs) == set(range(0, 6))
 
 
 def test_two_open_factors_are_refused():
     with pytest.raises(NotTruncatable):
         expand_zfactors([ZFactor(ONE, expo=-1), ZFactor(A, expo=-1)], 8,
                         zwindow=3)
-
-
-def test_clipped_series_refuse_multiplication():
-    clipped = expand_zfactors([ZFactor(ONE, expo=-1)], 8, zwindow=3)
-    with pytest.raises(NotTruncatable):
-        zmul(clipped, ZSeries.unit(8))
-
-
-def test_scale_series_tracks_negative_valuation():
-    zs = ZSeries.unit(10).scale_series(Series.poly({(-2, ()): 1}))
-    assert zs.order == 8
 
 
 # ------------------------------------------------- classical per-z identities
@@ -278,7 +333,7 @@ def test_bilateral_euler_expansion_per_z_power():
     b = Monomial.q(2)
     core = zmul(jtp_zseries(ONE, order),
                 expand_zfactors([ZFactor(b, zexp=-1, expo=-1)], order))
-    rhs = core.scale_series(poch_infinite(b, 1, order).invert(order))
+    rhs = core * poch_infinite(b, 1, order).invert(order)
 
     def lhs(k):
         return poch_recip_finite(b, 1, k, order).mul_monomial(
@@ -288,8 +343,9 @@ def test_bilateral_euler_expansion_per_z_power():
     assert report.passed, report.first_mismatch
     # the constant term collapses to bare 1, and the sum is genuinely
     # bilateral: k = -1 survives while k <= -2 vanishes
-    assert find_first_mismatch(rhs.extract(0), Series.one(), order) is None
-    assert rhs.extract(-1).coeff(1) == -1
+    zs = by_z(rhs)
+    assert find_first_mismatch(zs[0], Series.one(), order) is None
+    assert zs[-1].coeff(1) == -1
     assert lhs(-2).is_zero()
 
 
@@ -302,7 +358,7 @@ def test_first_circle_sum_per_z_power():
         [ZFactor(X), ZFactor(X.inverse() * Q1, zexp=-1),
          ZFactor(Q1, zexp=-1, expo=-1)], order)
     scale = poch_infinite(Q1, 1, order) * poch_infinite(xq, 1, order).invert(order)
-    rhs = core.scale_series(scale)
+    rhs = core * scale
 
     def lhs(i):
         mono = Monomial(sign(i), binom2(i), (("x", i),) if i else ())
@@ -317,11 +373,10 @@ def test_second_circle_sum_per_z_power():
     #   = (q, yq/z, z/y; q)_inf / ((yq;q)_inf (z;q)_inf)
     order = 12
     yq = Monomial.var("y", qexp=1)
-    core = expand_zfactors(
-        [ZFactor(yq, zexp=-1), ZFactor(Monomial.var("y", -1)),
-         ZFactor(ONE, expo=-1)], order, zwindow=4)
     scale = poch_infinite(Q1, 1, order) * poch_infinite(yq, 1, order).invert(order)
-    rhs = core.scale_series(scale)
+    rhs = expand_zfactors(
+        [ZFactor(yq, zexp=-1), ZFactor(Monomial.var("y", -1)),
+         ZFactor(ONE, expo=-1)], order, zwindow=4, rest=scale)
 
     def lhs(k):
         j = -k
@@ -333,7 +388,7 @@ def test_second_circle_sum_per_z_power():
 
 
 def test_verify_reports_the_offending_z_power():
-    rhs = ZSeries({0: Series.one(8), 1: Series.from_monomial(Q1)}, 8)
+    rhs = Series({(0, ()): 1, (1, (("z", 1),)): 1}, 8)
 
     def lhs(k):
         return Series.one(8) if k == 0 else Series({(1, ()): 2}, 8)
