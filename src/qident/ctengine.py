@@ -13,8 +13,9 @@ The z-window is the truncation: a series sound to order N holds every
 term of q-weight at most N at every z-power, and the kernel's product
 order already allows for coefficients of negative q-valuation.  Only an
 open factor such as 1/(z; q)_inf puts every z-power at q-weight zero; it
-is folded over a z-window the caller names, and the series that comes
-out holds the z-powers of that window only.
+is folded over a z-window the caller names, and what comes out is the
+mapping k -> [z^k] over that window, not a series that a product could
+take for the whole.
 """
 
 from __future__ import annotations
@@ -154,13 +155,14 @@ def normalize_zwindow(zwindow) -> tuple[int, int]:
 
 
 def expand_zfactors(factors, order: int, zwindow=None,
-                    rest: Series | None = None) -> Series:
+                    rest: Series | None = None) -> Series | dict[int, Series]:
     """ZFactors times the z-free series `rest`, sound to `order`.
 
     At most one factor may be "open" (reciprocal with q-free argument,
     such as 1/(z;q)_inf): its z-powers are unbounded at every order, so
     it is folded into the product of the others over `zwindow`, an int K
-    for [-K, K] or a (lo, hi) pair, and the result holds that range only.
+    for [-K, K] or a (lo, hi) pair, and the result is the mapping
+    k -> [z^k] for k in that range.
     """
     closed = Series.one(order)
     opens: list[ZFactor] = []
@@ -190,18 +192,17 @@ def expand_zfactors(factors, order: int, zwindow=None,
     return _fold(opens[0], closed, *normalize_zwindow(zwindow))
 
 
-def _fold(f: ZFactor, closed: Series, lo: int, hi: int) -> Series:
-    """closed / (1 - mon z^e) at the z-powers lo..hi.
+def _fold(f: ZFactor, closed: Series, lo: int, hi: int) -> dict[int, Series]:
+    """F_k = [z^k] of closed / (1 - mon z^e) for k = lo..hi.
 
     F_k = C_k + mon F_(k-e), swept in the direction of e; the first |e|
     F_k of the sweep sum their tail mon^t C_(k-te) directly.  Each C_k
     enters one F_k, so there is at most one add per z-power of C."""
     e, mon = f.zexp, f.mon
     c = dict(zcoeffs(closed))
-    last: dict[int, Series] = {}  # F_k until F_(k+e) takes it
-    terms: dict = {}
+    out: dict[int, Series] = {}
     for k in range(lo, hi + 1) if e > 0 else range(hi, lo - 1, -1):
-        prev = last.pop(k - e, None)
+        prev = out.get(k - e)
         if prev is None:
             acc = Series.zero(closed.order)
             for a, s in c.items():
@@ -212,11 +213,8 @@ def _fold(f: ZFactor, closed: Series, lo: int, hi: int) -> Series:
             acc = prev.mul_monomial(mon)
             if k in c:
                 acc = c[k] + acc
-        last[k] = acc
-        zvk = {vk: tuple(sorted((*vk, (Z, k)))) if k else vk
-               for _, vk in acc.terms}  # one tuple per vars, not per term
-        terms.update(((qe, zvk[vk]), v) for (qe, vk), v in acc.terms.items())
-    return Series(terms, closed.order, closed.floor)
+        out[k] = acc
+    return out
 
 
 @dataclass(frozen=True)
@@ -245,7 +243,7 @@ class ZProductSpec:
     zfactors: tuple[ZFactor, ...]
     rest: ProductSpec
 
-    def expand(self, order: int, zwindow=None) -> Series:
+    def expand(self, order: int, zwindow=None) -> Series | dict[int, Series]:
         return expand_zfactors(self.zfactors, order, zwindow,
                                expand_product_spec(self.rest, order))
 
@@ -253,16 +251,21 @@ class ZProductSpec:
 # --------------------------------------------------------- per-z verification
 
 
-def verify_zcoeff_identity(name: str, lhs_coeff, rhs: Series, zwindow,
+def verify_zcoeff_identity(name: str, lhs_coeff, rhs, zwindow,
                            order: int) -> VerificationReport:
     """Compare a z-indexed family of coefficients against a series in z.
 
-    `lhs_coeff` maps a z-exponent to the left side's coefficient Series.
-    Each pair is compared termwise up to `order`; the first discrepancy
-    (tagged with its z-power) turns the report into a mismatch.
+    `lhs_coeff` maps a z-exponent to the left side's coefficient Series,
+    and `rhs` is a series in z or, as `expand_zfactors` gives it for an
+    open factor, the mapping k -> [z^k], which must hold every k of the
+    window.  Each pair is compared termwise up to `order`; the first
+    discrepancy (tagged with its z-power) turns the report into a mismatch.
     """
     lo, hi = normalize_zwindow(zwindow)
-    for k, rhs_k in zcoeffs(rhs, range(lo, hi + 1)):
+    window = range(lo, hi + 1)
+    rows = (zcoeffs(rhs, window) if isinstance(rhs, Series)
+            else ((k, rhs[k]) for k in window))
+    for k, rhs_k in rows:
         lhs = lhs_coeff(k)
         for side, s in (("lhs", lhs), ("rhs", rhs_k)):
             if s.order < order:

@@ -15,6 +15,8 @@ runs have valuation 0 and are needed only to depth order - valuation;
 `_run` builds them one binomial at a time and caches every prefix at the
 working order.  That cache, `_RUNS`, is the module's only one.  An
 exact polynomial is the same computation at order `EXACT`.
+`expand_factors` assembles product sides and single factors; a sum
+places leads and runs level by level (`summation.eval_sum_over`).
 """
 
 from __future__ import annotations

@@ -274,7 +274,9 @@ class Series:
         return Series(kept, order, fl)
 
     def mul_monomial(self, m: Monomial) -> "Series":
-        terms = {(qe + m.qexp, _vmul(vk, m.vars)): c * m.coeff
+        # one merge of variables per distinct vars, not per term
+        moved = {vk: _vmul(vk, m.vars) for vk in {vk for _, vk in self.terms}}
+        terms = {(qe + m.qexp, moved[vk]): c * m.coeff
                  for (qe, vk), c in self.terms.items()}
         return Series(terms, self.order + m.qexp, self.floor + m.qexp)
 

@@ -12,16 +12,23 @@ under a certificate: on each sign region of the subscript forms the
 valuation is bounded below by a quadratic whose sublevel sets give every
 coordinate a finite range (see `certify_support`).  A sum without such a
 certificate is refused, never scanned.
+
+A sum is evaluated nested, index inside index (Horner's rule for several
+indices; Andrews, *The Theory of Partitions*, ch. 7): each factor is
+built once per prefix of the points up to the last index its subscript
+reads, and multiplies the inner row sum once (see `eval_sum_over`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from functools import cache, reduce
+from itertools import groupby, product
 from math import isqrt, lcm
+from operator import mul
 
-from .qfactorial import expand_factors, vanishes
+from .qfactorial import _run, reflect, vanishes
 from .qring import Monomial, QSeriesError, Series
 
 
@@ -273,34 +280,25 @@ def term_valuation(spec: SumSpec, point) -> Fraction | None:
     return v
 
 
-def term_series(spec: SumSpec, point, order: int) -> Series:
-    """The single term at `point`, truncated at `order`.
-
-    Every Pochhammer factor is reflected (see `qfactorial.reflect`), so
-    the term is a signed monomial at its exact valuation v times pieces
-    of valuation 0, each built only to depth order - v.  A term with
-    v < 0 keeps its floor at q^v for the accumulator to cancel.
-    """
+def _lead(spec: SumSpec, point) -> Monomial:
+    """The term at `point` without its factorials: (-1)^t q^Q prod v^(w.n)."""
     _check_point(spec, point)
     q = spec.quad.evaluate(point)
     if q.denominator != 1:
         raise DomainError(f"exponent {q} at {point} is not an integer; "
                           "rescale the base first")
-    sign = 1
-    if spec.signform is not None:
-        sign = -1 if _int_value(spec.signform, point, "sign exponent") % 2 else 1
+    odd = spec.signform and _int_value(spec.signform, point, "sign exponent") % 2
+    return Monomial(-1 if odd else 1, int(q), [
+        (name, sum(wi * pi for wi, pi in zip(w, point)))
+        for name, w in spec.varweights])
 
-    exps: dict[str, int] = {}
-    for name, w in spec.varweights:
-        e = sum(wi * pi for wi, pi in zip(w, point))
-        if e:
-            exps[name] = e
-    mono = Monomial(sign, int(q), tuple(sorted(exps.items())))
-    factors = [(f.arg, f.basepow, _int_value(f.count, point, "subscript"),
-                expo)
-               for expo, group in ((-1, spec.denoms), (1, spec.numers))
-               for f in group]
-    return expand_factors(mono, factors, order)
+
+def term_series(spec: SumSpec, point, order: int) -> Series:
+    """The single term at `point`, truncated at `order`: the one-point
+    case of `eval_sum_over`.  Numerator factorials are allowed, and a
+    term of valuation v < 0 keeps its floor at q^v."""
+    terms = _nested(spec, [point], order)
+    return Series(terms, order, min([0, *(k[0] for k in terms)]))
 
 
 # ------------------------------------------------------- support enumeration
@@ -666,15 +664,79 @@ def eval_sum_scaled(spec: SumSpec, order: int) -> tuple[Series, int]:
 
 
 def eval_sum_over(spec: SumSpec, points, order: int) -> Series:
-    """Accumulate term_series over an explicit support set."""
-    acc = Series.zero(order)
-    for p in points:
-        acc = acc + term_series(spec, p, order)
-    v = acc.valuation
-    if v is not None and v < 0:
-        bad = min((k for k in acc.terms if k[0] < 0))
+    """The sum of the terms at `points`, nested index by index.
+
+    A Pochhammer factor belongs to the last index its subscript depends
+    on, and is reflected (`qfactorial.reflect`) once per subscript value,
+    so at most once per prefix of the points up to that index.  Its lead,
+    a monomial at its exact valuation, goes into the inner terms; its
+    valuation-0 runs, built to order - floor(row), multiply their sum
+    once.  So an innermost term is a shift, and each outer row one
+    product.  Every level adds into one term dict in place.  A point
+    raises what `term_series` raises there; terms below q^0 that fail to
+    cancel raise NegativeValuationResidual.
+    """
+    terms = {k: c for k, c in _nested(spec, points, order).items()
+             if k[0] <= order}
+    bad = min((k for k in terms if k[0] < 0), default=None)
+    if bad is not None:
         raise NegativeValuationResidual(
             f"residual term below q^0 after summation: q^{bad[0]} "
-            f"(coefficient {acc.terms[bad]})")
-    return Series({k: c for k, c in acc.terms.items() if k[0] <= order},
-                  order, 0)
+            f"(coefficient {terms[bad]})")
+    return Series(terms, order, 0)
+
+
+def _nested(spec: SumSpec, points, order: int) -> dict:
+    """The terms at `points` summed into one term dict (eval_sum_over).
+
+    Each point is first checked, in order, as `term_series` checks it:
+    domain and exponents, every factor's reflection, then, unless a
+    factor is zero, its runs, built to `order`.  The walk raises nothing."""
+    factors = [(f, -1) for f in spec.denoms] + [(f, 1) for f in spec.numers]
+    depth = [max((k + 1 for k, c in enumerate(f.count.coeffs) if c), default=0)
+             for f, _ in factors]  # how many indices the subscript reads
+    reflect_once = cache(reflect)
+    leaves = []
+    for point in points:
+        mono = _lead(spec, point)
+        ns = [_int_value(f.count, point, "subscript") for f, _ in factors]
+        refl = [reflect_once(f.arg, f.basepow, n, expo)
+                for (f, expo), n in zip(factors, ns)]
+        if None not in refl:
+            for run in (run for _, runs in refl for run in runs):
+                _run(*run, order)
+            leaves.append((point, mono, refl))
+    product_of = cache(lambda runs, work: reduce(
+        mul, (_run(*run, work) for run in runs)))
+
+    def nest(leaves, d: int, lead: Monomial, acc: dict) -> None:
+        """acc += the terms of `leaves`, which share their first d indices,
+        times `lead`, the leads of the factors outside them."""
+        here = [r for r, k in zip(leaves[0][2], depth) if k == d]
+        for factor_lead, _ in here:
+            lead = lead * factor_lead
+        runs = tuple(run for _, rs in here for run in rs)
+        inner = {} if runs else acc
+        if d == spec.dim:
+            for _, mono, _ in leaves:
+                m = mono * lead
+                inner[m.key()] = inner.get(m.key(), 0) + m.coeff
+        else:  # the points come grouped by prefix, as in the sorted support
+            for _, group in groupby(leaves, key=lambda leaf: leaf[0][d]):
+                nest(list(group), d + 1, lead, inner)
+        inner = runs and {k: c for k, c in inner.items() if c and k[0] <= order}
+        if not inner:
+            return
+        floor = min(0, *(k[0] for k in inner))
+        if len(inner) == 1:  # a monomial: a shift, no product
+            [((qe, vk), c)] = inner.items()
+            series = product_of(runs, order - floor).mul_monomial(Monomial(c, qe, vk))
+        else:
+            series = Series(inner, order, floor) * product_of(runs, order - floor)
+        for k, c in series.terms.items():
+            acc[k] = acc.get(k, 0) + c
+
+    acc: dict = {}
+    if leaves:
+        nest(leaves, 0, Monomial.unit(), acc)
+    return {k: c for k, c in acc.items() if c}

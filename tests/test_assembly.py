@@ -1,4 +1,4 @@
-"""Reflected assembly of terms and product sides against a naive build.
+"""Reflected assembly of terms, sums and product sides against naive builds.
 
 The reference multiplies out every binomial 1 - a q^(bk) of every
 Pochhammer factor as an exact Laurent polynomial, numerators and
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident.catalog import get_identity
 from qident.qfactorial import (
     FactorSpec,
     ProductSpec,
@@ -23,7 +24,12 @@ from qident.qring import Monomial, NotInvertible, QSeriesError, Series
 from qident.summation import (
     AffineForm,
     DenomFactor,
+    DomainError,
+    NegativeValuationResidual,
     QuadForm,
+    UnboundedSupport,
+    enumerate_support,
+    eval_sum_over,
     make_sum_spec,
     term_series,
 )
@@ -81,10 +87,11 @@ ORDERS = st.integers(0, 12)
 
 
 @st.composite
-def sum_terms(draw):
-    """A random 1-2 index summand with numerators and denominators, and
-    a point of its domain where the subscripts may go negative."""
-    dim = draw(st.integers(1, 2))
+def sum_terms(draw, numers=True):
+    """A random 1-3 index summand with denominators, and numerators
+    unless `numers` is false, and a point of its domain where the
+    subscripts may go negative."""
+    dim = draw(st.integers(1, 3))
     domains = draw(st.lists(st.sampled_from("NZ"), min_size=dim,
                             max_size=dim))
     point = tuple(draw(st.integers(0 if d == "N" else -4, 4))
@@ -96,6 +103,8 @@ def sum_terms(draw):
             quad = quad + QuadForm.product(idx[i], idx[j]).scale(
                 draw(st.integers(-1, 2)))
         quad = quad + QuadForm.linear(idx[i]).scale(draw(st.integers(-2, 2)))
+        if not numers:  # so that most sums have a certified support
+            quad = quad + QuadForm.square(idx[i]).scale(draw(st.integers(1, 3)))
 
     def form():
         return AffineForm.make(
@@ -110,7 +119,7 @@ def sum_terms(draw):
                for name in draw(st.sets(st.sampled_from("xy")))}
     signform = form() if draw(st.booleans()) else None
     spec = make_sum_spec(dim, domains, quad, signform, weights, factors(),
-                         factors())
+                         factors() if numers else ())
     return spec, point
 
 
@@ -127,6 +136,67 @@ def test_terms_match_the_binomial_by_binomial_build(drawn, order):
                + [(f.arg, f.basepow, value(f.count), 1) for f in spec.numers])
     check(lambda: term_series(spec, point, order),
           reference(lead, factors, order), order)
+
+
+def summed_terms(spec, points, order: int):
+    """The sum of `term_series` over `points`, one point after another,
+    cut at `order`, or the exception type the sum must raise."""
+    acc = Series.zero(order)
+    try:
+        for point in points:
+            acc = acc + term_series(spec, point, order)
+    except QSeriesError as exc:
+        return type(exc)
+    if acc.valuation is not None and acc.valuation < 0:
+        return NegativeValuationResidual
+    return {k: c for k, c in acc.terms.items() if k[0] <= order}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_terms(numers=False), st.integers(0, 8))
+def test_nested_sums_match_the_sum_of_their_terms(drawn, order):
+    """eval_sum_over groups the points by prefix and builds each factor
+    once per prefix; over the certified support it must give the terms,
+    the order and the exception of the point-by-point sum."""
+    spec, _ = drawn
+    try:
+        points = enumerate_support(spec, order).points
+    except UnboundedSupport:
+        return
+    check(lambda: eval_sum_over(spec, points, order),
+          summed_terms(spec, points, order), order)
+
+
+@pytest.mark.parametrize("key,params", [
+    ("main", {}), ("cor-triple", {}), ("cor-multi", {"ell": 4})])
+def test_catalog_sums_match_the_sum_of_their_terms(key, params):
+    """Two to four indices, with rows of many points sharing a prefix."""
+    spec = get_identity(key, **params).lowered.lhs
+    points = enumerate_support(spec, 10).points
+    check(lambda: eval_sum_over(spec, points, 10),
+          summed_terms(spec, points, 10), 10)
+
+
+def test_a_zero_factor_does_not_hide_a_vanishing_denominator():
+    """1/(q; q)_(-1) is zero but 1/(q^-1; q)_2 divides by 1 - 1: a term
+    with both raises ZeroDivisor, whichever factor comes first and
+    whichever index each reads, and so does every sum over it, also
+    after a point whose term is only zero."""
+    i, j = AffineForm.index(0, 2), AffineForm.index(1, 2)
+    for zero_at, bad_at, points in ((i, j, [(-1, 1), (-1, 2)]),
+                                    (j, i, [(1, -1), (2, -1)])):
+        zero = DenomFactor(Monomial.q(), 1, zero_at)
+        infinite = DenomFactor(Monomial.q(-1), 1, bad_at)
+        for denoms in ([zero, infinite], [infinite, zero]):
+            spec = make_sum_spec(2, "ZZ", QuadForm.zero(2), denoms=denoms)
+            assert term_series(spec, points[0], 4).is_zero()
+            with pytest.raises(ZeroDivisor):
+                term_series(spec, points[1], 4)
+            for given_points in (points[1:], points):
+                with pytest.raises(ZeroDivisor):
+                    eval_sum_over(spec, given_points, 4)
+    with pytest.raises(DomainError):
+        eval_sum_over(spec, [(0, 0), (1, 2, 3)], 4)
 
 
 @settings(max_examples=300, deadline=None)

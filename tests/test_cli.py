@@ -590,6 +590,20 @@ def test_z_statements_match_the_golden_records(capsys, monkeypatch):
     assert capsys.readouterr().out == ZGOLDEN.read_text()
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (["prove-main", "--order", "32"], "prove_main_order32.jsonl"),
+    (["verify", "--catalog", "main", "--order", "24"],
+     "verify_catalog_main_order24.jsonl"),
+])
+def test_main_sum_outputs_match_the_golden_records(capsys, argv, golden):
+    """The bilateral double sum of `main`, summed over hundreds of support
+    points: the replay's record and the verify record with its support
+    points and shells, both made while the sum was still evaluated one
+    point at a time."""
+    assert main([*argv, "--no-timing"]) == 0
+    assert capsys.readouterr().out == (GOLDEN.parent / golden).read_text()
+
+
 def test_statement_files_verify_like_the_catalog(capsys, tmp_path):
     """Each catalog statement, saved as text, gets the verdict of
     `verify --catalog` (the golden records, checked above)."""

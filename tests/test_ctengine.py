@@ -239,14 +239,14 @@ def test_euler_expansion_matches_the_formal_z_product(order):
             want = want * _product_with_formal_z(f, order, top)
         is_open = any(f.is_open for f in factors)
         got = expand_zfactors(factors, order, window if is_open else None)
-        assert got.order == order, factors
         if is_open:
-            held = _by_z_power(got)
-            assert set(held) <= set(range(lo, hi + 1)), factors
+            assert set(got) == set(range(lo, hi + 1)), factors
             want = _by_z_power(want)
             for k in range(lo, hi + 1):
-                assert held.get(k, {}) == want.get(k, {}), (factors, k)
+                assert got[k].order == order, factors
+                assert got[k].terms == want.get(k, {}), (factors, k)
         else:
+            assert got.order == order, factors
             assert got.terms == want.truncate(order).terms, factors
 
 
@@ -282,7 +282,8 @@ def test_open_factor_fold_adds_once_per_closed_z_power(monkeypatch):
     folded = expand_zfactors(factors, 4, zwindow=2000)
     assert 0 < len(adds) <= span
     assert len(adds) <= 4001 + span
-    assert set(by_z(folded)) == set(range(0, 2001))
+    assert set(folded) == set(range(-2000, 2001))
+    assert {k for k, s in folded.items() if s.terms} == set(range(0, 2001))
 
 
 def test_negative_q_weight_arguments_are_refused():
@@ -296,13 +297,28 @@ def test_open_factor_needs_an_explicit_window():
     factors = [ZFactor(ONE, expo=-1)]
     with pytest.raises(NotTruncatable):
         expand_zfactors(factors, 8)
-    zs = by_z(expand_zfactors(factors, 8, zwindow=(-2, 5)))
+    zs = expand_zfactors(factors, 8, zwindow=(-2, 5))
     # Euler: [z^k] of 1/(z;q)_inf is 1/(q;q)_k
     for k in range(4):
         assert find_first_mismatch(zs[k], poch_recip_finite(Q1, 1, k, 8),
                                    8) is None
-    # only the window is folded: nothing below z^0, nothing past z^5
-    assert set(zs) == set(range(0, 6))
+    # only the window is folded, and nothing sits below z^0
+    assert set(zs) == set(range(-2, 6))
+    assert zs[-2].is_zero() and zs[-1].is_zero()
+
+
+def test_an_open_fold_is_not_a_series_a_product_could_shift():
+    """1/(z; q)_inf folded over [0, 3] is its coefficients [z^0]..[z^3],
+    not a series in z: as one, z^-1 times it held z^-1..z^2 only, with
+    no error, though [z^3] of the product is [z^4] = 1/(q; q)_4."""
+    factors = [ZFactor(ONE, expo=-1)]
+    folded = expand_zfactors(factors, 4, zwindow=(0, 3))
+    with pytest.raises(TypeError):
+        zmul(folded, Series({(0, (("z", -1),)): 1}, 4))
+    assert set(folded) == {0, 1, 2, 3}
+    wider = expand_zfactors(factors, 4, zwindow=(0, 4))
+    assert find_first_mismatch(wider[4], poch_recip_finite(Q1, 1, 4, 4),
+                               4) is None
 
 
 def test_two_open_factors_are_refused():
