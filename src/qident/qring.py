@@ -193,6 +193,17 @@ class Series:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _cut(cls, terms: dict[TermKey, int], order: int, floor: int) -> "Series":
+        """A series from a term dict the kernel has already cut: every
+        coefficient nonzero, every q-exponent in [floor, order].  Unlike
+        the public constructor it neither copies nor re-filters."""
+        s = object.__new__(cls)
+        s.terms = terms
+        s.order = order
+        s.floor = floor
+        return s
+
+    @classmethod
     def zero(cls, order: int = EXACT) -> "Series":
         return cls({}, order)
 
@@ -271,14 +282,17 @@ class Series:
             raise TruncationUnsound(f"cannot extend order {self.order} to {order}")
         fl = self.floor if floor is None else floor
         kept = {k: c for k, c in self.terms.items() if fl <= k[0] <= order}
-        return Series(kept, order, fl)
+        return Series._cut(kept, order, fl)
 
     def mul_monomial(self, m: Monomial) -> "Series":
+        order, floor = self.order + m.qexp, self.floor + m.qexp
+        if not m.coeff:
+            return Series._cut({}, order, floor)
         # one merge of variables per distinct vars, not per term
         moved = {vk: _vmul(vk, m.vars) for vk in {vk for _, vk in self.terms}}
         terms = {(qe + m.qexp, moved[vk]): c * m.coeff
                  for (qe, vk), c in self.terms.items()}
-        return Series(terms, self.order + m.qexp, self.floor + m.qexp)
+        return Series._cut(terms, order, floor)
 
     def scale(self, c: int) -> "Series":
         return Series({k: c * v for k, v in self.terms.items()},
@@ -313,7 +327,7 @@ class Series:
                 "product of truncated series with negative valuations retains "
                 f"no sound coefficients (cap {cap})")
         terms = _convolve(self.terms, other.terms, cap)
-        return Series(terms, cap, min(0, self.floor + other.floor))
+        return Series._cut(terms, cap, min(0, self.floor + other.floor))
 
     def invert(self, order: int | None = None) -> "Series":
         """Multiplicative inverse, sound to `order`.
@@ -379,7 +393,7 @@ class Series:
         for g, level_g in inv.items():
             for vk2, c2 in level_g.items():
                 terms[(g + minv.qexp, _vmul(vk2, minv.vars))] = c2 * minv.coeff
-        return Series(terms, order, min(0, -v))
+        return Series._cut(terms, order, min(0, -v))
 
     def rescale_base(self, d: int) -> "Series":
         """Substitute q -> q^d, stretching exponents, order and floor by d."""

@@ -17,13 +17,15 @@ A sum is evaluated nested, index inside index (Horner's rule for several
 indices; Andrews, *The Theory of Partitions*, ch. 7): each factor is
 built once per prefix of the points up to the last index its subscript
 reads, and multiplies the inner row sum once (see `eval_sum_over`).
+Every point, of the support and of a sum, is read through the spec's
+forms compiled once to scaled integers (`SumSpec.compiled`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import groupby, product
 from math import isqrt, lcm
 from operator import mul
@@ -191,6 +193,11 @@ class SumSpec:
             if f.count.dim != self.dim:
                 raise DomainError("Pochhammer subscript has wrong arity")
 
+    @cached_property
+    def compiled(self) -> "_CompiledSum":
+        """The spec's forms in scaled integers, built on first use."""
+        return _CompiledSum.of(self)
+
     def base_scale(self) -> int:
         """Least d for which d*Q takes integer values on the whole lattice.
 
@@ -229,21 +236,6 @@ class SupportReport:
 # ------------------------------------------------------- valuation machinery
 
 
-def _check_point(spec: SumSpec, point) -> None:
-    if len(point) != spec.dim:
-        raise DomainError(f"point {point} has arity {len(point)}, spec wants {spec.dim}")
-    for p, d in zip(point, spec.domains):
-        if d == "N" and p < 0:
-            raise DomainError(f"point {point} leaves the declared domain")
-
-
-def _int_value(form: AffineForm, point, what: str) -> int:
-    v = form.evaluate(point)
-    if v.denominator != 1:
-        raise DomainError(f"{what} evaluates to non-integer {v} at {point}")
-    return int(v)
-
-
 def _tri(a: int, b: int, m: int) -> int:
     """sum_{j=1..m} (a - j b)."""
     return a * m - b * m * (m + 1) // 2
@@ -268,29 +260,117 @@ def _recip_offset(arg: Monomial, basepow: int, n: int) -> int | None:
     return _dip(arg.qexp, basepow, -n)
 
 
+@dataclass(frozen=True)
+class _IntForm:
+    """An affine form in integers: den * f(n) = coeffs . n + const."""
+
+    coeffs: tuple[int, ...]
+    const: int
+    den: int
+
+    @classmethod
+    def of(cls, form: AffineForm) -> "_IntForm":
+        den = lcm(*(x.denominator for x in form.coeffs), form.const.denominator)
+        return cls(tuple(int(x * den) for x in form.coeffs),
+                   int(form.const * den), den)
+
+    def at(self, point, what: str) -> int:
+        """f(point); DomainError, naming `what`, if it is not an integer."""
+        num = self.const
+        for c, x in zip(self.coeffs, point):
+            num += c * x
+        if num % self.den:
+            raise DomainError(f"{what} evaluates to non-integer "
+                              f"{Fraction(num, self.den)} at {point}")
+        return num // self.den
+
+
+@dataclass(frozen=True)
+class _CompiledSum:
+    """A SumSpec's forms in scaled integers (`SumSpec.compiled`).
+
+    S * Q(n) = sum W_ij n_i n_j + V . n + U, as in `_scaled`, and the sign
+    and subscript forms are `_IntForm`s, so a point is evaluated in ints
+    alone; a Fraction is made only to name a value that is not an
+    integer.  Support enumeration, `term_valuation` and the terms of a
+    sum all read a point through here.
+    """
+
+    domains: tuple[str, ...]
+    W: tuple[tuple[int, ...], ...]
+    V: tuple[int, ...]
+    U: int
+    S: int
+    sign: _IntForm | None
+    counts: tuple[_IntForm, ...]                    # denoms, then numers
+    denoms: tuple[tuple[_IntForm, DenomFactor], ...]
+    weights: tuple[tuple[str, tuple[int, ...]], ...]
+
+    @classmethod
+    def of(cls, spec: SumSpec) -> "_CompiledSum":
+        counts = tuple(_IntForm.of(f.count) for f in spec.denoms + spec.numers)
+        return cls(spec.domains, *_scaled(spec.quad.A, spec.quad.B, spec.quad.C),
+                   spec.signform and _IntForm.of(spec.signform), counts,
+                   tuple(zip(counts, spec.denoms)), spec.varweights)
+
+    def check(self, point) -> None:
+        """DomainError unless `point` is a lattice point of the domain."""
+        if len(point) != len(self.domains):
+            raise DomainError(f"point {point} has arity {len(point)}, "
+                              f"spec wants {len(self.domains)}")
+        for p, d in zip(point, self.domains):
+            if not isinstance(p, int):
+                raise DomainError(f"point {point} has a non-integer "
+                                  f"coordinate {p!r}")
+            if d == "N" and p < 0:
+                raise DomainError(f"point {point} leaves the declared domain")
+
+    def exponent(self, point) -> int:
+        """S * Q(point)."""
+        v = self.U
+        for i, x in enumerate(point):
+            if x:
+                t = self.V[i]
+                for w, y in zip(self.W[i], point):
+                    t += w * y
+                v += x * t
+        return v
+
+    def valuation(self, point) -> int | None:
+        """S times the exact q-valuation of the term at `point`, or None
+        if a factor vanishes there."""
+        v = self.exponent(point)
+        for form, f in self.denoms:
+            off = _recip_offset(f.arg, f.basepow, form.at(point, "subscript"))
+            if off is None:
+                return None
+            v += self.S * off
+        return v
+
+    def lead(self, point) -> Monomial:
+        """The term at `point` without its factorials, (-1)^t q^Q prod
+        v^(w.n), after checking the point, Q and then t."""
+        self.check(point)
+        q = self.exponent(point)
+        if q % self.S:
+            raise DomainError(f"exponent {Fraction(q, self.S)} at {point} is "
+                              "not an integer; rescale the base first")
+        odd = self.sign and self.sign.at(point, "sign exponent") % 2
+        return Monomial(-1 if odd else 1, q // self.S, [
+            (name, sum(wi * pi for wi, pi in zip(w, point)))
+            for name, w in self.weights])
+
+    def subscripts(self, point) -> list[int]:
+        """The subscripts of the denominators, then of the numerators."""
+        return [form.at(point, "subscript") for form in self.counts]
+
+
 def term_valuation(spec: SumSpec, point) -> Fraction | None:
     """Exact q-valuation of the term at `point` (None if the term is 0)."""
-    _check_point(spec, point)
-    v = spec.quad.evaluate(point)
-    for f in spec.denoms:
-        off = _recip_offset(f.arg, f.basepow, _int_value(f.count, point, "subscript"))
-        if off is None:
-            return None
-        v += off
-    return v
-
-
-def _lead(spec: SumSpec, point) -> Monomial:
-    """The term at `point` without its factorials: (-1)^t q^Q prod v^(w.n)."""
-    _check_point(spec, point)
-    q = spec.quad.evaluate(point)
-    if q.denominator != 1:
-        raise DomainError(f"exponent {q} at {point} is not an integer; "
-                          "rescale the base first")
-    odd = spec.signform and _int_value(spec.signform, point, "sign exponent") % 2
-    return Monomial(-1 if odd else 1, int(q), [
-        (name, sum(wi * pi for wi, pi in zip(w, point)))
-        for name, w in spec.varweights])
+    kernel = spec.compiled
+    kernel.check(point)
+    v = kernel.valuation(point)
+    return None if v is None else Fraction(v, kernel.S)
 
 
 def term_series(spec: SumSpec, point, order: int) -> Series:
@@ -392,13 +472,6 @@ class _Level:
         return W[c][c], V[c] + 2 * sum(W[c][j] * p[j] for j in range(c)), k
 
 
-def _integral(form: AffineForm) -> tuple[tuple[int, ...], int]:
-    """A subscript form's integer coefficients and constant."""
-    if any(x.denominator != 1 for x in form.coeffs + (form.const,)):
-        raise DomainError(f"subscript form {form} is not integer-valued")
-    return tuple(int(x) for x in form.coeffs), int(form.const)
-
-
 def _dip_bound(form: AffineForm, a: int, b: int) -> QuadForm:
     """A quadratic in L = form(n) below the valuation _dip(a, b, -L) of
     1/(q^a; q^b)_L wherever L <= -1; it is exact once -L >= a/b."""
@@ -426,8 +499,10 @@ def _regions(spec: SumSpec):
     zero = QuadForm.zero(spec.dim)
     base = spec.quad
     choices = []
-    for f in spec.denoms:
-        coeffs, const = _integral(f.count)
+    for form, f in spec.compiled.denoms:
+        if form.den != 1:
+            raise DomainError(f"subscript form {f.count} is not integer-valued")
+        coeffs, const = form.coeffs, form.const
         a, b = f.arg.qexp, f.basepow
         if not any(coeffs):
             off = _recip_offset(f.arg, b, const)
@@ -580,31 +655,19 @@ def enumerate_support(spec: SumSpec, order: int) -> SupportReport:
     if spec.numers:
         raise DomainError("numerator factorials leave the support unbounded; "
                           "only single terms can be evaluated")
-    W, V, U, S = _scaled(spec.quad.A, spec.quad.B, spec.quad.C)
-    denoms = [(_integral(f.count), f.arg, f.basepow) for f in spec.denoms]
+    kernel = spec.compiled
     r = spec.dim
-    bound = S * order
+    bound = kernel.S * order
     point = [0] * r
     points: list[tuple[int, ...]] = []
     radius = 0
 
-    def leaf() -> None:
-        v = U + sum(point[i] * (V[i] + sum(W[i][j] * point[j]
-                                           for j in range(r)))
-                    for i in range(r))
-        for (coeffs, const), arg, basepow in denoms:
-            n = const + sum(c * x for c, x in zip(coeffs, point))
-            off = _recip_offset(arg, basepow, n)
-            if off is None:
-                return
-            v += S * off
-        if v <= bound:
-            points.append(tuple(point))
-
     def walk(levels, c: int) -> None:
         nonlocal radius
         if c == r:
-            leaf()
+            v = kernel.valuation(point)
+            if v is not None and v <= bound:
+                points.append(tuple(point))
             return
         level = levels[c]
         span = _sublevel(*level.quadratic(point, c, order),
@@ -696,10 +759,11 @@ def _nested(spec: SumSpec, points, order: int) -> dict:
     depth = [max((k + 1 for k, c in enumerate(f.count.coeffs) if c), default=0)
              for f, _ in factors]  # how many indices the subscript reads
     reflect_once = cache(reflect)
+    kernel = spec.compiled
     leaves = []
     for point in points:
-        mono = _lead(spec, point)
-        ns = [_int_value(f.count, point, "subscript") for f, _ in factors]
+        mono = kernel.lead(point)
+        ns = kernel.subscripts(point)
         refl = [reflect_once(f.arg, f.basepow, n, expo)
                 for (f, expo), n in zip(factors, ns)]
         if None not in refl:

@@ -19,6 +19,8 @@ DENSE = Path(__file__).parent / "data" / "dense_order120.qid"
 DENSE_GOLDEN = DENSE.parent / "verify_dense_order120.jsonl"
 ZSTATEMENTS = DENSE.parent / "zstatements.qid"
 ZGOLDEN = DENSE.parent / "verify_zstatements.jsonl"
+MULTISUM = DENSE.parent / "multisum_order120.qid"
+MULTISUM_GOLDEN = DENSE.parent / "verify_multisum_order120.jsonl"
 
 BROKEN = """\
 identity broken {
@@ -588,6 +590,18 @@ def test_z_statements_match_the_golden_records(capsys, monkeypatch):
     assert main(["verify", ZSTATEMENTS.name, "--zwindow", "-3,4",
                  "--order", "12", "--no-timing"]) == 2
     assert capsys.readouterr().out == ZGOLDEN.read_text()
+
+
+def test_multi_index_statements_match_the_golden_records(capsys, monkeypatch):
+    """Bressoud k = 3 and 4 and Andrews-Gordon k = 4, sums of two and
+    three indices, a planted false pairing of two-index sums, an
+    indefinite form and a vanishing reciprocal, at order 120.  The
+    records were made while every point was still evaluated in
+    Fractions."""
+    monkeypatch.chdir(MULTISUM.parent)
+    assert main(["verify", MULTISUM.name, "--order", "120",
+                 "--no-timing"]) == 2
+    assert capsys.readouterr().out == MULTISUM_GOLDEN.read_text()
 
 
 @pytest.mark.parametrize("argv,golden", [

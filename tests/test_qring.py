@@ -532,3 +532,38 @@ def test_invert_matches_reference(case, requested):
         power = _ref_mul(power, minus_s, depth)
     want = _claimed(_ref_mul(total, shift), order) if depth >= 0 else {}
     assert _triples(w) == want
+
+
+# Shifts and cuts build their results without re-filtering them, so each
+# is checked against the reference: no zero coefficient, nothing above
+# the order or below the floor.
+
+@settings(max_examples=200, deadline=None)
+@given(operands(), st.integers(-3, 3), _MONO, st.integers(-2, 3))
+def test_mul_monomial_matches_reference(pa, coeff, mono, qexp):
+    a, fa = pa
+    p = a.mul_monomial(Monomial(coeff, qexp, _vk(*mono)))
+    assert (p.order, p.floor) == (a.order + qexp, a.floor + qexp)
+    assert _triples(p) == _claimed(_ref_mul(fa, {(qexp, *mono): coeff}),
+                                   p.order)
+    assert all(p.floor <= qe for qe, _ in p.terms)
+
+
+def test_mul_monomial_by_zero_is_the_zero_series():
+    a = Series.from_qcoeffs([1, 2, 3], order=4)
+    p = a.mul_monomial(Monomial(0, 2, (("x", 1),)))
+    assert p.is_zero() and (p.order, p.floor) == (6, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(), st.integers(-3, 6), st.one_of(st.none(), st.integers(-3, 3)))
+def test_truncate_matches_reference(pa, order, floor):
+    a, fa = pa
+    if order > a.order:
+        with pytest.raises(TruncationUnsound):
+            a.truncate(order, floor)
+        return
+    t = a.truncate(order, floor)
+    fl = a.floor if floor is None else floor
+    assert (t.order, t.floor) == (order, fl)
+    assert _triples(t) == {k: c for k, c in fa.items() if fl <= k[0] <= order}

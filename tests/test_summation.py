@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident.catalog import get_identity
 from qident.qring import Monomial, Series
 from qident.summation import (
     AffineForm,
@@ -21,9 +22,12 @@ from qident.summation import (
     QuadForm,
     SupportReport,
     UnboundedSupport,
+    _IntForm,
+    _recip_offset,
     certify_support,
     enumerate_support,
     eval_sum,
+    eval_sum_over,
     eval_sum_scaled,
     make_sum_spec,
     rescale_sum,
@@ -431,3 +435,208 @@ def test_support_matches_brute_force_box(case):
     report = enumerate_support(spec, order)
     assert report.points == want
     assert all(max(map(abs, p)) < report.shells_scanned for p in want)
+
+
+# ------------------------------------------------------ per-point checks
+#
+# A point is checked in a fixed order: arity and domain, then the
+# exponent, then the sign exponent, then the subscripts.  The messages
+# reach the JSON `error` records, so their text is pinned.
+
+N0 = AffineForm.index(0, 1)
+HALF = Fraction(1, 2)
+
+
+def one_index(domain="N", quad=None, sign=None, count=None):
+    return make_sum_spec(
+        1, domain, QuadForm.square(N0) if quad is None else quad,
+        signform=sign, denoms=[DenomFactor(Q1, 1, count)] if count else ())
+
+
+# (spec, point, message, what term_valuation gives when it does not
+# raise: it reads neither the sign nor the integrality of Q)
+POINT_CASES = {
+    "exponent": (one_index(quad=QuadForm.square(N0).scale(HALF)), (1,),
+                 "exponent 1/2 at (1,) is not an integer; rescale the base "
+                 "first", HALF),
+    "subscript": (one_index(count=N0.scale(HALF)), (1,),
+                  "subscript evaluates to non-integer 1/2 at (1,)", None),
+    "negative-subscript": (one_index("Z", count=N0.scale(HALF)), (-3,),
+                           "subscript evaluates to non-integer -3/2 at (-3,)",
+                           None),
+    "sign": (one_index(sign=N0.scale(HALF)), (1,),
+             "sign exponent evaluates to non-integer 1/2 at (1,)", 1),
+    "domain": (one_index(), (-1,), "point (-1,) leaves the declared domain",
+               None),
+    "arity": (one_index(), (1, 2), "point (1, 2) has arity 2, spec wants 1",
+              None),
+    "float": (one_index(), (1.5,),
+              "point (1.5,) has a non-integer coordinate 1.5", None),
+    "integral-float": (one_index(), (2.0,),
+                       "point (2.0,) has a non-integer coordinate 2.0", None),
+    "string": (one_index(), ("1",),
+               "point ('1',) has a non-integer coordinate '1'", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POINT_CASES))
+def test_per_point_error_messages(case):
+    spec, point, message, valuation = POINT_CASES[case]
+    with pytest.raises(DomainError) as exc:
+        term_series(spec, point, 6)
+    assert str(exc.value) == message
+    with pytest.raises(DomainError) as exc:
+        eval_sum_over(spec, [(0,), point], 6)
+    assert str(exc.value) == message
+    if valuation is None:
+        with pytest.raises(DomainError) as exc:
+            term_valuation(spec, point)
+        assert str(exc.value) == message
+    else:
+        assert term_valuation(spec, point) == valuation
+
+
+def test_per_point_checks_come_in_order():
+    def assert_message(spec, point, text):
+        with pytest.raises(DomainError, match=f"^{text}"):
+            term_series(spec, point, 4)
+
+    everything = one_index("Z", QuadForm.square(N0).scale(HALF),
+                           N0.scale(HALF), N0.scale(HALF))
+    assert_message(one_index("N", QuadForm.square(N0).scale(HALF)), (-1,),
+                   "point")
+    assert_message(everything, (1,), "exponent")
+    assert_message(one_index("Z", None, N0.scale(HALF), N0.scale(HALF)),
+                   (1,), "sign exponent")
+    # term_valuation reads the subscripts only
+    with pytest.raises(DomainError, match="^subscript"):
+        term_valuation(everything, (1,))
+
+
+def test_sums_make_no_per_point_fraction_evaluation(monkeypatch):
+    """Support enumeration and summation read every point through the
+    spec's compiled integer forms, never through the Fraction forms."""
+    def sides():
+        return [get_identity("main").lowered.lhs,
+                get_identity("cor-multi", ell=5).lowered.lhs]
+
+    def run(spec):
+        support = enumerate_support(spec, 16)
+        return support, eval_sum_over(spec, support.points, 16)
+
+    want = [run(spec) for spec in sides()]
+    fresh = sides()
+
+    def refuse(*args):
+        raise AssertionError("a point was evaluated in Fractions")
+
+    monkeypatch.setattr(QuadForm, "evaluate", refuse)
+    monkeypatch.setattr(AffineForm, "evaluate", refuse)
+    assert [run(spec) for spec in fresh] == want
+    assert [len(support.points) for support, _ in want] == [157, 69]
+
+
+# The Fraction reference: a point evaluated form by form, as the spec
+# states it.
+
+def reference_int(form, point, what):
+    v = form.evaluate(point)
+    if v.denominator != 1:
+        raise DomainError(f"{what} evaluates to non-integer {v} at {point}")
+    return int(v)
+
+
+def reference_lead(spec, point):
+    if len(point) != spec.dim:
+        raise DomainError(f"point {point} has arity {len(point)}, "
+                          f"spec wants {spec.dim}")
+    if any(d == "N" and p < 0 for p, d in zip(point, spec.domains)):
+        raise DomainError(f"point {point} leaves the declared domain")
+    q = spec.quad.evaluate(point)
+    if q.denominator != 1:
+        raise DomainError(f"exponent {q} at {point} is not an integer; "
+                          "rescale the base first")
+    odd = (spec.signform is not None
+           and reference_int(spec.signform, point, "sign exponent") % 2)
+    return Monomial(-1 if odd else 1, int(q), [
+        (name, sum(wi * pi for wi, pi in zip(w, point)))
+        for name, w in spec.varweights])
+
+
+def reference_valuation(spec, point):
+    v = spec.quad.evaluate(point)
+    for f in spec.denoms:
+        off = _recip_offset(f.arg, f.basepow,
+                            reference_int(f.count, point, "subscript"))
+        if off is None:
+            return None
+        v += off
+    return v
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def scaled_points(draw):
+    """A spec of 1-4 indices with a point in the box [-4, 4]^dim.  Each
+    form is an integer form over a denominator 1-6, so it takes integer
+    values at about 1 in d points."""
+    dim = draw(st.integers(1, 4))
+    ints = st.integers(-7, 7)
+
+    def over():
+        return Fraction(1, draw(st.integers(1, 6)))
+
+    upper = {(i, j): draw(ints) for i in range(dim) for j in range(i, dim)}
+    quad = QuadForm(
+        tuple(tuple(Fraction(upper[min(i, j), max(i, j)]) for j in range(dim))
+              for i in range(dim)),
+        tuple(Fraction(draw(ints)) for _ in range(dim)),
+        Fraction(draw(ints))).scale(over())
+
+    def form():
+        return AffineForm.make([draw(ints) for _ in range(dim)],
+                               draw(ints)).scale(over())
+
+    def factors(most):
+        return [DenomFactor(draw(st.sampled_from((Q1, XQ, Monomial(1, 3, ())))),
+                            draw(st.integers(1, 3)), form())
+                for _ in range(draw(st.integers(0, most)))]
+
+    spec = make_sum_spec(
+        dim, "".join(draw(st.sampled_from("NZZ")) for _ in range(dim)), quad,
+        signform=form() if draw(st.booleans()) else None,
+        varweights={name: tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+                    for name in draw(st.sets(st.sampled_from("xy")))},
+        denoms=factors(3), numers=factors(1))
+    return spec, tuple(draw(st.integers(-4, 4)) for _ in range(dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_points())
+def test_compiled_forms_match_the_fraction_reference(case):
+    spec, point = case
+    kernel = spec.compiled
+    assert Fraction(kernel.exponent(point), kernel.S) == spec.quad.evaluate(point)
+    for f in spec.denoms + spec.numers:
+        assert (outcome(_IntForm.of(f.count).at, point, "subscript")
+                == outcome(reference_int, f.count, point, "subscript"))
+    assert outcome(kernel.lead, point) == outcome(reference_lead, spec, point)
+    assert outcome(kernel.subscripts, point) == outcome(
+        lambda: [reference_int(f.count, point, "subscript")
+                 for f in spec.denoms + spec.numers])
+    if all(d == "Z" or p >= 0 for p, d in zip(point, spec.domains)):
+        assert (outcome(term_valuation, spec, point)
+                == outcome(reference_valuation, spec, point))
+
+
+def test_a_sum_needs_integral_subscript_forms():
+    # a point of such a sum may still be evaluated alone (see above)
+    with pytest.raises(DomainError, match="is not integer-valued$"):
+        enumerate_support(one_index(count=N0.scale(HALF)), 4)
