@@ -482,30 +482,27 @@ def _packed_product(a: dict[TermKey, int], lo_a: int, hi_a: int,
     multiplication via multipoint Kronecker substitution", JSC 2009).
     A product coefficient is a sum of at most min(len(a), len(b)) terms,
     so its size is at most max|a| * max|b| * min(len(a), len(b)) =
-    `bound`; a field holds it when bound < 2^(w-1).  Adding 2^(w-1) to
-    every field makes each one non-negative, so the fields read off the
-    product's bytes.
+    `bound`; a field holds it when bound < 2^(w-1), and `_unpack` reads
+    the fields off the product.
     """
-    row_a = [0] * (hi_a - lo_a + 1)
-    for (qe, _), c in a.items():
-        if qe <= hi_a:
-            row_a[qe - lo_a] = c
-    row_b = [0] * (hi_b - lo_b + 1)
-    for (qe, _), c in b.items():
-        if qe <= hi_b:
-            row_b[qe - lo_b] = c
+    row_a, row_b = _row(a, lo_a, hi_a), _row(b, lo_b, hi_b)
     bound = (max(map(abs, row_a)) * max(map(abs, row_b))
              * min(len(a), len(b)))
     width = bound.bit_length() // 8 + 1
     size = len(row_a) + len(row_b) - 1
-    fields = (_pack(row_a, width) * _pack(row_b, width)
-              + _bias(size, width)).to_bytes(size * width, "little")
-    half = 1 << (8 * width - 1)
     lo = lo_a + lo_b
-    end = min(size, cap - lo + 1) * width
-    row = [int.from_bytes(fields[i:i + width], "little") - half
-           for i in range(0, end, width)]
+    row = _unpack(_pack(row_a, width) * _pack(row_b, width),
+                  min(size, cap - lo + 1), width)
     return {(lo + i, ()): c for i, c in enumerate(row) if c}
+
+
+def _row(terms: dict[TermKey, int], lo: int, hi: int) -> list[int]:
+    """The coefficients of q^lo .. q^hi of pure-q terms, none below q^lo."""
+    row = [0] * (hi - lo + 1)
+    for (qe, _), c in terms.items():
+        if qe <= hi:
+            row[qe - lo] = c
+    return row
 
 
 def _bias(n: int, width: int) -> int:
@@ -518,6 +515,22 @@ def _pack(row: list[int], width: int) -> int:
     half = 1 << (8 * width - 1)
     biased = b"".join([(c + half).to_bytes(width, "little") for c in row])
     return int.from_bytes(biased, "little") - _bias(len(row), width)
+
+
+def _unpack(value: int, n: int, width: int) -> list[int]:
+    """The row c_0 .. c_(n-1) with sum c_i 2^(w i) = value mod 2^(w n),
+    w = 8 * width, each c_i in (-2^(w-1), 2^(w-1)).
+
+    Such a row is unique, and it is the row that `_pack` packed whenever
+    value is congruent to a packed row whose fields all lie in that
+    range: adding 2^(w-1) to every field then makes each one a digit in
+    [0, 2^w), so the fields read off the bytes of the sum mod 2^(w n).
+    """
+    half = 1 << (8 * width - 1)
+    fields = ((value + _bias(n, width)) & ((1 << 8 * width * n) - 1)
+              ).to_bytes(n * width, "little")
+    return [int.from_bytes(fields[i:i + width], "little") - half
+            for i in range(0, n * width, width)]
 
 
 def _keyed_product(a: dict[TermKey, int], b: dict[TermKey, int], cap: int,

@@ -19,6 +19,13 @@ built once per prefix of the points up to the last index its subscript
 reads, and multiplies the inner row sum once (see `eval_sum_over`).
 Every point, of the support and of a sum, is read through the spec's
 forms compiled once to scaled integers (`SumSpec.compiled`).
+
+The walk has two representations.  Rows of term dicts serve every sum.
+A sum free of formal variables may instead walk in Z/2^(w n), q -> 2^w
+(Kronecker substitution), where a row is one int and a row product one
+big-int multiply and a mask; w comes from a proved bound on the sum's
+coefficients, and a measured cost rule picks the walk per sum
+(`_packed_walk`, `_packs`).
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .qfactorial import _run, reflect, vanishes
-from .qring import Monomial, QSeriesError, Series
+from .qring import Monomial, QSeriesError, Series, _pack, _row, _unpack
 
 
 class DomainError(QSeriesError):
@@ -734,10 +741,17 @@ def eval_sum_over(spec: SumSpec, points, order: int) -> Series:
     so at most once per prefix of the points up to that index.  Its lead,
     a monomial at its exact valuation, goes into the inner terms; its
     valuation-0 runs, built to order - floor(row), multiply their sum
-    once.  So an innermost term is a shift, and each outer row one
-    product.  Every level adds into one term dict in place.  A point
-    raises what `term_series` raises there; terms below q^0 that fail to
-    cancel raise NegativeValuationResidual.
+    once.  So an innermost term is a shift, cut at the order, and each
+    outer row one product.  The rows are term dicts, and every level
+    adds into one dict in place; or, for a sum free of formal variables
+    where the cost rule finds it cheaper, ints in Z/2^(w n), n = order -
+    low + 1 with low = min(0, least exponent of a point's lead); a shift
+    is c P << w (e - low), a product one multiply and a mask, and the
+    root is decoded once.  w holds every coefficient: the sum over the
+    points of |lead| times the l1 norms of the point's run products
+    bounds them (`_packed_walk`).  A point raises what `term_series`
+    raises there; terms below q^0 that fail to cancel raise
+    NegativeValuationResidual.
     """
     terms = {k: c for k, c in _nested(spec, points, order).items()
              if k[0] <= order}
@@ -770,37 +784,174 @@ def _nested(spec: SumSpec, points, order: int) -> dict:
             for run in (run for _, runs in refl for run in runs):
                 _run(*run, order)
             leaves.append((point, mono, refl))
+    root = leaves and _rows(leaves, 0, depth, Monomial.unit(), order)
+    if not root:
+        return {}
     product_of = cache(lambda runs, work: reduce(
         mul, (_run(*run, work) for run in runs)))
-
-    def nest(leaves, d: int, lead: Monomial, acc: dict) -> None:
-        """acc += the terms of `leaves`, which share their first d indices,
-        times `lead`, the leads of the factors outside them."""
-        here = [r for r, k in zip(leaves[0][2], depth) if k == d]
-        for factor_lead, _ in here:
-            lead = lead * factor_lead
-        runs = tuple(run for _, rs in here for run in rs)
-        inner = {} if runs else acc
-        if d == spec.dim:
-            for _, mono, _ in leaves:
-                m = mono * lead
-                inner[m.key()] = inner.get(m.key(), 0) + m.coeff
-        else:  # the points come grouped by prefix, as in the sorted support
-            for _, group in groupby(leaves, key=lambda leaf: leaf[0][d]):
-                nest(list(group), d + 1, lead, inner)
-        inner = runs and {k: c for k, c in inner.items() if c and k[0] <= order}
-        if not inner:
-            return
-        floor = min(0, *(k[0] for k in inner))
-        if len(inner) == 1:  # a monomial: a shift, no product
-            [((qe, vk), c)] = inner.items()
-            series = product_of(runs, order - floor).mul_monomial(Monomial(c, qe, vk))
-        else:
-            series = Series(inner, order, floor) * product_of(runs, order - floor)
-        for k, c in series.terms.items():
-            acc[k] = acc.get(k, 0) + c
-
+    if not spec.varweights and not any(f.arg.vars for f, _ in factors):
+        terms = _packed_walk(root, order, product_of)
+        if terms is not None:
+            return terms
     acc: dict = {}
-    if leaves:
-        nest(leaves, 0, Monomial.unit(), acc)
+    _add_rows(root, order, product_of, acc)
     return {k: c for k, c in acc.items() if c}
+
+
+# A row: (runs, floor, inner, lead).  `runs` are the runs of the factors
+# whose subscript reads up to this index and no further, and `inner` the
+# rows of the next index, or, once no factor reads a later index, the
+# points' monomials whose terms, times `lead`, reach the order; `floor` =
+# min(0, least exponent of those terms).
+Row = tuple
+
+
+def _rows(leaves, d: int, depth, lead: Monomial, order: int) -> Row | None:
+    """The row of `leaves`, which share their first d indices, times
+    `lead`, the leads of the factors outside them; None if no term below
+    it reaches the order."""
+    here = [r for r, k in zip(leaves[0][2], depth) if k == d]
+    for factor_lead, _ in here:
+        lead = lead * factor_lead
+    runs = tuple(run for _, rs in here for run in rs)
+    if d >= max(depth, default=0):  # no factor reads a later index
+        inner = [mono for _, mono, _ in leaves
+                 if mono.qexp + lead.qexp <= order]
+        floor = min([0, *(mono.qexp + lead.qexp for mono in inner)])
+    else:  # the points come grouped by prefix, as in the sorted support
+        groups = groupby(leaves, key=lambda leaf: leaf[0][d])
+        inner = [row for _, group in groups
+                 if (row := _rows(list(group), d + 1, depth, lead, order))]
+        floor = min([0, *(row[1] for row in inner)])
+        if len(inner) == 1 and not inner[0][0]:  # one row without runs
+            _, _, inner, lead = inner[0]
+    return (runs, floor, inner, lead) if inner else None
+
+
+def _add_rows(row: Row, order: int, product_of, acc: dict) -> None:
+    """acc += the terms of `row` in dicts: the inner terms are added into
+    one dict, and with runs, shifted (one term) or multiplied (more) by
+    the runs' product, built to order - floor and cut at the order."""
+    runs, _, inner, lead = row
+    target = {} if runs else acc
+    if isinstance(inner[0], Monomial):
+        for mono in inner:
+            m = mono * lead
+            target[m.key()] = target.get(m.key(), 0) + m.coeff
+    else:
+        for kid in inner:
+            _add_rows(kid, order, product_of, target)
+    if not runs:
+        return
+    target = {k: c for k, c in target.items() if c}
+    if not target:
+        return
+    floor = min(0, *(k[0] for k in target))
+    if len(target) == 1:  # a monomial: a shift, no product
+        [((qe, vk), c)] = target.items()
+        series = product_of(runs, order - floor)
+        if qe > floor:
+            series = series.truncate(order - qe)
+        series = series.mul_monomial(Monomial(c, qe, vk))
+    else:
+        series = Series(target, order, floor) * product_of(runs, order - floor)
+    for k, c in series.terms.items():
+        acc[k] = acc.get(k, 0) + c
+
+
+def _packed_walk(root: Row, order: int, product_of) -> dict | None:
+    """The terms of a sum free of formal variables, in Z/2^(w n).
+
+    q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as rings, so a row is one
+    int, n = order - low + 1 fields of w bits, with q^e in the field
+    e - low, low = the root's floor; a run product P, of valuation 0,
+    packs from its own q^0.  A row of one point's lead c q^e adds
+    c P << w (e - low), any other row with runs is one multiply by P and
+    a mask, and the root is decoded once (`qring._unpack`).  Decoding is
+    exact when every coefficient lies in (-2^(w-1), 2^(w-1)), and no
+    coefficient of the sum exceeds the sum over the points of |lead|
+    times the product, over the point's rows, of the l1 norm of that
+    row's P: that bound sets w.  None when the cost rule, `_packs`,
+    leaves the sum to the dict walk.
+    """
+    low = root[1]
+    n = order - low + 1
+    products: dict = {}  # (runs, work) -> (l1 norm, terms, fields) of P
+    tally = {"dict_terms": 0, "fields": n, "points": 0, "rows": []}
+
+    def survey(row: Row) -> tuple[int, int]:
+        """The bound on the row's coefficients, and its terms (at most n);
+        tallies both walks' work on the way."""
+        runs, floor, inner, lead = row
+        if isinstance(inner[0], Monomial):
+            bound = abs(lead.coeff) * sum(abs(m.coeff) for m in inner)
+            terms = len(inner)
+            tally["points"] += terms
+        else:
+            kids = [survey(kid) for kid in inner]
+            bound = sum(b for b, _ in kids)
+            terms = min(n, sum(t for _, t in kids))
+        if not runs:
+            return bound, terms
+        key = runs, order - floor
+        if key not in products:
+            p = product_of(*key).terms
+            products[key] = (sum(map(abs, p.values())), len(p),
+                             max(e for e, _ in p) + 1)
+            tally["fields"] += products[key][2]
+        norm, size, fields = products[key]
+        if terms == 1 and isinstance(inner[0], Monomial):  # a shift
+            tally["dict_terms"] += size
+        else:  # a product: keyed, or packed by `qring._convolve`
+            tally["dict_terms"] += min(terms * size, 4 * (n + fields))
+            tally["rows"].append(fields)
+        terms = min(n, terms * size)
+        tally["dict_terms"] += terms
+        return bound * norm, terms
+
+    width = survey(root)[0].bit_length() // 8 + 1
+    if not _packs(n, width, **tally):
+        return None
+    w = 8 * width
+    mask = (1 << w * n) - 1
+    packed = {key: _pack(_row(product_of(*key).terms, 0, fields - 1), width)
+              for key, (_, _, fields) in products.items()}
+
+    def value(row: Row) -> int:
+        runs, floor, inner, lead = row
+        p = runs and packed[runs, order - floor]
+        if isinstance(inner[0], Monomial):
+            c, shift = lead.coeff, lead.qexp - low
+            if runs and len(inner) == 1:
+                return c * inner[0].coeff * p << w * (inner[0].qexp + shift)
+            x = sum(c * m.coeff << w * (m.qexp + shift) for m in inner)
+        else:
+            x = sum(map(value, inner))
+        return (x & mask) * p & mask if runs else x
+
+    coeffs = _unpack(value(root), n, width)
+    return {(low + i, ()): c for i, c in enumerate(coeffs) if c}
+
+
+def _packs(n: int, width: int, dict_terms: int, fields: int, points: int,
+           rows: list[int]) -> bool:
+    """Does the packed walk of a sum cost less than the dict walk?
+
+    Both costs are in units of one term the dict walk shifts, multiplies
+    or adds (`dict_terms`), about 0.2 us on CPython 3.11.  The packed
+    walk packs each P and decodes the root, one unit per field; adds one
+    n-field row of `width` bytes per point, a unit per 27 bytes; and
+    multiplies each row that is not a shift by its P, a unit per 56 steps
+    of Karatsuba's k1 * k2^0.585 on k1 >= k2 30-bit digits.  The
+    constants were fitted on the two walks' times over 391 random pure-q
+    sums of 1 to 3 indices at orders 30 to 2000, on CPython 3.11, and
+    checked on 372 others: there the rule costs 0.8% over always taking
+    the faster walk, always taking the dict walk 12.3%, and no sum took
+    more than 1.37 times its faster walk.  A sum of monomials stays on
+    the dict walk, as does a sum whose runs are sparse, since it packs
+    many fields per term.
+    """
+    digits = n * width * 8 // 30 + 1
+    karatsuba = sum(max(digits, d) * min(digits, d) ** 0.585
+                    for d in (f * width * 8 // 30 + 1 for f in rows))
+    return fields + points * n * width / 27 + karatsuba / 56 < dict_terms

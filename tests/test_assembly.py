@@ -9,10 +9,13 @@ and build each piece only to its depth, so the two paths share nothing
 above the ring operations.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import summation
 from qident.catalog import get_identity
 from qident.qfactorial import (
     FactorSpec,
@@ -165,6 +168,73 @@ def test_nested_sums_match_the_sum_of_their_terms(drawn, order):
         return
     check(lambda: eval_sum_over(spec, points, order),
           summed_terms(spec, points, order), order)
+
+
+@st.composite
+def pure_sums(draw):
+    """A 1-3 index sum free of formal variables over N or Z: a positive
+    diagonal, cross and linear terms that give some points negative
+    exponents, maybe a sign form, and up to three denominators of base
+    q^1 to q^3 whose arguments carry +-q^-3 to +-q^3."""
+    dim = draw(st.integers(1, 3))
+    domains = "".join(draw(st.sampled_from("NZ")) for _ in range(dim))
+    idx = [AffineForm.index(i, dim) for i in range(dim)]
+    quad = QuadForm.zero(dim)
+    for i in range(dim):
+        quad = quad + QuadForm.square(idx[i]).scale(draw(st.integers(1, 3)))
+        quad = quad + QuadForm.linear(idx[i]).scale(draw(st.integers(-3, 2)))
+        for j in range(i + 1, dim):
+            quad = quad + QuadForm.product(idx[i], idx[j]).scale(
+                draw(st.integers(-1, 1)))
+
+    def form():
+        return AffineForm.make(
+            [draw(st.integers(-1, 1)) for _ in range(dim)],
+            draw(st.integers(-2, 2)))
+
+    denoms = [DenomFactor(Monomial(draw(st.sampled_from((1, -1))),
+                                   draw(st.integers(-3, 3))),
+                          draw(BASES), form())
+              for _ in range(draw(st.integers(0, 3)))]
+    signform = form() if draw(st.booleans()) else None
+    return make_sum_spec(dim, domains, quad, signform, None, denoms)
+
+
+def summed_references(spec, points, order: int):
+    """The sum over `points` of `reference`, cut at `order`, or the
+    exception type the sum must raise."""
+    acc: dict = {}
+    for point in points:
+        value = lambda form: int(form.evaluate(point))
+        sign = -1 if spec.signform and value(spec.signform) % 2 else 1
+        lead = Monomial(sign, int(spec.quad.evaluate(point)))
+        terms = reference(lead, [(f.arg, f.basepow, value(f.count), -1)
+                                 for f in spec.denoms], order)
+        if isinstance(terms, type):
+            return terms
+        for k, c in terms.items():
+            acc[k] = acc.get(k, 0) + c
+    acc = {k: c for k, c in acc.items() if c}
+    if any(k[0] < 0 for k in acc):
+        return NegativeValuationResidual
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(pure_sums(), st.integers(0, 24))
+def test_pure_q_sums_match_the_reference(spec, order):
+    """Both walks of eval_sum_over, the packed one in Z/2^(w n) and the
+    one on term dicts, and the one the cost rule picks, against the
+    reference terms, which share no code with either walk."""
+    try:
+        points = enumerate_support(spec, order).points
+    except UnboundedSupport:
+        return
+    want = summed_references(spec, points, order)
+    for packs in (True, False):
+        with mock.patch.object(summation, "_packs", lambda *_, **__: packs):
+            check(lambda: eval_sum_over(spec, points, order), want, order)
+    check(lambda: eval_sum_over(spec, points, order), want, order)
 
 
 @pytest.mark.parametrize("key,params", [

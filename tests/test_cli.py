@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qident import catalog, cli, ctengine, qfactorial, qring
+from qident import catalog, cli, ctengine, qfactorial, qring, summation
 from qident.catalog import default_instances, get_identity
 from qident.cli import main
 from qident.qring import NotInvertible
@@ -21,6 +21,8 @@ ZSTATEMENTS = DENSE.parent / "zstatements.qid"
 ZGOLDEN = DENSE.parent / "verify_zstatements.jsonl"
 MULTISUM = DENSE.parent / "multisum_order120.qid"
 MULTISUM_GOLDEN = DENSE.parent / "verify_multisum_order120.jsonl"
+WIDE = DENSE.parent / "wide_order150.qid"
+WIDE_GOLDEN = DENSE.parent / "verify_wide_order150.jsonl"
 
 BROKEN = """\
 identity broken {
@@ -602,6 +604,22 @@ def test_multi_index_statements_match_the_golden_records(capsys, monkeypatch):
     assert main(["verify", MULTISUM.name, "--order", "120",
                  "--no-timing"]) == 2
     assert capsys.readouterr().out == MULTISUM_GOLDEN.read_text()
+
+
+def test_wide_coefficients_match_the_golden_records(capsys, monkeypatch):
+    """Pure-q sums whose coefficients pass 2^64 below q^150: Durfee's
+    identity cubed as a triple sum (65 bits) on the packed walk, a single
+    sum with eight reciprocal factors (85 bits) over N and over Z, and a
+    planted pairing whose record carries the 65-bit coefficient of
+    q^150.  The records were made before sums were packed."""
+    walks = []
+    real = summation._packed_walk
+    monkeypatch.setattr(summation, "_packed_walk",
+                        lambda *a: walks.append(real(*a)) or walks[-1])
+    monkeypatch.chdir(WIDE.parent)
+    assert main(["verify", WIDE.name, "--order", "150", "--no-timing"]) == 1
+    assert capsys.readouterr().out == WIDE_GOLDEN.read_text()
+    assert any(terms is not None for terms in walks)
 
 
 @pytest.mark.parametrize("argv,golden", [

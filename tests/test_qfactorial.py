@@ -6,6 +6,7 @@ Oracles here are deliberately naive: signed subset-sum DP for products of
 
 import pytest
 
+from qident import qfactorial
 from qident.qfactorial import (
     INF,
     FactorSpec,
@@ -18,6 +19,7 @@ from qident.qfactorial import (
     poch_recip_finite,
     reflect,
 )
+from qident.qfactorial import _run
 from qident.qring import Monomial, NotInvertible, Series
 from qident.summation import _dip
 
@@ -268,3 +270,92 @@ def test_spec_rejects_negative_valuation():
     spec = ProductSpec((), prefactor=Monomial(1, -1, ()))
     with pytest.raises(QSeriesError):
         expand_product_spec(spec, 5)
+
+
+# ------------------------------------------------------------------ runs
+#
+# `_run` takes a step of positive q-weight free of formal variables at a
+# finite order on a coefficient row, and every other step as a product
+# of Series.  Every prefix, however it was built, must be the product of
+# its binomials multiplied out one at a time.
+
+
+def naive_product(f, g, top):
+    """f * g cut at q^top, coefficient lists from q^0."""
+    out = [0] * (top + 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g[:top + 1 - i]):
+            out[i + j] += a * b
+    return out
+
+
+def binomial_prefixes(coeff, weight, basepow, expo, top):
+    """Coefficient lists, to q^top, of prod_{k<count} (1 - coeff
+    q^(weight + basepow k))^expo for count = 0, 1, ...; a reciprocal of
+    weight 0, 1/(1 - coeff), has no integral inverse and ends the list."""
+    row = [1] + [0] * top
+    yield row
+    for k in range(top + 2):
+        s = weight + basepow * k
+        factor = [0] * (top + 1)
+        if expo > 0:
+            factor[0] = 1
+            if s <= top:
+                factor[s] -= coeff
+        elif s == 0:
+            return
+        else:
+            for j in range(0, top + 1, s):
+                factor[j] = coeff ** (j // s)
+        row = naive_product(row, factor, top)
+        yield row
+
+
+@pytest.mark.parametrize("expo", [1, -1])
+@pytest.mark.parametrize("basepow", [1, 2, 3])
+@pytest.mark.parametrize("weight", [0, 1, 2, 3])
+@pytest.mark.parametrize("coeff", [1, -1])
+def test_every_prefix_of_a_run_is_its_binomial_product(coeff, weight,
+                                                       basepow, expo):
+    """Orders 0 to 40, each run built in one call and then read back from
+    the cache, and built again one binomial per call."""
+    arg = Monomial(coeff, weight, ())
+    want = list(binomial_prefixes(coeff, weight, basepow, expo, 40))
+    last = 42
+    for order in range(41):
+        for counts in (range(last, -1, -1), range(last + 1)):
+            qfactorial._RUNS.clear()
+            for count in counts:
+                if count >= len(want):
+                    with pytest.raises(NotInvertible):
+                        _run(arg, basepow, count, expo, order)
+                    continue
+                got = _run(arg, basepow, count, expo, order)
+                assert (got.order, got.floor) == (order, 0)
+                assert all(got.terms.values())
+                assert got.qcoeffs(order) == want[count][:order + 1]
+
+
+def test_a_reciprocal_run_makes_no_inverse(monkeypatch):
+    """1/(q;q)_n at order 120 is stepped on its row: no Series.invert and
+    no product of Series, for any n."""
+    calls = []
+    for name in ("invert", "__mul__"):
+        real = getattr(Series, name)
+        monkeypatch.setattr(Series, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    qfactorial._RUNS.clear()
+    for n in range(122):
+        _run(Q, 1, n, -1, 120)
+    assert calls == []
+    assert _run(Q, 1, 121, -1, 120).qcoeffs(120) == oracle_partitions(
+        range(1, 121), 120)
+
+
+def test_a_numerator_row_reaches_only_the_degree():
+    """(q;q)_5 at order 10^9 is a polynomial of degree 15: its row holds
+    16 entries, not the order."""
+    qfactorial._RUNS.clear()
+    got = _run(Q, 1, 5, 1, 10 ** 9)
+    assert got.qcoeffs(15) == oracle_euler_product(range(1, 6), 15)
+    assert max(e for e, _ in got.terms) == 15

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import qfactorial, qring, summation
 from qident.catalog import get_identity
 from qident.qring import Monomial, Series
 from qident.summation import (
@@ -640,3 +641,60 @@ def test_a_sum_needs_integral_subscript_forms():
     # a point of such a sum may still be evaluated alone (see above)
     with pytest.raises(DomainError, match="is not integer-valued$"):
         enumerate_support(one_index(count=N0.scale(HALF)), 4)
+
+
+# ------------------------------------------------------------ path choice
+#
+# A sum free of formal variables takes the packed walk when the cost rule
+# (`summation._packs`) says it is cheaper; these pin both sides of it.
+
+
+def packed_walks(monkeypatch) -> list:
+    """What each call of `_packed_walk` returns: None for the dict walk."""
+    seen = []
+    real = summation._packed_walk
+    monkeypatch.setattr(summation, "_packed_walk",
+                        lambda *a: seen.append(real(*a)) or seen[-1])
+    return seen
+
+
+def test_sums_of_monomials_and_sparse_runs_stay_on_dict_terms(monkeypatch):
+    """A theta sum at order 10^5 has no run to pack, and 1/(q^100;
+    q^100)_n at order 5000 has a term every 100 fields."""
+    seen = packed_walks(monkeypatch)
+    n = AffineForm.index(0, 1)
+    theta = make_sum_spec(1, "Z", QuadForm.square(n))
+    assert eval_sum(theta, 100000).coeff(99856) == 2
+    sparse = make_sum_spec(1, "N", QuadForm.square(n),
+                           denoms=[DenomFactor(Monomial.q(100), 100, n)])
+    assert eval_sum(sparse, 5000).qcoeffs(5)[:2] == [1, 1]
+    assert seen == [None, None]
+
+
+def test_the_triple_sum_takes_the_packed_walk(monkeypatch):
+    """cor-triple at order 40 from cold caches: the packed walk, with no
+    product of term dicts (36 `_convolve` calls on the dict walk)."""
+    seen = packed_walks(monkeypatch)
+    calls = []
+    real = qring._convolve
+    monkeypatch.setattr(qring, "_convolve",
+                        lambda *a: calls.append(1) or real(*a))
+    qfactorial._RUNS.clear()
+    spec = get_identity("cor-triple").lowered.lhs
+    eval_sum_over(spec, enumerate_support(spec, 40).points, 40)
+    assert len(seen) == 1 and seen[0] is not None
+    assert len(calls) == 0
+
+
+def test_dict_walk_shifts_make_no_terms_above_the_order(monkeypatch):
+    """The x, y sum of `main` at order 24 shifts each run product cut at
+    the order, so no shift makes a term the sum then drops.  Before the
+    cut, the sums of `prove-main --order 24` shifted 22,703 terms, of
+    which 6,103 lay at or below the order."""
+    made = []
+    real = Series.mul_monomial
+    monkeypatch.setattr(Series, "mul_monomial",
+                        lambda s, m: made.append(real(s, m)) or made[-1])
+    spec = get_identity("main").lowered.lhs
+    eval_sum_over(spec, enumerate_support(spec, 24).points, 24)
+    assert made and all(k[0] <= 24 for s in made for k in s.terms)
