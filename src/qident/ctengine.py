@@ -1,8 +1,10 @@
 """Constant-term engine: Laurent expansion in an auxiliary variable z.
 
 z is a formal variable of `Series`, like x or y.  Every z-carrying
-Pochhammer symbol of a bilateral product side expands to a series in z,
-the kernel multiplies them out, and `zcoeffs` reads off single z-powers.
+Pochhammer symbol of a bilateral product side expands to a series in z
+by Euler's series, as every infinite factor with formal variables does
+(`qfactorial.infinite_factor`), the kernel multiplies them out, and
+`zcoeffs` reads off single z-powers.
 Pairing two Jacobi triple products and extracting the constant term
 replays the double-sum product formula mechanically; `prove_main_theorem`
 runs that replay end to end.  It reads the sum it proves from statement
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from .qfactorial import (
     NotTruncatable,
     ProductSpec,
-    expand_factors,
     expand_product_spec,
+    infinite_factor,
 )
 from .qring import Monomial, NotInvertible, QSeriesError, Series
 from .report import VerificationReport, find_first_mismatch
@@ -119,29 +121,6 @@ class ZFactor:
         return self.expo == -1 and self.mon.qexp == 0
 
 
-def _euler_zseries(f: ZFactor, order: int) -> Series:
-    """Expand a closed (mon*z^e; q^b)_inf^(+-1) by Euler's two series.
-
-    [z^(e*n)] is (-1)^n q^(b*binom(n,2)) mon^n / (q^b; q^b)_n for the
-    product and mon^n / (q^b; q^b)_n for its reciprocal (Gasper-Rahman,
-    eqs. (1.3.15)-(1.3.16)).  1/(q^b; q^b)_n starts at 1, so the leading
-    monomial's q-weight is the coefficient's valuation; it rises with n,
-    and the series stops at the first n above `order`.
-    """
-    terms: dict = {}
-    power = Monomial.unit()  # mon^n
-    n = 0
-    while True:
-        lead = power if f.expo == -1 else power * Monomial(
-            -1 if n % 2 else 1, f.basepow * binom2(n))
-        if lead.qexp > order:
-            return Series(terms, order)
-        terms.update(expand_factors(lead * Monomial.var(Z, f.zexp * n), [
-            (Monomial.q(f.basepow), f.basepow, n, -1)], order).terms)
-        power = power * f.mon
-        n += 1
-
-
 def normalize_zwindow(zwindow) -> tuple[int, int]:
     """An int K as [-K, K], or a (lo, hi) pair; ValueError when empty."""
     if isinstance(zwindow, int):
@@ -177,7 +156,8 @@ def expand_zfactors(factors, order: int, zwindow=None,
             raise NotTruncatable(
                 f"argument {f.mon.text()} has negative q-weight; its "
                 "z-expansion never settles")
-        closed = zmul(closed, _euler_zseries(f, order))
+        closed = zmul(closed, infinite_factor(
+            f.mon * Monomial.var(Z, f.zexp), f.basepow, f.expo, order))
     if rest is not None:
         closed = closed * rest
     if not opens:

@@ -636,6 +636,29 @@ def test_main_sum_outputs_match_the_golden_records(capsys, argv, golden):
     assert capsys.readouterr().out == (GOLDEN.parent / golden).read_text()
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (["verify", "--catalog", "all", "--order", "16"],
+     "verify_catalog_all_order16.jsonl"),
+    (["prove-main", "--order", "24"], "prove_main_order24.jsonl"),
+    (["verify", DENSE.name, "--order", "120"], DENSE_GOLDEN.name),
+])
+def test_the_benchmark_commands_invert_no_series(capsys, monkeypatch, argv,
+                                                 golden):
+    """The commands of the benchmark's three workloads, from cold caches,
+    with `Series.invert` made to raise: every infinite factor is a row or
+    Euler's series, and every reciprocal binomial a recurrence or its
+    geometric series.  The order-16 and order-24 records are the output
+    of the code that still inverted its product sides."""
+    def refuse(*args):
+        raise AssertionError("Series.invert was called")
+
+    monkeypatch.setattr(qring.Series, "invert", refuse)
+    monkeypatch.chdir(DENSE.parent)
+    qfactorial._RUNS.clear()
+    assert main([*argv, "--no-timing"]) == 0
+    assert capsys.readouterr().out == (DENSE.parent / golden).read_text()
+
+
 def test_statement_files_verify_like_the_catalog(capsys, tmp_path):
     """Each catalog statement, saved as text, gets the verdict of
     `verify --catalog` (the golden records, checked above)."""

@@ -5,8 +5,11 @@ Oracles here are deliberately naive: signed subset-sum DP for products of
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident import qfactorial
+from qident.ctengine import ZFactor, expand_zfactors
 from qident.qfactorial import (
     INF,
     FactorSpec,
@@ -14,6 +17,7 @@ from qident.qfactorial import (
     ProductSpec,
     ZeroDivisor,
     expand_product_spec,
+    infinite_factor,
     poch_finite,
     poch_infinite,
     poch_recip_finite,
@@ -213,6 +217,16 @@ def test_infinite_needs_positive_weight():
         poch_infinite(X, 1, order=10)
 
 
+@pytest.mark.parametrize("expo", [1, -1, 2])
+def test_a_product_side_refuses_an_infinite_factor_of_weight_zero(expo):
+    """(x; q)_inf has Euler's series, but a product side refuses it as
+    it refused the run of binomials, word for word."""
+    with pytest.raises(NotTruncatable, match=r"^\(1\*q\^0\*x\^1; q\^2\)_inf: "
+                       "argument carries no positive q-weight, the product "
+                       "never stabilizes below the order$"):
+        expand_product_spec(ProductSpec((FactorSpec(X, 2, INF, expo),)), 10)
+
+
 def test_infinite_reciprocal_counts_partitions():
     s = poch_infinite(Q, 1, 30).invert(30)
     assert s.qcoeffs(30) == oracle_partitions(range(1, 31), 30)
@@ -359,3 +373,99 @@ def test_a_numerator_row_reaches_only_the_degree():
     got = _run(Q, 1, 5, 1, 10 ** 9)
     assert got.qcoeffs(15) == oracle_euler_product(range(1, 6), 15)
     assert max(e for e, _ in got.terms) == 15
+
+
+# ------------------------------------------------------- infinite factors
+#
+# `infinite_factor` inverts no series.  The reference is the route it
+# replaced: the binomials multiplied out one at a time as Series, the
+# product raised to |expo|, and inverted by `Series.invert` for expo < 0.
+
+
+def binomials_multiplied(arg, basepow, expo, order):
+    """(arg; q^basepow)_inf ^ expo to `order`, by Series products and,
+    for expo < 0, `Series.invert`."""
+    once = Series.one(order)
+    k = 0
+    while arg.qexp + basepow * k <= order:
+        a = arg * Monomial.q(basepow * k)
+        once = once * Series({(0, ()): 1, a.key(): -a.coeff}, order)
+        k += 1
+    acc = Series.one(order)
+    for _ in range(abs(expo)):
+        acc = acc * once
+    return acc if expo > 0 else acc.invert(order)
+
+
+INFINITE_ARGS = [make(a) for a in (1, 2, 3) for make in (
+    lambda a: Monomial(1, a), lambda a: Monomial(-1, a),
+    lambda a: Monomial(2, a), lambda a: Monomial(-2, a),
+    lambda a: Monomial.var("x", 1, a), lambda a: Monomial.var("y", -1, a),
+    lambda a: Monomial.var("z", 2, a))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(INFINITE_ARGS), st.integers(1, 3),
+       st.sampled_from([1, -1, 2, -2]), st.integers(0, 40))
+def test_an_infinite_factor_is_its_binomials_multiplied_out(arg, basepow,
+                                                            expo, order):
+    """Pure-q factors as rows and factors with formal variables as
+    Euler's series, against the product and inverse of Series."""
+    qfactorial._RUNS.clear()
+    got = expand_product_spec(
+        ProductSpec((FactorSpec(arg, basepow, INF, expo),)), order)
+    assert (got.order, got.floor) == (order, 0)
+    assert got == binomials_multiplied(arg, basepow, expo, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([Monomial.unit(), Monomial(-1), Monomial(2),
+                        Monomial.var("x"), Monomial.var("y", -1)]),
+       st.sampled_from([-2, -1, 1, 2]), st.integers(1, 3),
+       st.sampled_from([1, -1]), st.integers(0, 3), st.integers(0, 30))
+def test_a_closed_zfactor_is_its_binomials_multiplied_out(mon, zexp, basepow,
+                                                          expo, qexp, order):
+    """(mon z^e q^a; q^b)_inf^(+-1) through `expand_zfactors`; a
+    reciprocal needs a >= 1 to be closed."""
+    qexp = max(qexp, 1) if expo < 0 else qexp
+    f = ZFactor(mon * Monomial.q(qexp), zexp, basepow, expo)
+    qfactorial._RUNS.clear()
+    got = expand_zfactors([f], order)
+    assert got == binomials_multiplied(f.mon * Monomial.var("z", zexp),
+                                       basepow, expo, order)
+
+
+def partition_numbers(top):
+    """p(0) .. p(top) by Euler's pentagonal recurrence, p(n) = sum over
+    k >= 1 of (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
+    p = [1] + [0] * top
+    for n in range(1, top + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= n:
+                    p[n] += sign * p[n - g]
+            k += 1
+    return p
+
+
+def test_long_order_infinite_factors_make_no_product_or_inverse(monkeypatch):
+    """1/(q;q)_inf and (q;q)_inf at order 3000, each one row: no
+    Series.invert and no product of Series."""
+    calls = []
+    for name in ("invert", "__mul__"):
+        real = getattr(Series, name)
+        monkeypatch.setattr(Series, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    qfactorial._RUNS.clear()
+    recip, euler = (expand_product_spec(
+        ProductSpec((FactorSpec(Q, 1, INF, expo),)), 3000) for expo in (-1, 1))
+    assert calls == []
+    assert recip.qcoeffs(3000) == partition_numbers(3000)
+    pentagonal = {}
+    for k in range(-45, 46):
+        if k * (3 * k - 1) // 2 <= 3000:
+            pentagonal[(k * (3 * k - 1) // 2, ())] = -1 if k % 2 else 1
+    assert euler.terms == pentagonal
+    assert infinite_factor(Q, 1, -1, 3000) is recip  # cached, one entry
