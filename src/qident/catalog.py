@@ -5,9 +5,11 @@ sides in the statement language (families with a variable number of
 indices spell their sums out with f-strings), and `get_identity` parses
 them and lowers the tree through `validate_identity`, the same path a
 statement file takes.  Entries whose statement declares ``z`` (the kernel
-lemmas of the constant-term proof) are compared one z-power at a time,
-over a default z-window the registry keeps.  `verify_identity` checks any
-lowered statement, from the catalog or from a file.
+lemmas of the constant-term proof) lower to the same `SumSpec` and
+`ProductSpec` types, with z a formal variable, and are compared one
+z-power at a time over a default z-window the registry keeps.
+`verify_identity` checks any lowered statement, from the catalog or from
+a file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .ctengine import ZSumSpec, verify_zcoeff_identity
+from .ctengine import expand_zfactors, sum_zcoeff, verify_zcoeff_identity
 from .qfactorial import NotTruncatable, expand_product_spec
 from .qring import QSeriesError
 from .report import VerificationReport, compare_series
@@ -466,14 +468,14 @@ def verify_identity(lowered: LoweredIdentity, order: int, details: dict,
         details["qpow_denominator"] = d
     start = time.perf_counter()
     try:
-        if isinstance(lowered.lhs, ZSumSpec):
+        if "z" in lowered.vars:
             if zwindow is None:
                 raise NotTruncatable(
                     "a statement in z needs a z-window; pass zwindow "
                     "(--zwindow K or LO,HI)")
             report = verify_zcoeff_identity(
-                lowered.name, lambda k: lowered.lhs.coeff(k, order),
-                lowered.rhs.expand(order, zwindow), zwindow, order)
+                lowered.name, sum_zcoeff(lowered.lhs, order),
+                expand_zfactors(lowered.rhs, order, zwindow), zwindow, order)
             report.details = {**details, **report.details}
         else:
             lhs, sup_l = _expand(lowered.lhs, order, d)

@@ -1,10 +1,14 @@
 """Constant-term engine: Laurent expansion in an auxiliary variable z.
 
-z is a formal variable of `Series`, like x or y.  Every z-carrying
-Pochhammer symbol of a bilateral product side expands to a series in z
-by Euler's series, as every infinite factor with formal variables does
+z is a formal variable of `Series`, like x or y, and a statement in z
+lowers to the kernel's own specs: a one-index `SumSpec` whose summand
+carries z^n or z^(-n), and a `ProductSpec` whose z-carrying factors hold
+z in their arguments.  `expand_zfactors` expands such a product side:
+every z-carrying Pochhammer symbol expands to a series in z by Euler's
+series, as every infinite factor with formal variables does
 (`qfactorial.infinite_factor`), the kernel multiplies them out, and
-`zcoeffs` reads off single z-powers.
+`zcoeffs` reads off single z-powers.  `sum_zcoeff` gives [z^k] of the
+sum side, one summand each.
 Pairing two Jacobi triple products and extracting the constant term
 replays the double-sum product formula mechanically; `prove_main_theorem`
 runs that replay end to end.  It reads the sum it proves from statement
@@ -22,9 +26,11 @@ take for the whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .qfactorial import (
+    INF,
     NotTruncatable,
     ProductSpec,
     expand_product_spec,
@@ -32,6 +38,12 @@ from .qfactorial import (
 )
 from .qring import Monomial, NotInvertible, QSeriesError, Series
 from .report import VerificationReport, find_first_mismatch
+from .speclang import (
+    LoweringError,
+    ParseError,
+    lower_expression,
+    parse_expression,
+)
 from .summation import SumSpec, eval_sum, term_series
 
 Z = "z"  # the auxiliary variable
@@ -90,35 +102,7 @@ def jtp_zseries(m: Monomial, order: int) -> Series:
     return Series(terms, order)
 
 
-# ------------------------------------------------------- z-carrying products
-
-
-@dataclass(frozen=True)
-class ZFactor:
-    """One z-carrying infinite Pochhammer, (mon * z^zexp; q^basepow)_inf^expo."""
-
-    mon: Monomial
-    zexp: int = 1
-    basepow: int = 1
-    expo: int = 1
-
-    def __post_init__(self):
-        if self.zexp == 0:
-            raise ValueError("z exponent must be nonzero")
-        if self.basepow < 1:
-            raise ValueError(f"base power {self.basepow} must be >= 1")
-        if self.expo not in (1, -1):
-            raise ValueError("only first powers and reciprocals are supported")
-
-    @property
-    def is_open(self) -> bool:
-        """A reciprocal whose k=0 binomial sits at q-weight zero.
-
-        Its geometric expansion puts every power of z at the same
-        q-weight, so no truncation in q bounds its z-powers; the factor
-        must be folded over an explicitly requested window instead.
-        """
-        return self.expo == -1 and self.mon.qexp == 0
+# ------------------------------------------------------- statements in z
 
 
 def normalize_zwindow(zwindow) -> tuple[int, int]:
@@ -133,33 +117,53 @@ def normalize_zwindow(zwindow) -> tuple[int, int]:
     return (lo, hi)
 
 
-def expand_zfactors(factors, order: int, zwindow=None,
-                    rest: Series | None = None) -> Series | dict[int, Series]:
-    """ZFactors times the z-free series `rest`, sound to `order`.
+def _split_z(arg: Monomial) -> tuple[Monomial, int]:
+    """(mon, e) with arg = mon * z^e; e is 0 for a z-free argument."""
+    free = tuple(v for v in arg.vars if v[0] != Z)
+    return Monomial(arg.coeff, arg.qexp, free), dict(arg.vars).get(Z, 0)
 
-    At most one factor may be "open" (reciprocal with q-free argument,
-    such as 1/(z;q)_inf): its z-powers are unbounded at every order, so
-    it is folded into the product of the others over `zwindow`, an int K
-    for [-K, K] or a (lo, hi) pair, and the result is the mapping
-    k -> [z^k] for k in that range.
+
+def expand_zfactors(spec: ProductSpec, order: int,
+                    zwindow=None) -> Series | dict[int, Series]:
+    """The product side `spec` of a statement in z, sound to `order`.
+
+    The z-free factors and the prefactor expand first, so their refusals
+    win.  Each z-carrying factor (a z^e; q^b)_inf^expo is |expo| factors
+    (a z^e; q^b)_inf^(+-1), in statement order.  At most one of them may
+    be "open" (reciprocal with q-free argument, such as 1/(z;q)_inf): its
+    z-powers are unbounded at every order, so it is folded into the
+    product of the others over `zwindow`, an int K for [-K, K] or a
+    (lo, hi) pair, and the result is the mapping k -> [z^k] for k in
+    that range.
     """
+    rest = expand_product_spec(ProductSpec(
+        tuple(f for f in spec.factors if Z not in dict(f.arg.vars)),
+        spec.prefactor), order)
     closed = Series.one(order)
-    opens: list[ZFactor] = []
-    for f in factors:
-        if f.is_open:
-            # Split off the weight-zero geometric 1/(1 - mon z^e); the
-            # q-shifted remainder of the product is an ordinary closed
-            # reciprocal and joins the others.
-            opens.append(f)
-            f = ZFactor(f.mon * Monomial.q(f.basepow), f.zexp, f.basepow, -1)
-        elif f.mon.qexp < 0:
-            raise NotTruncatable(
-                f"argument {f.mon.text()} has negative q-weight; its "
-                "z-expansion never settles")
-        closed = zmul(closed, infinite_factor(
-            f.mon * Monomial.var(Z, f.zexp), f.basepow, f.expo, order))
-    if rest is not None:
-        closed = closed * rest
+    opens: list[Monomial] = []
+    for f in spec.factors:
+        mon, e = _split_z(f.arg)
+        if not e:
+            continue
+        if f.count is not INF:
+            raise ValueError(f"({f.arg.text()}; q^{f.basepow})_{f.count} "
+                             "carries z but is not an infinite product")
+        expo = 1 if f.expo > 0 else -1
+        for _ in range(abs(f.expo)):
+            arg = f.arg
+            if expo < 0 and mon.qexp == 0:
+                # Split off the weight-zero geometric 1/(1 - mon z^e); the
+                # q-shifted remainder of the product is an ordinary closed
+                # reciprocal and joins the others.
+                opens.append(arg)
+                arg = arg * Monomial.q(f.basepow)
+            elif mon.qexp < 0:
+                raise NotTruncatable(
+                    f"argument {mon.text()} has negative q-weight; its "
+                    "z-expansion never settles")
+            closed = zmul(closed, infinite_factor(arg, f.basepow, expo,
+                                                  order))
+    closed = closed * rest
     if not opens:
         return closed
     if len(opens) > 1:
@@ -172,13 +176,14 @@ def expand_zfactors(factors, order: int, zwindow=None,
     return _fold(opens[0], closed, *normalize_zwindow(zwindow))
 
 
-def _fold(f: ZFactor, closed: Series, lo: int, hi: int) -> dict[int, Series]:
-    """F_k = [z^k] of closed / (1 - mon z^e) for k = lo..hi.
+def _fold(arg: Monomial, closed: Series, lo: int,
+          hi: int) -> dict[int, Series]:
+    """F_k = [z^k] of closed / (1 - arg) for k = lo..hi, arg = mon z^e.
 
     F_k = C_k + mon F_(k-e), swept in the direction of e; the first |e|
     F_k of the sweep sum their tail mon^t C_(k-te) directly.  Each C_k
     enters one F_k, so there is at most one add per z-power of C."""
-    e, mon = f.zexp, f.mon
+    mon, e = _split_z(arg)
     c = dict(zcoeffs(closed))
     out: dict[int, Series] = {}
     for k in range(lo, hi + 1) if e > 0 else range(hi, lo - 1, -1):
@@ -197,35 +202,24 @@ def _fold(f: ZFactor, closed: Series, lo: int, hi: int) -> dict[int, Series]:
     return out
 
 
-@dataclass(frozen=True)
-class ZSumSpec:
-    """A one-index sum of summand(n) * z^(zsign * n), one z-power at a time.
+def sum_zcoeff(spec: SumSpec, order: int) -> Callable[[int], Series]:
+    """k -> [z^k] of the one-index sum `spec` of a statement in z.
 
-    `spec` is the z-free summand; it may carry numerator factorials,
-    because only single terms are ever evaluated.
+    The summand carries z^n or z^(-n), so [z^k] is the summand at
+    n = +-k, or 0 outside the domain.  z leaves the spec once, here, and
+    each k evaluates one term, so numerator factorials are allowed.
     """
+    [(_, (zsign,))] = [w for w in spec.varweights if w[0] == Z]
+    free = replace(spec, varweights=tuple(w for w in spec.varweights
+                                          if w[0] != Z))
 
-    spec: SumSpec
-    zsign: int
-
-    def coeff(self, k: int, order: int) -> Series:
-        """[z^k]: the summand at n = zsign * k, or 0 outside the domain."""
-        n = self.zsign * k
-        if n < 0 and self.spec.domains[0] == "N":
+    def coeff(k: int) -> Series:
+        n = zsign * k
+        if n < 0 and free.domains[0] == "N":
             return Series.zero(order)
-        return term_series(self.spec, (n,), order)
+        return term_series(free, (n,), order)
 
-
-@dataclass(frozen=True)
-class ZProductSpec:
-    """z-carrying infinite factors times a z-free product."""
-
-    zfactors: tuple[ZFactor, ...]
-    rest: ProductSpec
-
-    def expand(self, order: int, zwindow=None) -> Series | dict[int, Series]:
-        return expand_zfactors(self.zfactors, order, zwindow,
-                               expand_product_spec(self.rest, order))
+    return coeff
 
 
 # --------------------------------------------------------- per-z verification
@@ -303,13 +297,12 @@ def prove_main_theorem(order: int = 24) -> MainProof:
     3. evaluate the double sum and demand it agrees with the constant
        term coefficientwise up to `order`.
     """
-    from . import catalog, speclang  # both import this module at load time
+    from . import catalog  # imports this module at load time
 
     try:
-        paired, prefactor = (
-            speclang.lower_expression(speclang.parse_expression(text))[0]
-            for text in (PAIRED_SUM, PREFACTOR))
-    except (speclang.ParseError, speclang.LoweringError) as exc:
+        paired, prefactor = (lower_expression(parse_expression(text))[0]
+                             for text in (PAIRED_SUM, PREFACTOR))
+    except (ParseError, LoweringError) as exc:
         raise ProofReplayError(
             f"paired sum vs direct sum: {type(exc).__name__}: {exc}") from None
     if paired != catalog.get_identity("main").lowered.lhs:

@@ -596,31 +596,3 @@ def _keyed_product(a: dict[TermKey, int], b: dict[TermKey, int], cap: int,
         terms[(k >> top, vk)] = c
     return terms
 
-
-def parse_series(text: str) -> Series:
-    """Parse the canonical serialization back into an exact Series.
-
-    Inverse of Series.to_text on its output; accepts surrounding whitespace
-    but nothing fancier.
-    """
-    text = text.strip()
-    if text == "0":
-        return Series.zero()
-    terms: dict[TermKey, int] = {}
-    for chunk in text.split(" + "):
-        pieces = chunk.strip().split("*")
-        if len(pieces) < 2:
-            raise ValueError(f"malformed term {chunk!r}")
-        coeff = int(pieces[0])
-        if not pieces[1].startswith("q^"):
-            raise ValueError(f"term {chunk!r} lacks its q-power")
-        qe = int(pieces[1][2:])
-        vars = []
-        for piece in pieces[2:]:
-            name, _, exp = piece.partition("^")
-            if not _:
-                raise ValueError(f"malformed variable power {piece!r}")
-            vars.append((name, int(exp)))
-        key = (qe, _normalize_vars(vars))
-        terms[key] = terms.get(key, 0) + coeff
-    return Series.poly(terms)

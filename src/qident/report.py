@@ -21,12 +21,17 @@ def find_first_mismatch(lhs: Series, rhs: Series, order: int,
     """First differing coefficient up to `order` in canonical term order.
 
     Returns {"exponents": {...}, "lhs": c1, "rhs": c2} or None when the
-    two series agree on every term with q-exponent <= order.
+    two series agree on every term with q-exponent <= order.  Equal
+    series, the common case, are told apart by one dict comparison; only
+    unequal ones pay for the sorted scan.
     """
-    keys = set(lhs.terms) | set(rhs.terms)
-    for qe, vk in sorted(k for k in keys if k[0] <= order):
-        a = lhs.terms.get((qe, vk), 0)
-        b = rhs.terms.get((qe, vk), 0)
+    left = {k: c for k, c in lhs.terms.items() if k[0] <= order}
+    right = {k: c for k, c in rhs.terms.items() if k[0] <= order}
+    if left == right:
+        return None
+    for qe, vk in sorted(left.keys() | right.keys()):
+        a = left.get((qe, vk), 0)
+        b = right.get((qe, vk), 0)
         if a != b:
             return {"exponents": _exponent_vector(qe, vk, zexp),
                     "lhs": a, "rhs": b}

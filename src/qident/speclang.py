@@ -9,18 +9,20 @@ rendering that parses back to an equal tree and is a byte-level fixed
 point, which is what the round-trip tests pin down.
 
 Parsing is purely syntactic; ``validate_identity`` lowers the tree onto
-the evaluation types (`SumSpec` / `ProductSpec`, or `ZSumSpec` /
-`ZProductSpec` for a statement that declares ``z``) and is where
-divisions, domains and truncatability get checked.
+the evaluation types, `SumSpec` and `ProductSpec`, and is where
+divisions, domains and truncatability get checked.  A statement that
+declares ``z`` lowers onto the same types: z stays a formal variable,
+with its weight in the sum's ``varweights`` and in the arguments of the
+product's factors, and the checks here ensure that the constant-term
+engine can read the two sides one z-power at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .ctengine import ZFactor, ZProductSpec, ZSumSpec
 from .qfactorial import INF, FactorSpec, ProductSpec
 from .qring import Monomial
 from .summation import (
@@ -321,8 +323,8 @@ class _Parser:
         self.pos = 0
         self.last = tokens[0]
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def advance(self) -> Token:
         tok = self.toks[self.pos]
@@ -767,8 +769,10 @@ def serialize_identity(ast: IdentityAST) -> str:
 class LoweredIdentity:
     """An identity lowered to evaluation specs.
 
-    A statement that declares ``z`` lowers to a `ZSumSpec` left side and
-    a `ZProductSpec` right side, compared one z-power at a time.
+    A statement that declares ``z`` lowers to a one-index `SumSpec` left
+    side whose summand carries z^n or z^(-n), and a `ProductSpec` right
+    side whose factors carrying z are infinite; the two are compared one
+    z-power at a time.
 
     ``rescale`` is 1 when both sides live in integer q-powers; otherwise
     it is the least d for which substituting q^(1/d) -> q clears every
@@ -777,8 +781,8 @@ class LoweredIdentity:
 
     name: str
     vars: tuple[str, ...]
-    lhs: SumSpec | ProductSpec | ZSumSpec
-    rhs: SumSpec | ProductSpec | ZProductSpec
+    lhs: SumSpec | ProductSpec
+    rhs: SumSpec | ProductSpec
     rescale: int = 1
 
 
@@ -1033,7 +1037,7 @@ def _base_scale(side) -> int:
     return side.base_scale() if isinstance(side, SumSpec) else 1
 
 
-def _lower_zsum(expr: Expr, formal: set[str], params: dict) -> ZSumSpec:
+def _lower_zsum(expr: Expr, formal: set[str], params: dict) -> SumSpec:
     spec = _lower_side(expr, formal, params, one_point=True)
     if not isinstance(spec, SumSpec):
         raise LoweringError("a statement in z needs a sum on its left side")
@@ -1045,12 +1049,11 @@ def _lower_zsum(expr: Expr, formal: set[str], params: dict) -> ZSumSpec:
         raise LoweringError("z may only appear as z^n in a summand")
     if spec.base_scale() > 1:
         raise LoweringError("a statement in z needs integral q-exponents")
-    free = tuple(w for w in spec.varweights if w[0] != "z")
-    return ZSumSpec(replace(spec, varweights=free), zweight[0])
+    return spec
 
 
 def _lower_zproduct(expr: Expr, formal: set[str],
-                    params: dict) -> ZProductSpec:
+                    params: dict) -> ProductSpec:
     spec = _lower_side(expr, formal, params)
     if not isinstance(spec, ProductSpec):
         raise LoweringError("a statement in z needs a product on its right "
@@ -1058,22 +1061,11 @@ def _lower_zproduct(expr: Expr, formal: set[str],
     if "z" in dict(spec.prefactor.vars):
         raise LoweringError("z may only appear inside Pochhammer symbols on "
                             "the product side")
-    zfactors: list[ZFactor] = []
-    rest: list[FactorSpec] = []
-    for f in spec.factors:
-        zexp = dict(f.arg.vars).get("z")
-        if zexp is None:
-            rest.append(f)
-            continue
-        if f.count is not INF:
-            raise LoweringError("a Pochhammer symbol carrying z must be an "
-                                "infinite product")
-        mon = Monomial(f.arg.coeff, f.arg.qexp,
-                       tuple(v for v in f.arg.vars if v[0] != "z"))
-        zfactors += [ZFactor(mon, zexp, f.basepow, 1 if f.expo > 0 else -1)
-                     ] * abs(f.expo)
-    return ZProductSpec(tuple(zfactors), ProductSpec(tuple(rest),
-                                                     spec.prefactor))
+    if any(f.count is not INF for f in spec.factors
+           if "z" in dict(f.arg.vars)):
+        raise LoweringError("a Pochhammer symbol carrying z must be an "
+                            "infinite product")
+    return spec
 
 
 def validate_identity(ast: IdentityAST) -> LoweredIdentity:

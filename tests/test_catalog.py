@@ -19,11 +19,11 @@ from qident.catalog import (
     specialize_to_one,
     verify_identity,
 )
-from qident.ctengine import ZSumSpec
-from qident.qfactorial import expand_product_spec
+from qident.ctengine import sum_zcoeff
+from qident.qfactorial import ProductSpec, expand_product_spec
 from qident.speclang import ParseError, parse_identity, serialize_identity, \
     tokenize, validate_identity
-from qident.summation import eval_sum
+from qident.summation import SumSpec, eval_sum
 
 ALL_KEYS = [
     "rr1", "rr2", "andrews-gordon", "bressoud", "ramanujan-1psi1",
@@ -208,11 +208,11 @@ def test_double_triple_and_multi_sums_agree():
 
 
 def test_1psi1_at_m1_reduces_to_the_q_binomial_family():
-    psi = get_identity("ramanujan-1psi1", m=1).lowered.lhs
-    qb = get_identity("q-binomial").lowered.lhs
     order = 16
+    psi = sum_zcoeff(get_identity("ramanujan-1psi1", m=1).lowered.lhs, order)
+    qb = sum_zcoeff(get_identity("q-binomial").lowered.lhs, order)
     for k in range(-4, 7):
-        assert psi.coeff(k, order).terms == qb.coeff(k, order).terms
+        assert psi(k).terms == qb(k).terms
 
 
 # ------------------------------------------------------------ text corpus
@@ -240,18 +240,19 @@ def test_series_statements_relower_to_the_same_specs():
 def test_zcoeff_statement_texts_lower_to_their_verified_specs():
     """Statements in z lower from their text alone: [z^k] of the left
     side is one summand, numerator factorials included, and the right
-    side splits into z-carrying factors and a z-free product."""
+    side is a product with z-carrying factors."""
     for key, params in default_instances():
         ident = get_identity(key, **params)
         if ident.zwindow is None:
             continue
         lowered = validate_identity(parse_identity(ident.text))
         assert lowered == ident.lowered, key
-        assert isinstance(lowered.lhs, ZSumSpec), key
-        assert lowered.rhs.zfactors, key
+        assert isinstance(lowered.lhs, SumSpec), key
+        assert isinstance(lowered.rhs, ProductSpec), key
+        assert any("z" in dict(f.arg.vars) for f in lowered.rhs.factors), key
     psi = get_identity("ramanujan-1psi1", m=2).lowered
-    assert psi.lhs.spec.numers and psi.lhs.zsign == 1
-    assert get_identity("circle-y").lowered.lhs.zsign == -1
+    assert psi.lhs.numers and dict(psi.lhs.varweights)["z"] == (1,)
+    assert dict(get_identity("circle-y").lowered.lhs.varweights)["z"] == (-1,)
 
 
 def test_corpus_mutations_fail_close_to_the_edit():

@@ -227,6 +227,44 @@ def test_verify_files_of_z_statements_need_a_zwindow(capsys, tmp_path):
     assert records[0]["details"]["zwindow"] == [-3, 3]
 
 
+REFUSED_IN_Z = """\
+identity refused {
+  vars: x, z;
+  lhs: sum(k >= 0; z^k / poch(q; q; k));
+  rhs: poch(x; q; inf) / poch(z*q^(-1); q; inf);
+}
+identity refused_swapped {
+  vars: x, z;
+  lhs: sum(k >= 0; z^k / poch(q; q; k));
+  rhs: 1 / poch(z*q^(-1); q; inf) * poch(x; q; inf);
+}
+identity refused_in_z {
+  vars: x, z;
+  lhs: sum(k >= 0; z^k / poch(q; q; k));
+  rhs: poch(x*q; q; inf) / poch(x*z*q^(-1); q; inf);
+}
+"""
+
+
+def test_verify_z_statement_reports_the_z_free_refusal_first(capsys,
+                                                              tmp_path):
+    """(x; q)_inf and 1/(z/q; q)_inf are both refused; the z-free part
+    expands first, so its refusal is the one reported, in either factor
+    order.  A z-carrying factor's refusal names its argument without z."""
+    path = tmp_path / "refused.qid"
+    path.write_text(REFUSED_IN_Z)
+    code, records, _ = run(capsys, "verify", str(path), "--order", "8",
+                           "--zwindow", "2")
+    assert code == 2
+    x_free = ("NotTruncatable: (1*q^0*x^1; q^1)_inf: argument carries no "
+              "positive q-weight, the product never stabilizes below the "
+              "order")
+    assert [r["error"] for r in records] == [
+        x_free, x_free,
+        "NotTruncatable: argument 1*q^-1*x^1 has negative q-weight; its "
+        "z-expansion never settles"]
+
+
 def test_verify_far_vertex_passes(capsys):
     """The sum side of andrews-p20 has its support near n = min(i, j),
     far from the origin: n = 37..40 at i = j = 40."""

@@ -16,7 +16,6 @@ from qident.catalog import get_identity
 from qident.ctengine import (
     MainProof,
     ProofReplayError,
-    ZFactor,
     binom2,
     expand_zfactors,
     jtp_zseries,
@@ -26,7 +25,10 @@ from qident.ctengine import (
     zmul,
 )
 from qident.qfactorial import (
+    INF,
+    FactorSpec,
     NotTruncatable,
+    ProductSpec,
     poch_finite,
     poch_infinite,
     poch_recip_finite,
@@ -46,6 +48,24 @@ def sign(n):
 
 def by_z(s):
     return dict(zcoeffs(s))
+
+
+def zfactor(mon, zexp=1, basepow=1, expo=1) -> FactorSpec:
+    """(mon z^zexp; q^basepow)_inf^expo, as a statement in z lowers it."""
+    return FactorSpec(mon * Monomial.var("z", zexp), basepow, INF, expo)
+
+
+def is_open(f: FactorSpec) -> bool:
+    """A reciprocal whose k=0 binomial sits at q-weight zero."""
+    return f.expo < 0 and f.arg.qexp == 0
+
+
+def expand(factors, order, zwindow=None):
+    return expand_zfactors(ProductSpec(tuple(factors)), order, zwindow)
+
+
+def zcarrying(spec: ProductSpec) -> list[FactorSpec]:
+    return [f for f in spec.factors if "z" in dict(f.arg.vars)]
 
 
 # ------------------------------------------------------- the triple product
@@ -149,7 +169,7 @@ def test_constant_term_of_paired_triple_products():
 
 def test_binomial_factor_matches_the_alternating_euler_sum():
     # (z;q)_inf = sum_j (-1)^j q^{binom(j,2)} z^j / (q;q)_j
-    zs = by_z(expand_zfactors([ZFactor(ONE)], 12))
+    zs = by_z(expand([zfactor(ONE)], 12))
     for j in range(5):
         expect = poch_recip_finite(Q1, 1, j, 12).mul_monomial(
             Monomial(sign(j), binom2(j), ()))
@@ -159,13 +179,13 @@ def test_binomial_factor_matches_the_alternating_euler_sum():
 
 def test_geometric_factor_matches_the_plain_euler_sum():
     # 1/(qz;q)_inf = sum_j q^j z^j / (q;q)_j
-    zs = by_z(expand_zfactors([ZFactor(Q1, expo=-1)], 12))
+    zs = by_z(expand([zfactor(Q1, expo=-1)], 12))
     for j in range(5):
         expect = poch_recip_finite(Q1, 1, j, 12).mul_monomial(Monomial(1, j, ()))
         assert find_first_mismatch(zs[j], expect, 12) is None
 
 
-def _product_with_formal_z(f: ZFactor, order: int, top: int) -> Series:
+def _product_with_formal_z(f: FactorSpec, order: int, top: int) -> Series:
     """(mon z^e; q^b)_inf^expo to `order`, with z an ordinary variable.
 
     Every binomial 1 - mon q^(bk) z^e at q-weight <= order is multiplied
@@ -173,18 +193,17 @@ def _product_with_formal_z(f: ZFactor, order: int, top: int) -> Series:
     reciprocal.  An open reciprocal's q-free k = 0 binomial cannot be
     inverted in q, so its geometric series is taken up to z^(e*top).
     """
-    z = Monomial.var("z", f.zexp)
     prod = Series.one()
-    k = 1 if f.is_open else 0
-    while f.mon.qexp + f.basepow * k <= order:
-        arg = f.mon * Monomial.q(f.basepow * k) * z
+    k = 1 if is_open(f) else 0
+    while f.arg.qexp + f.basepow * k <= order:
+        arg = f.arg * Monomial.q(f.basepow * k)
         prod = prod * Series.poly({(0, ()): 1, arg.key(): -arg.coeff})
         k += 1
     if f.expo == 1:
         return prod.truncate(order)
     prod = prod.invert(order)
-    if f.is_open:
-        powers = [(f.mon * z) ** t for t in range(top + 1)]
+    if is_open(f):
+        powers = [f.arg ** t for t in range(top + 1)]
         prod = prod * Series.poly({m.key(): m.coeff for m in powers})
     return prod
 
@@ -202,18 +221,18 @@ def _z_span(s: Series) -> int:
 
 
 _SHAPES = [
-    ZFactor(Monomial(c, w, var), zexp, b, expo)
+    zfactor(Monomial(c, w, var), zexp, b, expo)
     for expo, zexp, b, c, var, w in itertools.product(
         (1, -1), (1, -1, 2, -2), (1, 2, 3), (1, -1), ((), (("x", 1),)),
         (0, 1, 2))]
 
 
-def _products(seed: int) -> list[tuple[ZFactor, ...]]:
+def _products(seed: int) -> list[tuple[FactorSpec, ...]]:
     """Every shape alone, and a fixed sample of pairs and triples with at
     most one open factor among them."""
     rng = random.Random(seed)
-    closed = [f for f in _SHAPES if not f.is_open]
-    opens = [f for f in _SHAPES if f.is_open]
+    closed = [f for f in _SHAPES if not is_open(f)]
+    opens = [f for f in _SHAPES if is_open(f)]
     out = [(f,) for f in _SHAPES]
     for size in (2, 3):
         for _ in range(12):
@@ -237,9 +256,9 @@ def test_euler_expansion_matches_the_formal_z_product(order):
         want = Series.one()
         for f in factors:
             want = want * _product_with_formal_z(f, order, top)
-        is_open = any(f.is_open for f in factors)
-        got = expand_zfactors(factors, order, window if is_open else None)
-        if is_open:
+        has_open = any(is_open(f) for f in factors)
+        got = expand(factors, order, window if has_open else None)
+        if has_open:
             assert set(got) == set(range(lo, hi + 1)), factors
             want = _by_z_power(want)
             for k in range(lo, hi + 1):
@@ -262,7 +281,7 @@ def test_zfactor_expansion_convolution_count(monkeypatch):
     monkeypatch.setattr(qring, "_convolve",
                         lambda *a: calls.append(1) or real(*a))
     ident = get_identity("ramanujan-1psi1", m=1)
-    expand_zfactors(ident.lowered.rhs.zfactors, 16, ident.zwindow)
+    expand(zcarrying(ident.lowered.rhs), 16, ident.zwindow)
     assert len(calls) <= 70
 
 
@@ -270,16 +289,16 @@ def test_open_factor_fold_adds_once_per_closed_z_power(monkeypatch):
     """The open factor of the q-binomial side, 1/(z; q)_inf, folded over
     [-2000, 2000]: F_k = C_k + F_(k-1) adds each z-power of the closed
     product C once, and makes no add per z-power of the window."""
-    factors = get_identity("q-binomial").lowered.rhs.zfactors
-    closed = [f if not f.is_open else
-              ZFactor(f.mon * Monomial.q(f.basepow), f.zexp, f.basepow, -1)
+    factors = zcarrying(get_identity("q-binomial").lowered.rhs)
+    closed = [f if not is_open(f) else
+              FactorSpec(f.arg * Monomial.q(f.basepow), f.basepow, INF, -1)
               for f in factors]
-    span = len(by_z(expand_zfactors(closed, 4)))
+    span = len(by_z(expand(closed, 4)))
     adds = []
     real = Series.__add__
     monkeypatch.setattr(Series, "__add__",
                         lambda a, b: adds.append(1) or real(a, b))
-    folded = expand_zfactors(factors, 4, zwindow=2000)
+    folded = expand(factors, 4, zwindow=2000)
     assert 0 < len(adds) <= span
     assert len(adds) <= 4001 + span
     assert set(folded) == set(range(-2000, 2001))
@@ -288,16 +307,16 @@ def test_open_factor_fold_adds_once_per_closed_z_power(monkeypatch):
 
 def test_negative_q_weight_arguments_are_refused():
     with pytest.raises(NotTruncatable):
-        expand_zfactors([ZFactor(Monomial.q(-1))], 8)
+        expand([zfactor(Monomial.q(-1))], 8)
     with pytest.raises(NotTruncatable):
-        expand_zfactors([ZFactor(Monomial.q(-2), expo=-1)], 8)
+        expand([zfactor(Monomial.q(-2), expo=-1)], 8)
 
 
 def test_open_factor_needs_an_explicit_window():
-    factors = [ZFactor(ONE, expo=-1)]
+    factors = [zfactor(ONE, expo=-1)]
     with pytest.raises(NotTruncatable):
-        expand_zfactors(factors, 8)
-    zs = expand_zfactors(factors, 8, zwindow=(-2, 5))
+        expand(factors, 8)
+    zs = expand(factors, 8, zwindow=(-2, 5))
     # Euler: [z^k] of 1/(z;q)_inf is 1/(q;q)_k
     for k in range(4):
         assert find_first_mismatch(zs[k], poch_recip_finite(Q1, 1, k, 8),
@@ -311,20 +330,24 @@ def test_an_open_fold_is_not_a_series_a_product_could_shift():
     """1/(z; q)_inf folded over [0, 3] is its coefficients [z^0]..[z^3],
     not a series in z: as one, z^-1 times it held z^-1..z^2 only, with
     no error, though [z^3] of the product is [z^4] = 1/(q; q)_4."""
-    factors = [ZFactor(ONE, expo=-1)]
-    folded = expand_zfactors(factors, 4, zwindow=(0, 3))
+    factors = [zfactor(ONE, expo=-1)]
+    folded = expand(factors, 4, zwindow=(0, 3))
     with pytest.raises(TypeError):
         zmul(folded, Series({(0, (("z", -1),)): 1}, 4))
     assert set(folded) == {0, 1, 2, 3}
-    wider = expand_zfactors(factors, 4, zwindow=(0, 4))
+    wider = expand(factors, 4, zwindow=(0, 4))
     assert find_first_mismatch(wider[4], poch_recip_finite(Q1, 1, 4, 4),
                                4) is None
 
 
+def test_a_finite_factor_carrying_z_is_refused():
+    with pytest.raises(ValueError, match="not an infinite product"):
+        expand([FactorSpec(Monomial.var("z", qexp=1), 1, 3)], 8)
+
+
 def test_two_open_factors_are_refused():
     with pytest.raises(NotTruncatable):
-        expand_zfactors([ZFactor(ONE, expo=-1), ZFactor(A, expo=-1)], 8,
-                        zwindow=3)
+        expand([zfactor(ONE, expo=-1), zfactor(A, expo=-1)], 8, zwindow=3)
 
 
 # ------------------------------------------------- classical per-z identities
@@ -332,8 +355,7 @@ def test_two_open_factors_are_refused():
 
 def test_q_binomial_theorem_per_z_power():
     # (az;q)_inf / (z;q)_inf has [z^k] = (a;q)_k / (q;q)_k
-    rhs = expand_zfactors([ZFactor(A), ZFactor(ONE, expo=-1)], 16,
-                          zwindow=(0, 6))
+    rhs = expand([zfactor(A), zfactor(ONE, expo=-1)], 16, zwindow=(0, 6))
 
     def lhs(k):
         return poch_finite(A, 1, k) * poch_recip_finite(Q1, 1, k, 16)
@@ -348,7 +370,7 @@ def test_bilateral_euler_expansion_per_z_power():
     order = 8
     b = Monomial.q(2)
     core = zmul(jtp_zseries(ONE, order),
-                expand_zfactors([ZFactor(b, zexp=-1, expo=-1)], order))
+                expand([zfactor(b, zexp=-1, expo=-1)], order))
     rhs = core * poch_infinite(b, 1, order).invert(order)
 
     def lhs(k):
@@ -370,9 +392,9 @@ def test_first_circle_sum_per_z_power():
     #   = (q, xz, q/(xz); q)_inf / ((xq;q)_inf (q/z;q)_inf)
     order = 12
     xq = Monomial.var("x", qexp=1)
-    core = expand_zfactors(
-        [ZFactor(X), ZFactor(X.inverse() * Q1, zexp=-1),
-         ZFactor(Q1, zexp=-1, expo=-1)], order)
+    core = expand(
+        [zfactor(X), zfactor(X.inverse() * Q1, zexp=-1),
+         zfactor(Q1, zexp=-1, expo=-1)], order)
     scale = poch_infinite(Q1, 1, order) * poch_infinite(xq, 1, order).invert(order)
     rhs = core * scale
 
@@ -389,10 +411,11 @@ def test_second_circle_sum_per_z_power():
     #   = (q, yq/z, z/y; q)_inf / ((yq;q)_inf (z;q)_inf)
     order = 12
     yq = Monomial.var("y", qexp=1)
-    scale = poch_infinite(Q1, 1, order) * poch_infinite(yq, 1, order).invert(order)
-    rhs = expand_zfactors(
-        [ZFactor(yq, zexp=-1), ZFactor(Monomial.var("y", -1)),
-         ZFactor(ONE, expo=-1)], order, zwindow=4, rest=scale)
+    # The z-free part (q; q)_inf / (yq; q)_inf is part of the spec.
+    rhs = expand(
+        [zfactor(yq, zexp=-1), zfactor(Monomial.var("y", -1)),
+         zfactor(ONE, expo=-1), FactorSpec(Q1), FactorSpec(yq, expo=-1)],
+        order, zwindow=4)
 
     def lhs(k):
         j = -k

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qident import qfactorial
-from qident.ctengine import ZFactor, expand_zfactors
+from qident.ctengine import expand_zfactors
 from qident.qfactorial import (
     INF,
     FactorSpec,
@@ -428,11 +428,11 @@ def test_a_closed_zfactor_is_its_binomials_multiplied_out(mon, zexp, basepow,
     """(mon z^e q^a; q^b)_inf^(+-1) through `expand_zfactors`; a
     reciprocal needs a >= 1 to be closed."""
     qexp = max(qexp, 1) if expo < 0 else qexp
-    f = ZFactor(mon * Monomial.q(qexp), zexp, basepow, expo)
+    arg = mon * Monomial.q(qexp) * Monomial.var("z", zexp)
     qfactorial._RUNS.clear()
-    got = expand_zfactors([f], order)
-    assert got == binomials_multiplied(f.mon * Monomial.var("z", zexp),
-                                       basepow, expo, order)
+    got = expand_zfactors(ProductSpec((FactorSpec(arg, basepow, INF, expo),)),
+                          order)
+    assert got == binomials_multiplied(arg, basepow, expo, order)
 
 
 def partition_numbers(top):

@@ -1,9 +1,14 @@
 """Statement-format tests: lexing, parsing, canonical output, lowering."""
 
+import ast as pyast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qident
+from qident import speclang
+from qident.catalog import default_instances, get_identity
 from qident.qfactorial import INF, FactorSpec, ProductSpec, expand_product_spec
 from qident.qring import Monomial
 from qident.speclang import (
@@ -27,6 +32,7 @@ from qident.summation import (
     AffineForm,
     DenomFactor,
     QuadForm,
+    SumSpec,
     eval_sum,
     make_sum_spec,
 )
@@ -307,3 +313,41 @@ def test_pochhammer_powers_lower_to_repeated_factors():
     lowered = validate_identity(parse_identity(text))
     assert lowered.lhs.factors[0] == FactorSpec(
         Monomial(-1, 1, ()), 2, INF, 2)
+
+
+# ------------------------------------------------------------------ layering
+
+
+def test_every_statement_lowers_to_sum_and_product_specs():
+    """Catalog instances and every statement under tests/data that
+    lowers, statements in z included, lower to the kernel's own specs."""
+    lowered = [get_identity(key, **params).lowered
+               for key, params in default_instances()]
+    for path in sorted((Path(__file__).parent / "data").glob("*.qid")):
+        for tree in parse_file(path.read_text()):
+            try:
+                lowered.append(validate_identity(tree))
+            except LoweringError:
+                pass
+    assert any("z" in ident.vars for ident in lowered)
+    for ident in lowered:
+        for side in (ident.lhs, ident.rhs):
+            assert type(side) in (SumSpec, ProductSpec), ident.name
+
+
+def test_speclang_imports_nothing_from_the_constant_term_engine():
+    tree = pyast.parse(Path(speclang.__file__).read_text())
+    named = []
+    for node in pyast.walk(tree):
+        if isinstance(node, pyast.ImportFrom):
+            named.append(node.module or "")
+        if isinstance(node, (pyast.Import, pyast.ImportFrom)):
+            named += [alias.name for alias in node.names]
+    assert named and not any("ctengine" in n for n in named)
+
+
+def test_public_names_resolve_and_stay_sorted():
+    names = qident.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        assert hasattr(qident, name), name
