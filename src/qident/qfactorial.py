@@ -12,23 +12,25 @@ of negative q-weight is -A (1 - 1/A) (Gasper-Rahman, *Basic
 Hypergeometric Series*, Appendix I), so a factor is a signed monomial at
 its exact valuation times runs of binomials of q-weight >= 0.  Those
 runs have valuation 0 and are needed only to depth order - valuation;
-`_run` builds them one binomial at a time and caches every prefix at the
-working order.  A run has two representations: a step free of formal
-variables, of positive q-weight, at a finite order, works in place on a
-coefficient row -- a binomial is a downward sweep over a row that
-reaches only the run's degree, its reciprocal an upward recurrence over
-a row to the order -- and every other step multiplies Series, a
-reciprocal step of positive q-weight by its geometric series.  An exact
-polynomial is the same computation at order `EXACT`.
+for product sides and single factors `_run` builds them one binomial at
+a time and caches every prefix at the working order.  A run has two
+representations: a step free of formal variables, of positive q-weight,
+at a finite order, works in place on a coefficient row -- a binomial is
+a downward sweep over a row that reaches only the run's degree, its
+reciprocal an upward recurrence over a row to the order -- and every
+other step multiplies Series, a reciprocal step of positive q-weight by
+its geometric series.  An exact polynomial is the same computation at
+order `EXACT`.  A sum builds no run: it takes the same binomial steps
+on its own accumulator along each index (`summation.eval_sum_over`),
+and leaves nothing in the cache.
 
 Every infinite factor (a; q^b)_inf^(+-1), of a product side or of the z
 layer, is one call of `infinite_factor`, which inverts no series: a
 pure-q factor is one coefficient row stepped to the order, and a factor
 with formal variables is Euler's series in a, its coefficients read off
 the prefixes of the one cached run 1/(q^b; q^b)_n.  `_RUNS` caches both,
-and is the module's only cache.
-`expand_factors` assembles product sides and single factors; a sum
-places leads and runs level by level (`summation.eval_sum_over`).
+and is the module's only cache.  `expand_factors` assembles product
+sides and single factors.
 """
 
 from __future__ import annotations
@@ -131,7 +133,8 @@ def reflect(arg: Monomial, basepow: int, n: int,
 
 # (arg, basepow, expo, order) -> [run of 0, 1, 2, ... binomials], and
 # (arg, basepow, INF, expo, order) -> the infinite factor, its last prefix
-# only (`infinite_factor`).
+# only (`infinite_factor`).  Product sides, single factors and Euler's
+# series fill it; sums do not (`summation._Chains`).
 _RUNS: dict[tuple, list[Series] | Series] = {}
 
 # A numerator step goes on the row while the row has fewer than this many

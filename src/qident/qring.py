@@ -28,10 +28,11 @@ time of one product and hands back a term dict:
   field is a whole number of bytes, wide enough for
   max|a| * max|b| * min(len(a), len(b)), the most a product coefficient
   can reach.
-- Every other product keys each term by one int: the q-exponent in the
-  top bits and the formal variables' exponents in signed fields below,
-  each wide enough for a sum of two operand exponents.  Merging two
-  monomials is then one integer add.
+- Every other product keys each term by one int (`KeyLayout`, which
+  the sum walk shares): the q-exponent in the top bits and the formal
+  variables' exponents in signed fields below, each wide enough for a
+  sum of two operand exponents.  Merging two monomials is then one
+  integer add.
 
 The path rests on the operands and the cap alone, with no option to
 choose it.
@@ -533,42 +534,88 @@ def _unpack(value: int, n: int, width: int) -> list[int]:
             for i in range(0, n * width, width)]
 
 
+class KeyLayout:
+    """One-int keys for the terms q^e prod names[i]^x_i.
+
+    The key of a term is (e << top) + sum x_i << shift_i: each x_i a
+    signed field of its own width, last name lowest.  A field of `bits`
+    bits holds |x_i| < half = 2^(bits-1); while every field of every
+    term in play does, keys add as their monomials multiply, and a key
+    plus `lift`, half in every field, holds each field as a digit in
+    [0, 2^bits), so that e is that sum >> top.  `bounds` gives each
+    name's largest |x_i|, which the caller proves.
+    """
+
+    def __init__(self, bounds: Mapping[str, int]):
+        self.shift: dict[str, int] = {}
+        self.top = 0
+        self.lift = 0
+        self._fields: list[tuple[str, int, int]] = []  # name, shift, half
+        for name in sorted(bounds, reverse=True):
+            bits = bounds[name].bit_length() + 1
+            self.shift[name] = self.top
+            self._fields.append((name, self.top, 1 << bits - 1))
+            self.lift += 1 << self.top + bits - 1
+            self.top += bits
+        self._fields.reverse()
+        self._codes: dict[VKey, int] = {(): 0}
+        self._vks: dict[int, VKey] = {}
+
+    def key(self, qe: int, vk: VKey) -> int:
+        code = self._codes.get(vk)
+        if code is None:
+            code = self._codes[vk] = sum(e << self.shift[n] for n, e in vk)
+        return (qe << self.top) + code
+
+    def limit(self, order: int) -> int:
+        """The least key of a term above q^order: keys below it are the
+        terms at or below the order."""
+        return ((order + 1) << self.top) - self.lift
+
+    def terms(self, keyed: dict[int, int], lifted: bool) -> dict[TermKey, int]:
+        """The term dict of `keyed`, zero coefficients dropped; its keys
+        carry `lift` already when `lifted`."""
+        top = self.top
+        if not top:
+            return {(k, ()): c for k, c in keyed.items() if c}
+        lift = 0 if lifted else self.lift
+        mask = (1 << top) - 1
+        vks = self._vks
+        out = {}
+        for k, c in keyed.items():
+            if c:
+                k += lift
+                low = k & mask
+                vk = vks.get(low)
+                if vk is None:
+                    vk = vks[low] = tuple([
+                        (n, d) for n, s, half in self._fields
+                        if (d := (low >> s & 2 * half - 1) - half)])
+                out[(k >> top, vk)] = c
+        return out
+
+
 def _keyed_product(a: dict[TermKey, int], b: dict[TermKey, int], cap: int,
                    vks: set[VKey]) -> dict[TermKey, int]:
     """Dict convolution over one-int keys; `vks` holds the operands' vars.
 
-    A term q^e * prod(names[i]^x_i) is keyed by (e << top) + the x_i in
-    fields of `bits` bits below it, last name lowest, each a signed digit.
-    Every |x_i| of an operand, and of a product, is below half = 2^(bits-1),
-    so the key of a product of terms is the sum of their keys.  The keys
-    of `b` carry `lift`, half in every field, so that a sum of a key of
-    `a` and one of `b` holds x_i + half >= 0 in each field: the product's
-    q-degree is then its key >> top, and its fields read off by masks.
-    With `b` sorted by key, each row of the loop stops at the keys of
-    q-degree above `cap`, found by bisection.
+    Each term is keyed by `KeyLayout`, every field wide enough for a sum
+    of two operand exponents, so the key of a product of terms is the
+    sum of their keys.  The keys of `b` carry the layout's lift, so a
+    sum of a key of `a` and one of `b` holds the product's q-degree in
+    its top bits.  With `b` sorted by key, each row of the loop stops at
+    the keys of q-degree above `cap`, found by bisection.
     """
-    names = sorted({n for vk in vks for n, _ in vk})
-    if names:
-        widest = max(abs(e) for vk in vks for _, e in vk)
-        bits = (2 * widest).bit_length() + 1
-        shift = {n: bits * i for i, n in enumerate(reversed(names))}
-        top = bits * len(names)
-        half = 1 << (bits - 1)
-        lift = sum(half << s for s in shift.values())
-        code = {}
-        for vk in vks:
-            r = 0
-            for n, e in vk:
-                r += e << shift[n]
-            code[vk] = r
-        a_keys = [((qe << top) + code[vk], c) for (qe, vk), c in a.items()]
-        b_keys = [((qe << top) + lift + code[vk], c)
-                  for (qe, vk), c in b.items()]
-    else:
-        top = 0
-        a_keys = [(qe, c) for (qe, _), c in a.items()]
-        b_keys = [(qe, c) for (qe, _), c in b.items()]
-    b_keys.sort()
+    widest = {}
+    for vk in vks:
+        for n, e in vk:
+            widest[n] = max(widest.get(n, 0), 2 * abs(e))
+    layout = KeyLayout(widest)
+    top, lift = layout.top, layout.lift
+    code = {vk: layout.key(0, vk) for vk in vks}
+    a_keys = [((qe << top) + code[vk], c) for (qe, vk), c in a.items()]
+    b_keys = sorted(((qe << top) + lift + code[vk], c)
+                    for (qe, vk), c in b.items())
     limit = None if cap == EXACT else (cap + 1) << top
     b_order = [k for k, _ in b_keys]
     out: dict[int, int] = {}
@@ -579,20 +626,4 @@ def _keyed_product(a: dict[TermKey, int], b: dict[TermKey, int], cap: int,
         for kb, cb in row:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    if not names:
-        return {(k, ()): c for k, c in out.items() if c}
-    terms: dict[TermKey, int] = {}
-    decoded = {code[vk] + lift: vk for vk in vks}
-    fields = (1 << top) - 1
-    mask = (1 << bits) - 1
-    for k, c in out.items():
-        if not c:
-            continue
-        v = k & fields
-        vk = decoded.get(v)
-        if vk is None:
-            vk = decoded[v] = tuple([
-                (n, d) for n in names if (d := (v >> shift[n] & mask) - half)])
-        terms[(k >> top, vk)] = c
-    return terms
-
+    return layout.terms(out, lifted=True)

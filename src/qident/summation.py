@@ -13,32 +13,29 @@ valuation is bounded below by a quadratic whose sublevel sets give every
 coordinate a finite range (see `certify_support`).  A sum without such a
 certificate is refused, never scanned.
 
-A sum is evaluated nested, index inside index (Horner's rule for several
-indices; Andrews, *The Theory of Partitions*, ch. 7): each factor is
-built once per prefix of the points up to the last index its subscript
-reads, and multiplies the inner row sum once (see `eval_sum_over`).
-Every point, of the support and of a sum, is read through the spec's
-forms compiled once to scaled integers (`SumSpec.compiled`).
-
-The walk has two representations.  Rows of term dicts serve every sum.
-A sum free of formal variables may instead walk in Z/2^(w n), q -> 2^w
-(Kronecker substitution), where a row is one int and a row product one
-big-int multiply and a mask; w comes from a proved bound on the sum's
-coefficients, and a measured cost rule picks the walk per sum
-(`_packed_walk`, `_packs`).
+A sum is evaluated nested, index inside index, by one chain walk
+(Horner's rule for several indices; Andrews, *The Theory of Partitions*,
+ch. 7): a factor belongs to the last index its subscript reads, the
+inner sums along that index differ in their run products by one
+binomial per change of subscript, and Horner's rule takes those steps
+one binomial at a time, with no run product and no run cache (see
+`eval_sum_over`).  Every point, of the support and of a sum, is read
+through the spec's forms compiled once to scaled integers
+(`SumSpec.compiled`), and each spec's support is certified once
+(`SumSpec.plans`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import groupby, product
 from math import isqrt, lcm
-from operator import mul
+from operator import add
 
-from .qfactorial import _run, reflect, vanishes
-from .qring import Monomial, QSeriesError, Series, _pack, _row, _unpack
+from .qfactorial import _ROW_PER_TERM, _recur, _sweep, reflect, vanishes
+from .qring import KeyLayout, Monomial, QSeriesError, Series
 
 
 class DomainError(QSeriesError):
@@ -204,6 +201,19 @@ class SumSpec:
     def compiled(self) -> "_CompiledSum":
         """The spec's forms in scaled integers, built on first use."""
         return _CompiledSum.of(self)
+
+    @cached_property
+    def plans(self) -> "tuple | _Uncovered":
+        """One enumeration plan per sign region that can hold terms, or
+        the first region no certificate covers; made on first use, so
+        lowering and enumeration certify a sum once (`certify_support`)."""
+        plans = []
+        for pieces, quad in _regions(self):
+            levels = _plan(self, pieces, quad)
+            if levels is None:
+                return _Uncovered(pieces)
+            plans.append(levels)
+        return tuple(plans)
 
     def base_scale(self) -> int:
         """Least d for which d*Q takes integer values on the whole lattice.
@@ -385,7 +395,7 @@ def term_series(spec: SumSpec, point, order: int) -> Series:
     case of `eval_sum_over`.  Numerator factorials are allowed, and a
     term of valuation v < 0 keeps its floor at q^v."""
     terms = _nested(spec, [point], order)
-    return Series(terms, order, min([0, *(k[0] for k in terms)]))
+    return Series._cut(terms, order, min([0, *(k[0] for k in terms)]))
 
 
 # ------------------------------------------------------- support enumeration
@@ -629,6 +639,13 @@ def _plan(spec: SumSpec, pieces, quad: QuadForm):
     return None
 
 
+@dataclass(frozen=True)
+class _Uncovered:
+    """A sign region, by its pieces, with no certificate."""
+
+    pieces: tuple[_Piece, ...]
+
+
 def certify_support(spec: SumSpec, names=None) -> tuple:
     """One enumeration plan per sign region of `spec` that can hold terms.
 
@@ -636,19 +653,16 @@ def certify_support(spec: SumSpec, names=None) -> tuple:
     (default n0, n1, ...), when a region's valuation bound is covered by
     neither the LDL^T minimum nor the separable one.
     """
-    names = names or [f"n{i}" for i in range(spec.dim)]
-    plans = []
-    for pieces, quad in _regions(spec):
-        levels = _plan(spec, pieces, quad)
-        if levels is None:
-            kind = "bilateral" if "Z" in spec.domains else "unilateral"
-            where = ("" if not pieces else " on the region "
-                     + ", ".join(p.text(names) for p in pieces))
-            raise UnboundedSupport(
-                f"{kind} sum with an indefinite quadratic part{where} "
-                "cannot be enumerated soundly")
-        plans.append(levels)
-    return tuple(plans)
+    plans = spec.plans
+    if isinstance(plans, _Uncovered):
+        names = names or [f"n{i}" for i in range(spec.dim)]
+        kind = "bilateral" if "Z" in spec.domains else "unilateral"
+        where = ("" if not plans.pieces else " on the region "
+                 + ", ".join(p.text(names) for p in plans.pieces))
+        raise UnboundedSupport(
+            f"{kind} sum with an indefinite quadratic part{where} "
+            "cannot be enumerated soundly")
+    return plans
 
 
 def enumerate_support(spec: SumSpec, order: int) -> SupportReport:
@@ -737,38 +751,31 @@ def eval_sum_over(spec: SumSpec, points, order: int) -> Series:
     """The sum of the terms at `points`, nested index by index.
 
     A Pochhammer factor belongs to the last index its subscript depends
-    on, and is reflected (`qfactorial.reflect`) once per subscript value,
-    so at most once per prefix of the points up to that index.  Its lead,
-    a monomial at its exact valuation, goes into the inner terms; its
-    valuation-0 runs, built to order - floor(row), multiply their sum
-    once.  So an innermost term is a shift, cut at the order, and each
-    outer row one product.  The rows are term dicts, and every level
-    adds into one dict in place; or, for a sum free of formal variables
-    where the cost rule finds it cheaper, ints in Z/2^(w n), n = order -
-    low + 1 with low = min(0, least exponent of a point's lead); a shift
-    is c P << w (e - low), a product one multiply and a mask, and the
-    root is decoded once.  w holds every coefficient: the sum over the
-    points of |lead| times the l1 norms of the point's run products
-    bounds them (`_packed_walk`).  A point raises what `term_series`
-    raises there; terms below q^0 that fail to cancel raise
+    on, and is reflected (`qfactorial.reflect`) once per subscript value;
+    its lead, a monomial at its exact valuation, goes into the points'
+    terms, and its valuation-0 runs are never built: along each index the
+    inner sums are added by Horner's rule, one binomial step per change
+    of subscript (`_Chains`).  A point raises what `term_series` raises
+    there; terms below q^0 that fail to cancel raise
     NegativeValuationResidual.
     """
-    terms = {k: c for k, c in _nested(spec, points, order).items()
-             if k[0] <= order}
+    terms = _nested(spec, points, order)
     bad = min((k for k in terms if k[0] < 0), default=None)
     if bad is not None:
         raise NegativeValuationResidual(
             f"residual term below q^0 after summation: q^{bad[0]} "
             f"(coefficient {terms[bad]})")
-    return Series(terms, order, 0)
+    return Series._cut(terms, order, 0)
 
 
 def _nested(spec: SumSpec, points, order: int) -> dict:
-    """The terms at `points` summed into one term dict (eval_sum_over).
+    """The terms at `points` summed into one term dict, every coefficient
+    nonzero and every q-exponent at or below the order (eval_sum_over).
 
     Each point is first checked, in order, as `term_series` checks it:
-    domain and exponents, every factor's reflection, then, unless a
-    factor is zero, its runs, built to `order`.  The walk raises nothing."""
+    domain and exponents, then every factor's reflection, then, unless a
+    factor is zero, each reciprocal run whose first binomial has q-weight
+    0, the one run that can have no inverse.  The walk raises nothing."""
     factors = [(f, -1) for f in spec.denoms] + [(f, 1) for f in spec.numers]
     depth = [max((k + 1 for k, c in enumerate(f.count.coeffs) if c), default=0)
              for f, _ in factors]  # how many indices the subscript reads
@@ -776,182 +783,235 @@ def _nested(spec: SumSpec, points, order: int) -> dict:
     kernel = spec.compiled
     leaves = []
     for point in points:
-        mono = kernel.lead(point)
+        lead = kernel.lead(point)
         ns = kernel.subscripts(point)
         refl = [reflect_once(f.arg, f.basepow, n, expo)
                 for (f, expo), n in zip(factors, ns)]
-        if None not in refl:
-            for run in (run for _, runs in refl for run in runs):
-                _run(*run, order)
-            leaves.append((point, mono, refl))
-    root = leaves and _rows(leaves, 0, depth, Monomial.unit(), order)
-    if not root:
+        if None in refl:
+            continue
+        for factor_lead, runs in refl:
+            for arg, _, _, power in runs:
+                if power < 0 and arg.qexp == 0:  # as `qfactorial._run`
+                    (Series.one() - Series.from_monomial(arg)).invert(order)
+            lead = lead * factor_lead
+        leaves.append((point, lead, ns))
+    if not leaves:
         return {}
-    product_of = cache(lambda runs, work: reduce(
-        mul, (_run(*run, work) for run in runs)))
-    if not spec.varweights and not any(f.arg.vars for f, _ in factors):
-        terms = _packed_walk(root, order, product_of)
-        if terms is not None:
-            return terms
-    acc: dict = {}
-    _add_rows(root, order, product_of, acc)
-    return {k: c for k, c in acc.items() if c}
+    return _Chains(factors, depth, leaves, order).terms()
 
 
-# A row: (runs, floor, inner, lead).  `runs` are the runs of the factors
-# whose subscript reads up to this index and no further, and `inner` the
-# rows of the next index, or, once no factor reads a later index, the
-# points' monomials whose terms, times `lead`, reach the order; `floor` =
-# min(0, least exponent of those terms).
-Row = tuple
+class _Chains:
+    """The chain walk of `_nested`: Horner's rule along each index.
 
+    A factor belongs to the last index its subscript reads, and the kids
+    of a prefix, grouped by that index, form a chain.  W(L), the product
+    of the runs of the chain's factors at subscripts L, steps from one
+    subscript to the next by (a; q^b)_(L+1) / (a; q^b)_L = 1 - a q^(bL),
+    taken in `reflect`'s valuation-0 form (1 - 1/A for a binomial 1 - A
+    of negative q-weight, whose -A is in the points' leads), so
+    sum_i U_i W(L_i) is Horner's rule from both ends of the chain toward
+    its anchor, the kid with the fewest binomials: each step multiplies
+    or divides by one binomial and cuts at the order, and the anchor's
+    own binomials come last, as steps from L = 0.  A step that would
+    divide by a binomial of q-weight 0 with no inverse ends the chain's
+    segment, and the kids beyond it get their own anchor.
 
-def _rows(leaves, d: int, depth, lead: Monomial, order: int) -> Row | None:
-    """The row of `leaves`, which share their first d indices, times
-    `lead`, the leads of the factors outside them; None if no term below
-    it reaches the order."""
-    here = [r for r, k in zip(leaves[0][2], depth) if k == d]
-    for factor_lead, _ in here:
-        lead = lead * factor_lead
-    runs = tuple(run for _, rs in here for run in rs)
-    if d >= max(depth, default=0):  # no factor reads a later index
-        inner = [mono for _, mono, _ in leaves
-                 if mono.qexp + lead.qexp <= order]
-        floor = min([0, *(mono.qexp + lead.qexp for mono in inner)])
-    else:  # the points come grouped by prefix, as in the sorted support
-        groups = groupby(leaves, key=lambda leaf: leaf[0][d])
-        inner = [row for _, group in groups
-                 if (row := _rows(list(group), d + 1, depth, lead, order))]
-        floor = min([0, *(row[1] for row in inner)])
-        if len(inner) == 1 and not inner[0][0]:  # one row without runs
-            _, _, inner, lead = inner[0]
-    return (runs, floor, inner, lead) if inner else None
-
-
-def _add_rows(row: Row, order: int, product_of, acc: dict) -> None:
-    """acc += the terms of `row` in dicts: the inner terms are added into
-    one dict, and with runs, shifted (one term) or multiplied (more) by
-    the runs' product, built to order - floor and cut at the order."""
-    runs, _, inner, lead = row
-    target = {} if runs else acc
-    if isinstance(inner[0], Monomial):
-        for mono in inner:
-            m = mono * lead
-            target[m.key()] = target.get(m.key(), 0) + m.coeff
-    else:
-        for kid in inner:
-            _add_rows(kid, order, product_of, target)
-    if not runs:
-        return
-    target = {k: c for k, c in target.items() if c}
-    if not target:
-        return
-    floor = min(0, *(k[0] for k in target))
-    if len(target) == 1:  # a monomial: a shift, no product
-        [((qe, vk), c)] = target.items()
-        series = product_of(runs, order - floor)
-        if qe > floor:
-            series = series.truncate(order - qe)
-        series = series.mul_monomial(Monomial(c, qe, vk))
-    else:
-        series = Series(target, order, floor) * product_of(runs, order - floor)
-    for k, c in series.terms.items():
-        acc[k] = acc.get(k, 0) + c
-
-
-def _packed_walk(root: Row, order: int, product_of) -> dict | None:
-    """The terms of a sum free of formal variables, in Z/2^(w n).
-
-    q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as rings, so a row is one
-    int, n = order - low + 1 fields of w bits, with q^e in the field
-    e - low, low = the root's floor; a run product P, of valuation 0,
-    packs from its own q^0.  A row of one point's lead c q^e adds
-    c P << w (e - low), any other row with runs is one multiply by P and
-    a mask, and the root is decoded once (`qring._unpack`).  Decoding is
-    exact when every coefficient lies in (-2^(w-1), 2^(w-1)), and no
-    coefficient of the sum exceeds the sum over the points of |lead|
-    times the product, over the point's rows, of the l1 norm of that
-    row's P: that bound sets w.  None when the cost rule, `_packs`,
-    leaves the sum to the dict walk.
+    Every step's series has q-exponents >= 0, so a cut at the order after
+    each step is exact.  A pure-q accumulator is a term dict keyed by
+    q-exponent, or, once a row from q^low, low the least exponent of a
+    point's lead (or 0), to the order would hold fewer than
+    `_ROW_PER_TERM` fields per term, that row, stepped in place by
+    `qfactorial._sweep` and `_recur`.  With formal variables it is a
+    dict keyed by one int (`qring.KeyLayout`): a term is a point's lead
+    times, from each step 1 - A, a power A^j, with sum j weight(A) <=
+    order - low for the A of positive q-weight, and at most one A of
+    q-weight 0 per factor from each of the two walks that can pass it,
+    so the fields hold every exponent in play.
     """
-    low = root[1]
-    n = order - low + 1
-    products: dict = {}  # (runs, work) -> (l1 norm, terms, fields) of P
-    tally = {"dict_terms": 0, "fields": n, "points": 0, "rows": []}
 
-    def survey(row: Row) -> tuple[int, int]:
-        """The bound on the row's coefficients, and its terms (at most n);
-        tallies both walks' work on the way."""
-        runs, floor, inner, lead = row
-        if isinstance(inner[0], Monomial):
-            bound = abs(lead.coeff) * sum(abs(m.coeff) for m in inner)
-            terms = len(inner)
-            tally["points"] += terms
+    def __init__(self, factors, depth, leaves, order: int):
+        self.factors, self.depth = factors, depth
+        self.bottom = max(depth, default=0)
+        self.low = min([0, *(lead.qexp for _, lead, _ in leaves)])
+        self.budget = order - self.low  # the largest step weight in play
+        self.size = self.budget + 1     # fields of a row
+        reach: dict[str, int] = {}
+        for f, _ in factors:
+            for name, e in f.arg.vars:
+                reach[name] = max(reach.get(name, 0), abs(e))
+        bounds = dict.fromkeys(reach, 0)
+        for _, lead, _ in leaves:
+            for name, e in lead.vars:
+                bounds[name] = max(bounds.get(name, 0), abs(e))
+        steps = self.budget + 2 * len(factors) + 1
+        self.layout = KeyLayout({name: b + steps * reach.get(name, 0)
+                                 for name, b in bounds.items()})
+        self.pure = not bounds
+        self.limit = self.layout.limit(order)
+        self.leaves = leaves
+        # the position of each factor's binomial of q-weight 0, when it
+        # has no inverse
+        self.stuck = [
+            -f.arg.qexp // f.basepow if f.arg.qexp % f.basepow == 0 and (
+                f.arg.vars or 1 - f.arg.coeff not in (1, -1)) else None
+            for f, _ in factors]
+
+    def terms(self) -> dict:
+        """The sum's term dict, the constant subscripts' runs applied."""
+        const = [k for k, d in enumerate(self.depth) if d == 0]
+        ns = self.leaves[0][2]
+        acc = self.rebase(self.value(self.leaves, 0), const,
+                          [ns[k] for k in const], [0] * len(const))
+        if isinstance(acc, list):
+            return {(self.low + i, ()): c for i, c in enumerate(acc) if c}
+        return self.layout.terms(acc, lifted=False)
+
+    def value(self, leaves, d: int):
+        """The sum of `leaves`, which share their first d indices, times
+        the runs of the factors of index d and later."""
+        if d == self.bottom:
+            acc: dict = {}
+            key, limit = self.layout.key, self.limit
+            for _, lead, _ in leaves:
+                k = key(lead.qexp, lead.vars)
+                if k < limit:
+                    acc[k] = acc.get(k, 0) + lead.coeff
+            return self.add(None, acc)
+        # the points come grouped by prefix, as in the sorted support
+        kids = [list(g) for _, g in groupby(leaves, key=lambda p: p[0][d])]
+        chain = [k for k, dk in enumerate(self.depth) if dk == d + 1]
+        subs = [[kid[0][2][k] for k in chain] for kid in kids]
+        acc = None
+        for s, m, e in self.segments(chain, subs):
+            up = down = None
+            for i in range(e, m, -1):
+                up = self.add(up, self.value(kids[i], d + 1))
+                up = self.rebase(up, chain, subs[i], subs[i - 1])
+            for i in range(s, m):
+                down = self.add(down, self.value(kids[i], d + 1))
+                down = self.rebase(down, chain, subs[i], subs[i + 1])
+            seg = self.add(self.add(up, down), self.value(kids[m], d + 1))
+            acc = self.add(acc, self.rebase(seg, chain, subs[m],
+                                            [0] * len(chain)))
+        return acc
+
+    def segments(self, chain, subs) -> list[tuple[int, int, int]]:
+        """(s, m, e) per segment: kids s..e, anchored at m, that Horner's
+        rule reaches with no step through a binomial it cannot divide by."""
+        out, todo = [], [(0, len(subs))]
+        while todo:
+            lo, hi = todo.pop()
+            if lo >= hi:
+                continue
+            m = min(range(lo, hi), key=lambda i: sum(map(abs, subs[i])))
+            s = e = m
+            while s > lo and self.passes(chain, subs[s - 1], subs[s]):
+                s -= 1
+            while e + 1 < hi and self.passes(chain, subs[e + 1], subs[e]):
+                e += 1
+            out.append((s, m, e))
+            todo += [(lo, s), (e + 1, hi)]
+        return out
+
+    def passes(self, chain, old, new) -> bool:
+        """Can `rebase` take a sum from subscripts `old` to `new`?"""
+        for k, a, b in zip(chain, old, new):
+            p = self.stuck[k]
+            if p is not None and min(a, b) <= p < max(a, b) and (
+                    self.factors[k][1] if a > b else -self.factors[k][1]) < 0:
+                return False
+        return True
+
+    def rebase(self, acc, chain, old, new):
+        """acc * W(old) / W(new) for the factors `chain`, one binomial
+        step at a time, each skipped when its weight passes the budget."""
+        for k, a, b in zip(chain, old, new):
+            if a == b:
+                continue
+            f, expo = self.factors[k]
+            arg, base = f.arg, f.basepow
+            power = expo if a > b else -expo
+            # the positions p whose binomial 1 - arg q^(b p) is in play
+            lo = max(min(a, b), -((self.budget + arg.qexp) // base))
+            hi = min(max(a, b), (self.budget - arg.qexp) // base + 1)
+            for p in range(lo, hi):
+                x = Monomial._of(arg.coeff, arg.qexp + base * p, arg.vars)
+                acc = self.step(acc, x if x.qexp >= 0 else x.inverse(),
+                                power < 0)
+        return acc
+
+    def step(self, acc, x: Monomial, divide: bool):
+        """acc * (1 - x) or acc / (1 - x), cut at the order."""
+        s, c = x.qexp, x.coeff
+        if s == 0 and not x.vars:  # a constant, a unit when it divides
+            u = 1 - c
+            if isinstance(acc, list):
+                acc[:] = [u * v for v in acc]
+                return acc
+            return {k: u * v for k, v in acc.items()}
+        if isinstance(acc, list):
+            (_recur if divide else _sweep)(acc, c, s)
+            return acc
+        kx, limit = self.layout.key(s, x.vars), self.limit
+        if not divide:
+            if self.pure and self.size < _ROW_PER_TERM * len(acc):
+                return self.step(self.row(acc), x, divide)
+            get = acc.get
+            for k, v in list(acc.items()):
+                n = k + kx
+                if n < limit:
+                    acc[n] = get(n, 0) - c * v
+            return acc
+        # out[k] = acc[k] + c out[k - kx], walked up each line k + j kx
+        # from its least key
+        starts: dict = {}
+        for k in acc:
+            r = k % kx
+            if r not in starts or k < starts[r]:
+                starts[r] = k
+        if self.pure and self.size < _ROW_PER_TERM * sum(
+                (limit - 1 - k) // kx + 1 for k in starts.values()):
+            return self.step(self.row(acc), x, divide)
+        out = {}
+        get = acc.get
+        for k in starts.values():
+            run = 0
+            while k < limit:
+                run = run * c + get(k, 0)
+                if run:
+                    out[k] = run
+                k += kx
+        return out
+
+    def add(self, acc, other):
+        """acc + other, either None for zero; a pure-q dict becomes a row
+        once the row is dense enough."""
+        if acc is None or other is None:
+            acc = other if acc is None else acc
+        elif isinstance(acc, list):
+            if isinstance(other, list):
+                acc[:] = map(add, acc, other)
+            else:
+                low = self.low
+                for k, v in other.items():
+                    acc[k - low] += v
+        elif isinstance(other, list):
+            return self.add(other, acc)
         else:
-            kids = [survey(kid) for kid in inner]
-            bound = sum(b for b, _ in kids)
-            terms = min(n, sum(t for _, t in kids))
-        if not runs:
-            return bound, terms
-        key = runs, order - floor
-        if key not in products:
-            p = product_of(*key).terms
-            products[key] = (sum(map(abs, p.values())), len(p),
-                             max(e for e, _ in p) + 1)
-            tally["fields"] += products[key][2]
-        norm, size, fields = products[key]
-        if terms == 1 and isinstance(inner[0], Monomial):  # a shift
-            tally["dict_terms"] += size
-        else:  # a product: keyed, or packed by `qring._convolve`
-            tally["dict_terms"] += min(terms * size, 4 * (n + fields))
-            tally["rows"].append(fields)
-        terms = min(n, terms * size)
-        tally["dict_terms"] += terms
-        return bound * norm, terms
+            if len(acc) < len(other):
+                acc, other = other, acc
+            get = acc.get
+            for k, v in other.items():
+                acc[k] = get(k, 0) + v
+        if self.pure and isinstance(acc, dict) and \
+                self.size < _ROW_PER_TERM * len(acc):
+            return self.row(acc)
+        return acc
 
-    width = survey(root)[0].bit_length() // 8 + 1
-    if not _packs(n, width, **tally):
-        return None
-    w = 8 * width
-    mask = (1 << w * n) - 1
-    packed = {key: _pack(_row(product_of(*key).terms, 0, fields - 1), width)
-              for key, (_, _, fields) in products.items()}
-
-    def value(row: Row) -> int:
-        runs, floor, inner, lead = row
-        p = runs and packed[runs, order - floor]
-        if isinstance(inner[0], Monomial):
-            c, shift = lead.coeff, lead.qexp - low
-            if runs and len(inner) == 1:
-                return c * inner[0].coeff * p << w * (inner[0].qexp + shift)
-            x = sum(c * m.coeff << w * (m.qexp + shift) for m in inner)
-        else:
-            x = sum(map(value, inner))
-        return (x & mask) * p & mask if runs else x
-
-    coeffs = _unpack(value(root), n, width)
-    return {(low + i, ()): c for i, c in enumerate(coeffs) if c}
-
-
-def _packs(n: int, width: int, dict_terms: int, fields: int, points: int,
-           rows: list[int]) -> bool:
-    """Does the packed walk of a sum cost less than the dict walk?
-
-    Both costs are in units of one term the dict walk shifts, multiplies
-    or adds (`dict_terms`), about 0.2 us on CPython 3.11.  The packed
-    walk packs each P and decodes the root, one unit per field; adds one
-    n-field row of `width` bytes per point, a unit per 27 bytes; and
-    multiplies each row that is not a shift by its P, a unit per 56 steps
-    of Karatsuba's k1 * k2^0.585 on k1 >= k2 30-bit digits.  The
-    constants were fitted on the two walks' times over 391 random pure-q
-    sums of 1 to 3 indices at orders 30 to 2000, on CPython 3.11, and
-    checked on 372 others: there the rule costs 0.8% over always taking
-    the faster walk, always taking the dict walk 12.3%, and no sum took
-    more than 1.37 times its faster walk.  A sum of monomials stays on
-    the dict walk, as does a sum whose runs are sparse, since it packs
-    many fields per term.
-    """
-    digits = n * width * 8 // 30 + 1
-    karatsuba = sum(max(digits, d) * min(digits, d) ** 0.585
-                    for d in (f * width * 8 // 30 + 1 for f in rows))
-    return fields + points * n * width / 27 + karatsuba / 56 < dict_terms
+    def row(self, acc: dict) -> list[int]:
+        """A pure-q dict as a row from q^low to the order."""
+        row = [0] * self.size
+        low = self.low
+        for k, v in acc.items():
+            row[k - low] = v
+        return row

@@ -9,13 +9,10 @@ and build each piece only to its depth, so the two paths share nothing
 above the ring operations.
 """
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import summation
 from qident.catalog import get_identity
 from qident.qfactorial import (
     FactorSpec,
@@ -223,18 +220,14 @@ def summed_references(spec, points, order: int):
 @settings(max_examples=200, deadline=None)
 @given(pure_sums(), st.integers(0, 24))
 def test_pure_q_sums_match_the_reference(spec, order):
-    """Both walks of eval_sum_over, the packed one in Z/2^(w n) and the
-    one on term dicts, and the one the cost rule picks, against the
-    reference terms, which share no code with either walk."""
+    """The chain walk of eval_sum_over, on term dicts and on rows,
+    against the reference terms, which share no code with it."""
     try:
         points = enumerate_support(spec, order).points
     except UnboundedSupport:
         return
-    want = summed_references(spec, points, order)
-    for packs in (True, False):
-        with mock.patch.object(summation, "_packs", lambda *_, **__: packs):
-            check(lambda: eval_sum_over(spec, points, order), want, order)
-    check(lambda: eval_sum_over(spec, points, order), want, order)
+    check(lambda: eval_sum_over(spec, points, order),
+          summed_references(spec, points, order), order)
 
 
 @pytest.mark.parametrize("key,params", [

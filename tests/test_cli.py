@@ -5,11 +5,15 @@ object per line and stderr the human transcript, so capsys sees both.
 """
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from qident import catalog, cli, ctengine, qfactorial, qring, summation
+from qident import catalog, cli, ctengine, qfactorial, qring
 from qident.catalog import default_instances, get_identity
 from qident.cli import main
 from qident.qring import NotInvertible
@@ -646,18 +650,34 @@ def test_multi_index_statements_match_the_golden_records(capsys, monkeypatch):
 
 def test_wide_coefficients_match_the_golden_records(capsys, monkeypatch):
     """Pure-q sums whose coefficients pass 2^64 below q^150: Durfee's
-    identity cubed as a triple sum (65 bits) on the packed walk, a single
-    sum with eight reciprocal factors (85 bits) over N and over Z, and a
-    planted pairing whose record carries the 65-bit coefficient of
-    q^150.  The records were made before sums were packed."""
-    walks = []
-    real = summation._packed_walk
-    monkeypatch.setattr(summation, "_packed_walk",
-                        lambda *a: walks.append(real(*a)) or walks[-1])
+    identity cubed as a triple sum (65 bits), a single sum with eight
+    reciprocal factors (85 bits) over N and over Z, and a planted pairing
+    whose record carries the 65-bit coefficient of q^150.  The records
+    were made before sums were packed into big ints."""
     monkeypatch.chdir(WIDE.parent)
     assert main(["verify", WIDE.name, "--order", "150", "--no-timing"]) == 1
     assert capsys.readouterr().out == WIDE_GOLDEN.read_text()
-    assert any(terms is not None for terms in walks)
+
+
+def test_rr1_at_order_10000_fits_in_128_mb():
+    """The sum of rr1 at order 10^4 holds one row, not every prefix of
+    1/(q; q)_n (a 211 MB address space when it did).  The child runs
+    under RLIMIT_AS = 128 MB, set in the child alone, so a regression
+    fails here rather than exhausting the machine."""
+    limit = 128 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "qident.cli", "verify", "--catalog", "rr1",
+         "--order", "10000", "--no-timing"],
+        capture_output=True, text=True, timeout=300, preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr[-2000:]
+    [record] = [json.loads(line) for line in done.stdout.splitlines()]
+    assert record["status"] == "pass"
 
 
 @pytest.mark.parametrize("argv,golden", [

@@ -270,10 +270,10 @@ def test_euler_expansion_matches_the_formal_z_product(order):
 
 
 def test_zfactor_expansion_convolution_count(monkeypatch):
-    """Euler's closed forms, multiplied once each into the product of the
-    others, and the 1/(q^b; q^b)_n pieces, each one binomial longer than
-    the cached one before it: the m = 1 product side of the 1psi1 sum at
-    order 16 needs 63 convolutions from cold caches (516 when every
+    """The m = 1 product side of the 1psi1 sum at order 16, from cold
+    caches: the Euler series of its four z-carrying factors, each
+    multiplied once into the product of those before it, and that
+    product once by the z-free part, are 5 convolutions (516 when every
     pair of z-coefficients was multiplied apart)."""
     qfactorial._RUNS.clear()
     calls = []
@@ -282,7 +282,7 @@ def test_zfactor_expansion_convolution_count(monkeypatch):
                         lambda *a: calls.append(1) or real(*a))
     ident = get_identity("ramanujan-1psi1", m=1)
     expand(zcarrying(ident.lowered.rhs), 16, ident.zwindow)
-    assert len(calls) <= 70
+    assert len(calls) == 5
 
 
 def test_open_factor_fold_adds_once_per_closed_z_power(monkeypatch):

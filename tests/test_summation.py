@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qident import qfactorial, qring, summation
 from qident.catalog import get_identity
+from qident.qfactorial import expand_factors
 from qident.qring import Monomial, Series
 from qident.summation import (
     AffineForm,
@@ -21,6 +22,7 @@ from qident.summation import (
     DomainError,
     NegativeValuationResidual,
     QuadForm,
+    SumSpec,
     SupportReport,
     UnboundedSupport,
     _IntForm,
@@ -643,58 +645,91 @@ def test_a_sum_needs_integral_subscript_forms():
         enumerate_support(one_index(count=N0.scale(HALF)), 4)
 
 
-# ------------------------------------------------------------ path choice
+# ------------------------------------------------------------ chain walk
 #
-# A sum free of formal variables takes the packed walk when the cost rule
-# (`summation._packs`) says it is cheaper; these pin both sides of it.
+# Every sum is one chain walk: Horner's rule along each index's run
+# prefixes, one binomial step per change of subscript, with no run
+# product and no entry in `qfactorial._RUNS`.
 
 
-def packed_walks(monkeypatch) -> list:
-    """What each call of `_packed_walk` returns: None for the dict walk."""
-    seen = []
-    real = summation._packed_walk
-    monkeypatch.setattr(summation, "_packed_walk",
-                        lambda *a: seen.append(real(*a)) or seen[-1])
-    return seen
+def term_by_term(spec: SumSpec, order: int) -> dict:
+    """The terms of `spec` below the order, each point's term assembled
+    apart by `qfactorial.expand_factors` from its cached runs and their
+    products, and the terms added one after another."""
+    kernel = spec.compiled
+    acc = Series.zero(order)
+    for point in enumerate_support(spec, order).points:
+        acc = acc + expand_factors(
+            kernel.lead(point),
+            [(f.arg, f.basepow, n, -1)
+             for f, n in zip(spec.denoms, kernel.subscripts(point))], order)
+    return {k: c for k, c in acc.terms.items() if k[0] <= order}
 
 
-def test_sums_of_monomials_and_sparse_runs_stay_on_dict_terms(monkeypatch):
-    """A theta sum at order 10^5 has no run to pack, and 1/(q^100;
-    q^100)_n at order 5000 has a term every 100 fields."""
-    seen = packed_walks(monkeypatch)
-    n = AffineForm.index(0, 1)
-    theta = make_sum_spec(1, "Z", QuadForm.square(n))
-    assert eval_sum(theta, 100000).coeff(99856) == 2
-    sparse = make_sum_spec(1, "N", QuadForm.square(n),
-                           denoms=[DenomFactor(Monomial.q(100), 100, n)])
-    assert eval_sum(sparse, 5000).qcoeffs(5)[:2] == [1, 1]
-    assert seen == [None, None]
-
-
-def test_the_triple_sum_takes_the_packed_walk(monkeypatch):
-    """cor-triple at order 40 from cold caches: the packed walk, with no
-    product of term dicts (36 `_convolve` calls on the dict walk)."""
-    seen = packed_walks(monkeypatch)
+@pytest.mark.parametrize("key,order", [("main", 24), ("cor-triple", 40)])
+def test_the_chain_walk_multiplies_no_series_and_caches_no_run(
+        monkeypatch, key, order):
+    """`main` (x, y) and `cor-triple` (pure q, three indices) from cold
+    caches: every step is a sweep, a recurrence or a keyed dict step."""
     calls = []
     real = qring._convolve
     monkeypatch.setattr(qring, "_convolve",
                         lambda *a: calls.append(1) or real(*a))
     qfactorial._RUNS.clear()
-    spec = get_identity("cor-triple").lowered.lhs
-    eval_sum_over(spec, enumerate_support(spec, 40).points, 40)
-    assert len(seen) == 1 and seen[0] is not None
-    assert len(calls) == 0
+    spec = get_identity(key).lowered.lhs
+    got = eval_sum_over(spec, enumerate_support(spec, order).points, order)
+    assert got.coeff(0) == 1 and got.order == order
+    assert calls == [] and qfactorial._RUNS == {}
 
 
-def test_dict_walk_shifts_make_no_terms_above_the_order(monkeypatch):
-    """The x, y sum of `main` at order 24 shifts each run product cut at
-    the order, so no shift makes a term the sum then drops.  Before the
-    cut, the sums of `prove-main --order 24` shifted 22,703 terms, of
-    which 6,103 lay at or below the order."""
-    made = []
-    real = Series.mul_monomial
-    monkeypatch.setattr(Series, "mul_monomial",
-                        lambda s, m: made.append(real(s, m)) or made[-1])
+def test_the_factor_free_theta_sum_holds_no_dense_row(monkeypatch):
+    """sum over Z of q^(n^2) at order 10^5: 633 points, 317 terms, stay
+    in a dict, never a row of 10^5 fields."""
+    rows = []
+    real = summation._Chains.row
+    monkeypatch.setattr(summation._Chains, "row",
+                        lambda self, acc: rows.append(1) or real(self, acc))
+    n = AffineForm.index(0, 1)
+    theta = eval_sum(make_sum_spec(1, "Z", QuadForm.square(n)), 100000)
+    assert len(theta.terms) == 317 and theta.coeff(99856) == 2
+    assert rows == []
+
+
+def test_a_sum_with_two_runs_on_its_last_index_matches_its_terms():
+    """i^2 + binom(j+1, 2) over 1/((q^2; q)_(i+j) (q^6; q^3)_j) at order
+    600: the last index steps both runs, where a product per point of the
+    two took 3.6 s."""
+    i, j = AffineForm.index(0, 2), AffineForm.index(1, 2)
+    spec = make_sum_spec(
+        2, "NN", QuadForm.square(i) + QuadForm.binom2(j.shift(1)),
+        denoms=[DenomFactor(Monomial.q(2), 1, i + j),
+                DenomFactor(Monomial.q(6), 3, j)])
+    assert eval_sum(spec, 600).terms == term_by_term(spec, 600)
+
+
+def test_a_step_with_no_inverse_splits_the_chain(monkeypatch):
+    """q^(n^2) / ((-q; q)_(n-1) (q; q)_n) over N: the kids n = 0 and 1
+    both have one binomial, and from n = 0 the step to n = 1 would divide
+    by 1 - (-1) = 2, so each side of that step has its own anchor."""
+    n = AffineForm.index(0, 1)
+    spec = make_sum_spec(1, "N", QuadForm.square(n), denoms=[
+        DenomFactor(Monomial(-1, 1), 1, n.shift(-1)),
+        DenomFactor(Monomial.q(), 1, n)])
+    segments = []
+    real = summation._Chains.segments
+    monkeypatch.setattr(summation._Chains, "segments",
+                        lambda *a: segments.append(real(*a)) or segments[-1])
+    assert eval_sum(spec, 60).terms == term_by_term(spec, 60)
+    assert sorted(segments[0]) == [(0, 0, 0), (1, 1, 7)]
+
+
+def test_a_sum_is_certified_once(monkeypatch):
+    """Lowering certifies the support of `main` and keeps the plans on
+    the spec, so enumerating it walks the sign regions no second time."""
+    calls = []
+    real = summation._regions
+    monkeypatch.setattr(summation, "_regions",
+                        lambda spec: calls.append(1) or real(spec))
     spec = get_identity("main").lowered.lhs
-    eval_sum_over(spec, enumerate_support(spec, 24).points, 24)
-    assert made and all(k[0] <= 24 for s in made for k in s.terms)
+    assert len(enumerate_support(spec, 8).points) == 61
+    assert len(calls) == 1
