@@ -11,26 +11,22 @@ Every finite factor goes through one rule, `reflect`: a binomial 1 - A
 of negative q-weight is -A (1 - 1/A) (Gasper-Rahman, *Basic
 Hypergeometric Series*, Appendix I), so a factor is a signed monomial at
 its exact valuation times runs of binomials of q-weight >= 0.  Those
-runs have valuation 0 and are needed only to depth order - valuation;
-for product sides and single factors `_run` builds them one binomial at
-a time and caches every prefix at the working order.  A run has two
-representations: a step free of formal variables, of positive q-weight,
-at a finite order, works in place on a coefficient row -- a binomial is
-a downward sweep over a row that reaches only the run's degree, its
-reciprocal an upward recurrence over a row to the order -- and every
-other step multiplies Series, a reciprocal step of positive q-weight by
-its geometric series.  An exact polynomial is the same computation at
-order `EXACT`.  A sum builds no run: it takes the same binomial steps
-on its own accumulator along each index (`summation.eval_sum_over`),
-and leaves nothing in the cache.
+runs have valuation 0 and are needed only to depth order - valuation.
+One engine applies them, `_Stepper`: it multiplies or divides an
+accumulator by one binomial at a time and cuts it at the order, the
+accumulator a term dict, a coefficient row (a binomial is a downward
+sweep, its reciprocal an upward recurrence) or, with formal variables,
+a dict keyed by one int.  A sum steps it along each index
+(`summation.eval_sum_over`); product sides and single factors
+(`expand_factors`) step each factor from subscript 0, and an exact
+polynomial is that walk to its degree.  Neither keeps a run.
 
 Every infinite factor (a; q^b)_inf^(+-1), of a product side or of the z
 layer, is one call of `infinite_factor`, which inverts no series: a
 pure-q factor is one coefficient row stepped to the order, and a factor
 with formal variables is Euler's series in a, its coefficients read off
-the prefixes of the one cached run 1/(q^b; q^b)_n.  `_RUNS` caches both,
-and is the module's only cache.  `expand_factors` assembles product
-sides and single factors.
+one row 1/(q^b; q^b)_n stepped in n.  `_RUNS` caches the finished
+factors, and is the module's only cache.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from itertools import accumulate, chain
 from math import gcd
 from operator import add, sub
 
-from .qring import EXACT, Monomial, QSeriesError, Series
+from .qring import EXACT, KeyLayout, Monomial, QSeriesError, Series
 
 INF = None  # sentinel for an infinite product count
 
@@ -131,94 +127,18 @@ def reflect(arg: Monomial, basepow: int, n: int,
     return lead, tuple(runs)
 
 
-# (arg, basepow, expo, order) -> [run of 0, 1, 2, ... binomials], and
-# (arg, basepow, INF, expo, order) -> the infinite factor, its last prefix
-# only (`infinite_factor`).  Product sides, single factors and Euler's
-# series fill it; sums do not (`summation._Chains`).
-_RUNS: dict[tuple, list[Series] | Series] = {}
+# (arg, basepow, INF, expo, order) -> the infinite factor of product
+# sides and the z layer; finite factors and sums are stepped afresh.
+_RUNS: dict[tuple, Series] = {}
 
-# A numerator step goes on the row while the row has fewer than this many
-# entries per term of the prefix (see `_run` and `_infinite_terms`).
+# An accumulator free of formal variables becomes a coefficient row once
+# the row would hold fewer than this many entries per term (`_Stepper`,
+# `_infinite_terms`).  Measured on 13 numerator runs (q^a; q^b)_n at
+# orders 60 to 10^5 against products of Series, the row was 4 to 7 times
+# as fast on dense runs and 2 to 3 times as slow on the sparse
+# (q^1000; q)_20 at order 10^5; thresholds of 4 and 8 gave the least
+# total time.
 _ROW_PER_TERM = 4
-
-
-def _run(arg: Monomial, basepow: int, count: int, expo: int,
-         order: int) -> Series:
-    """prod_{k<count} (1 - arg q^{bk})^expo for arg of q-weight >= 0.
-
-    Truncated at `order`, where the binomials of q-weight above `order`
-    are 1 and are skipped; the exact polynomial at order `EXACT` (expo =
-    1 only).  Each length extends the cached one before it.
-
-    Two representations, chosen step by step.  A step free of formal
-    variables, of q-weight s > 0, at a finite order, works in place on a
-    coefficient row: row[i] holds the coefficient of q^(g i), where g =
-    gcd(arg's q-weight, basepow) divides every exponent of the run.  A
-    binomial 1 - a q^s is the downward sweep row[k] -= a row[k - s/g]
-    over a row that reaches only the run's degree; its reciprocal is the
-    upward recurrence row[k] += a row[k - s/g] over a row to the order,
-    so neither `Series.invert` nor a product runs.  Every other step --
-    of weight 0, with formal variables, or at order `EXACT` -- multiplies
-    by the binomial (or its inverse) as a Series; the inverse of a binomial
-    1 - a of positive q-weight s at a finite order is its geometric series
-    sum a^k over k s <= order.  A numerator step stays
-    on that product when the row would hold more than `_ROW_PER_TERM`
-    entries per term of the prefix.  Measured on 13 numerator runs
-    (q^a; q^b)_n at orders 60 to 10^5, the row was 4 to 7 times as fast
-    as the product on dense runs and 2 to 3 times as slow on the sparse
-    (q^1000; q)_20 at order 10^5; thresholds of 4 and 8 gave the least
-    total time, 32 12% more and 2 60% more.
-    """
-    key = (arg, basepow, expo, order)
-    prefixes = _RUNS.get(key)
-    if prefixes is None:
-        prefixes = _RUNS[key] = [Series.one(order)]
-    g = gcd(arg.qexp, basepow)
-    row = None
-    while len(prefixes) <= count:
-        shift = basepow * (len(prefixes) - 1)
-        s = arg.qexp + shift
-        if s > order:
-            return prefixes[-1]
-        a = arg * Monomial.q(shift)
-        last = prefixes[-1]
-        if s and not a.vars and order < EXACT:
-            if expo < 0:
-                top = order // g
-            else:
-                degree = len(row) - 1 if row is not None else max(
-                    (e for e, _ in last.terms), default=0) // g
-                top = min(order // g, degree + s // g)
-            if expo < 0 or top < _ROW_PER_TERM * len(last.terms):
-                if row is None:
-                    row = [0] * (top + 1)
-                    for (e, _), c in last.terms.items():
-                        row[e // g] = c
-                    keys = []
-                row += [0] * (top + 1 - len(row))
-                keys += [(g * i, ()) for i in range(len(keys), len(row))]
-                (_recur if expo < 0 else _sweep)(row, a.coeff, s // g)
-                prefixes.append(Series._cut(
-                    {k: c for k, c in zip(keys, row) if c}, order, 0))
-                continue
-        row = None
-        if expo < 0 and s and order < EXACT:
-            binomial = _geometric(a, order)
-        else:
-            binomial = Series.one() - Series.from_monomial(a)
-            if expo < 0:
-                binomial = binomial.invert(order)
-        prefixes.append(last * binomial)
-    return prefixes[count]
-
-
-def _geometric(a: Monomial, order: int) -> Series:
-    """1/(1 - a) = sum a^k to `order`, for a of q-weight > 0."""
-    terms, power = {}, Monomial.unit()
-    while power.qexp <= order:
-        terms[power.key()] = power.coeff
-        power = power * a
-    return Series._cut(terms, order, 0)
 
 
 def _sweep(row: list[int], a: int, t: int) -> None:
@@ -257,8 +177,8 @@ def infinite_factor(arg: Monomial, basepow: int, expo: int,
     the order (`_infinite_terms`).  A factor with formal variables is
     Euler's series (Gasper-Rahman, eqs. (1.3.15)-(1.3.16)): [arg^n] is
     (-1)^n q^(b binom(n,2)) / (q^b; q^b)_n for the product and
-    1/(q^b; q^b)_n for the reciprocal, each read off prefix n of the one
-    cached run 1/(q^b; q^b)_n at `order`.  Their leading q-weights
+    1/(q^b; q^b)_n for the reciprocal, each read off one row stepped
+    from n - 1 to n (`_euler`).  Their leading q-weights
     never fall as n grows, so the series stops at the first n whose
     weight passes the order.  The factor is cached in `_RUNS`.
     """
@@ -283,12 +203,12 @@ def _infinite_terms(a: int, steps: range, expo: int, top: int):
 
     A reciprocal is `_recur` stepped over a row to `top`.  A product is
     stepped on its term dict while a row to its degree would hold
-    `_ROW_PER_TERM` or more entries per term, as in `_run`, and from the
-    first step where it would hold fewer, `_sweep` stepped over that row.
-    It stays on the row, though the product may thin out again: (q;q)_inf
-    at order 3000 has 89 terms, and its row, kept to the end, took 0.23 s
-    against 0.36 s when each step checked the rule anew (CPython 3.11 on
-    a shared 2-vCPU machine).
+    `_ROW_PER_TERM` or more entries per term, and from the first step
+    where it would hold fewer, `_sweep` stepped over that row.  It stays
+    on the row, though the product may thin out again: (q;q)_inf at order
+    3000 has 89 terms, and its row, kept to the end, took 0.23 s against
+    0.36 s when each step checked the rule anew (CPython 3.11 on a shared
+    2-vCPU machine).
     """
     if expo < 0:
         row = [1] + [0] * top
@@ -315,8 +235,10 @@ def _infinite_terms(a: int, steps: range, expo: int, top: int):
 
 def _euler(arg: Monomial, basepow: int, expo: int, order: int) -> Series:
     """Euler's series of (arg; q^basepow)_inf^expo, arg with formal
-    variables (`infinite_factor`)."""
-    base = Monomial.q(basepow)
+    variables (`infinite_factor`).  row[i] is the coefficient of q^(b i)
+    in 1/(q^b; q^b)_n, stepped from n - 1 to n by `_recur` and cut, as
+    the weight of arg^n rises, to what still reaches the order."""
+    row = [1] + [0] * (order // basepow)
     terms: dict = {}
     power = Monomial.unit()  # arg^n
     n = 0
@@ -326,11 +248,199 @@ def _euler(arg: Monomial, basepow: int, expo: int, order: int) -> Series:
         room = order - lead.qexp
         if room < 0:
             return Series._cut(terms, order, 0)
-        for (e, _), c in _run(base, basepow, n, -1, order).terms.items():
-            if e <= room:
-                terms[(lead.qexp + e, lead.vars)] = lead.coeff * c
+        del row[room // basepow + 1:]
+        if n:
+            _recur(row, 1, n)
+        for i, c in enumerate(row):
+            if c:
+                terms[(lead.qexp + basepow * i, lead.vars)] = lead.coeff * c
         power = power * arg
         n += 1
+
+
+def checked_lead(lead: Monomial, reflected, order: int) -> Monomial | None:
+    """`lead` times the leads in `reflected`, the `reflect` values of a
+    term's factors, or None when a factor is zero.  Every factor is
+    reflected first (by the caller, so that a ZeroDivisor raises even
+    beside a zero factor); then, unless a factor is zero, the binomial
+    of q-weight 0 that starts a reciprocal run, the one that can have no
+    inverse, is inverted, to raise NotInvertible where it has none."""
+    if None in reflected:
+        return None
+    for factor_lead, runs in reflected:
+        for arg, _, _, power in runs:
+            if power < 0 and arg.qexp == 0:
+                (Series.one() - Series.from_monomial(arg)).invert(order)
+        lead = lead * factor_lead
+    return lead
+
+
+class _Stepper:
+    """Sums of monomials times binomial runs, one binomial step at a
+    time: the accumulator of a sum's chain walk (`summation._Chains`)
+    and of a product of finite factors (`expand_factors`).
+
+    `factors` holds (arg, basepow, expo) per Pochhammer factor.  Its
+    runs at subscript L, W(L), step to L + 1 by the binomial
+    (a; q^b)_(L+1) / (a; q^b)_L = 1 - a q^(bL), taken in `reflect`'s
+    valuation-0 form: 1 - 1/A for a binomial 1 - A of negative q-weight,
+    whose -A is in the leads.  So every step's series has q-exponents
+    >= 0, and a cut at the order after each step is exact.
+
+    A pure-q accumulator is a term dict keyed by q-exponent, or, once a
+    row from q^low, low the least exponent of a lead (or 0), to the
+    order would hold fewer than `_ROW_PER_TERM` fields per term, that
+    row, stepped in place by `_sweep` and `_recur`.  With formal
+    variables it is a dict keyed by one int (`qring.KeyLayout`): a term
+    is a lead times, from each step 1 - A, a power A^j, with sum j
+    weight(A) <= order - low for the A of positive q-weight, and at most
+    one A of q-weight 0 per factor from each of the two walks that can
+    pass it (toward a chain's anchor from either end), so the fields hold
+    every exponent in play.
+    """
+
+    def __init__(self, factors, leads, order: int):
+        self.factors = factors
+        self.low = min([0, *(lead.qexp for lead in leads)])
+        self.budget = order - self.low  # the largest step weight in play
+        self.size = self.budget + 1     # fields of a row
+        reach: dict[str, int] = {}
+        for arg, _, _ in factors:
+            for name, e in arg.vars:
+                reach[name] = max(reach.get(name, 0), abs(e))
+        bounds = dict.fromkeys(reach, 0)
+        for lead in leads:
+            for name, e in lead.vars:
+                bounds[name] = max(bounds.get(name, 0), abs(e))
+        steps = self.budget + 2 * len(factors) + 1
+        self.layout = KeyLayout({name: b + steps * reach.get(name, 0)
+                                 for name, b in bounds.items()})
+        self.pure = not bounds
+        self.limit = self.layout.limit(order)
+        # the position of each factor's binomial of q-weight 0, when it
+        # has no inverse
+        self.stuck = [
+            -arg.qexp // base if arg.qexp % base == 0 and (
+                arg.vars or 1 - arg.coeff not in (1, -1)) else None
+            for arg, base, _ in factors]
+
+    def monomials(self, leads):
+        """The sum of `leads` as an accumulator, cut at the order."""
+        acc: dict = {}
+        key, limit = self.layout.key, self.limit
+        for lead in leads:
+            k = key(lead.qexp, lead.vars)
+            if k < limit:
+                acc[k] = acc.get(k, 0) + lead.coeff
+        return self.add(None, acc)
+
+    def terms(self, acc) -> dict:
+        """The term dict of an accumulator."""
+        if isinstance(acc, list):
+            return {(self.low + i, ()): c for i, c in enumerate(acc) if c}
+        return self.layout.terms(acc, lifted=False)
+
+    def passes(self, chain, old, new) -> bool:
+        """Can `rebase` take a sum from subscripts `old` to `new`?"""
+        for k, a, b in zip(chain, old, new):
+            p = self.stuck[k]
+            if p is not None and min(a, b) <= p < max(a, b) and (
+                    self.factors[k][2] if a > b else -self.factors[k][2]) < 0:
+                return False
+        return True
+
+    def rebase(self, acc, chain, old, new):
+        """acc * W(old) / W(new) for the factors `chain`, one binomial
+        step at a time, each skipped when its weight passes the budget."""
+        for k, a, b in zip(chain, old, new):
+            if a == b:
+                continue
+            arg, base, expo = self.factors[k]
+            power = expo if a > b else -expo
+            # the positions p whose binomial 1 - arg q^(b p) is in play
+            lo = max(min(a, b), -((self.budget + arg.qexp) // base))
+            hi = min(max(a, b), (self.budget - arg.qexp) // base + 1)
+            for p in range(lo, hi):
+                x = Monomial._of(arg.coeff, arg.qexp + base * p, arg.vars)
+                acc = self.step(acc, x if x.qexp >= 0 else x.inverse(),
+                                power < 0)
+        return acc
+
+    def step(self, acc, x: Monomial, divide: bool):
+        """acc * (1 - x) or acc / (1 - x), cut at the order."""
+        s, c = x.qexp, x.coeff
+        if s == 0 and not x.vars:  # a constant, a unit when it divides
+            u = 1 - c
+            if isinstance(acc, list):
+                acc[:] = [u * v for v in acc]
+                return acc
+            return {k: u * v for k, v in acc.items()}
+        if isinstance(acc, list):
+            (_recur if divide else _sweep)(acc, c, s)
+            return acc
+        kx, limit = self.layout.key(s, x.vars), self.limit
+        if not divide:
+            if self.pure and self.size < _ROW_PER_TERM * len(acc):
+                return self.step(self.row(acc), x, divide)
+            get = acc.get
+            for k, v in list(acc.items()):
+                n = k + kx
+                if n < limit:
+                    acc[n] = get(n, 0) - c * v
+            return acc
+        # out[k] = acc[k] + c out[k - kx], walked up each line k + j kx
+        # from its least key
+        starts: dict = {}
+        for k in acc:
+            r = k % kx
+            if r not in starts or k < starts[r]:
+                starts[r] = k
+        if self.pure and self.size < _ROW_PER_TERM * sum(
+                (limit - 1 - k) // kx + 1 for k in starts.values()):
+            return self.step(self.row(acc), x, divide)
+        out = {}
+        get = acc.get
+        for k in starts.values():
+            run = 0
+            while k < limit:
+                run = run * c + get(k, 0)
+                if run:
+                    out[k] = run
+                k += kx
+        return out
+
+    def add(self, acc, other):
+        """acc + other, either None for zero; a pure-q dict becomes a row
+        once the row is dense enough."""
+        if acc is None or other is None:
+            acc = other if acc is None else acc
+        elif isinstance(acc, list):
+            if isinstance(other, list):
+                acc[:] = map(add, acc, other)
+            else:
+                low = self.low
+                for k, v in other.items():
+                    acc[k - low] += v
+        elif isinstance(other, list):
+            return self.add(other, acc)
+        else:
+            if len(acc) < len(other):
+                acc, other = other, acc
+            get = acc.get
+            for k, v in other.items():
+                acc[k] = get(k, 0) + v
+        if self.pure and isinstance(acc, dict) and \
+                self.size < _ROW_PER_TERM * len(acc):
+            return self.row(acc)
+        return acc
+
+    def row(self, acc: dict) -> list[int]:
+        """A pure-q dict as a row from q^low to the order."""
+        row = [0] * self.size
+        low = self.low
+        for k, v in acc.items():
+            row[k - low] = v
+        return row
 
 
 def expand_factors(lead: Monomial, factors, order: int,
@@ -340,44 +450,39 @@ def expand_factors(lead: Monomial, factors, order: int,
     `factors` holds (arg, basepow, n, expo) with expo = +-1 and any
     integer n; `pieces` are valuation-0 series sound to `order`, used
     only when the product does not dip below q^0.  The product is zero
-    if any factor is (a ZeroDivisor from another factor still raises).
-    Otherwise its valuation v is that of lead times the reflected leads,
-    and each run is needed only to depth order - v.  A product dipping
-    below q^0 keeps its floor there and its order at `order`.  The runs
-    are built even when v > order, so that a run with no inverse raises
-    rather than passing for zero.  At order `EXACT` the runs are
-    polynomials and the product is exact.
+    if any factor is, after the checks of `checked_lead`.  Otherwise the
+    reflected lead is a monomial at the product's valuation v, and one
+    `_Stepper` walk steps each factor's binomials from subscript 0 to n,
+    those of q-weight above order - min(v, 0) skipped.  A product
+    dipping below q^0 keeps its floor there and its order at `order`.
     """
-    runs: list[Run] = []
-    zero = False
-    for arg, basepow, n, expo in factors:
-        reflected = reflect(arg, basepow, n, expo)
-        if reflected is None:
-            zero = True
-            continue
-        lead = lead * reflected[0]
-        runs += reflected[1]
-    if zero:
+    lead = checked_lead(lead, [reflect(*f) for f in factors], order)
+    if lead is None:
         return Series.zero(order)
-    floor = min(lead.qexp, 0)
-    work = order - floor
-    factors = [_run(*run, work) for run in runs] + list(pieces)
-    if lead == Monomial.unit() and factors:  # 1 * piece is the piece
-        acc = factors.pop(0)
-    else:
-        acc = Series({lead.key(): lead.coeff}, order, floor)
-    for piece in factors:
-        acc = acc * piece
-    return acc
+    walk = _Stepper([(arg, b, expo) for arg, b, _, expo in factors], [lead],
+                    order)
+    acc = walk.rebase(walk.monomials([lead]), range(len(factors)),
+                      [n for _, _, n, _ in factors], [0] * len(factors))
+    series = Series._cut(walk.terms(acc), order, walk.low)
+    if pieces and series.terms == {(0, ()): 1}:  # 1 * piece is the piece
+        series, pieces = pieces[0], pieces[1:]
+    for piece in pieces:
+        series = series * piece
+    return series
 
 
 def _poch(arg: Monomial, basepow: int, n: int, expo: int,
           order: int | None) -> Series:
-    if order is None:
-        if (n >= 0) != (expo > 0):
-            raise ValueError("an inverse factorial needs a truncation order")
-        order = EXACT
-    return expand_factors(Monomial.unit(), [(arg, basepow, n, expo)], order)
+    factors = [(arg, basepow, n, expo)]
+    if order is not None:
+        return expand_factors(Monomial.unit(), factors, order)
+    if (n >= 0) != (expo > 0):
+        raise ValueError("an inverse factorial needs a truncation order")
+    # the walk to the polynomial's degree, its binomials' positive weights
+    first, count = _binomials(arg, basepow, n)
+    degree = sum(max(0, first.qexp + basepow * k) for k in range(count))
+    poly = expand_factors(Monomial.unit(), factors, degree)
+    return Series._cut(poly.terms, EXACT, poly.floor)
 
 
 def poch_finite(arg: Monomial, basepow: int = 1, n: int = 0,

@@ -18,7 +18,8 @@ A sum is evaluated nested, index inside index, by one chain walk
 ch. 7): a factor belongs to the last index its subscript reads, the
 inner sums along that index differ in their run products by one
 binomial per change of subscript, and Horner's rule takes those steps
-one binomial at a time, with no run product and no run cache (see
+one binomial at a time on `qfactorial._Stepper`, the engine of finite
+factors too, with no run product and no run cache (see
 `eval_sum_over`).  Every point, of the support and of a sum, is read
 through the spec's forms compiled once to scaled integers
 (`SumSpec.compiled`), and each spec's support is certified once
@@ -32,10 +33,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import groupby, product
 from math import isqrt, lcm
-from operator import add
 
-from .qfactorial import _ROW_PER_TERM, _recur, _sweep, reflect, vanishes
-from .qring import KeyLayout, Monomial, QSeriesError, Series
+from .qfactorial import _Stepper, checked_lead, reflect, vanishes
+from .qring import Monomial, QSeriesError, Series
 
 
 class DomainError(QSeriesError):
@@ -755,9 +755,9 @@ def eval_sum_over(spec: SumSpec, points, order: int) -> Series:
     its lead, a monomial at its exact valuation, goes into the points'
     terms, and its valuation-0 runs are never built: along each index the
     inner sums are added by Horner's rule, one binomial step per change
-    of subscript (`_Chains`).  A point raises what `term_series` raises
-    there; terms below q^0 that fail to cancel raise
-    NegativeValuationResidual.
+    of subscript (`_Chains` on `qfactorial._Stepper`).  A point raises
+    what `term_series` raises there; terms below q^0 that fail to cancel
+    raise NegativeValuationResidual.
     """
     terms = _nested(spec, points, order)
     bad = min((k for k in terms if k[0] < 0), default=None)
@@ -771,112 +771,59 @@ def eval_sum_over(spec: SumSpec, points, order: int) -> Series:
 def _nested(spec: SumSpec, points, order: int) -> dict:
     """The terms at `points` summed into one term dict, every coefficient
     nonzero and every q-exponent at or below the order (eval_sum_over).
-
-    Each point is first checked, in order, as `term_series` checks it:
-    domain and exponents, then every factor's reflection, then, unless a
-    factor is zero, each reciprocal run whose first binomial has q-weight
-    0, the one run that can have no inverse.  The walk raises nothing."""
+    Each point is first checked as `term_series` checks it, domain and
+    exponents, then `qfactorial.checked_lead`; the walk raises nothing."""
     factors = [(f, -1) for f in spec.denoms] + [(f, 1) for f in spec.numers]
-    depth = [max((k + 1 for k, c in enumerate(f.count.coeffs) if c), default=0)
-             for f, _ in factors]  # how many indices the subscript reads
     reflect_once = cache(reflect)
     kernel = spec.compiled
     leaves = []
     for point in points:
-        lead = kernel.lead(point)
-        ns = kernel.subscripts(point)
-        refl = [reflect_once(f.arg, f.basepow, n, expo)
-                for (f, expo), n in zip(factors, ns)]
-        if None in refl:
-            continue
-        for factor_lead, runs in refl:
-            for arg, _, _, power in runs:
-                if power < 0 and arg.qexp == 0:  # as `qfactorial._run`
-                    (Series.one() - Series.from_monomial(arg)).invert(order)
-            lead = lead * factor_lead
-        leaves.append((point, lead, ns))
+        lead, ns = kernel.lead(point), kernel.subscripts(point)
+        lead = checked_lead(lead, [reflect_once(f.arg, f.basepow, n, e)
+                                   for (f, e), n in zip(factors, ns)], order)
+        if lead is not None:
+            leaves.append((point, lead, ns))
     if not leaves:
         return {}
-    return _Chains(factors, depth, leaves, order).terms()
+    chains = _Chains(factors, leaves, order)
+    # the factors of constant subscript, stepped from L = 0 last
+    const = [k for k, d in enumerate(chains.depth) if d == 0]
+    ns = leaves[0][2]
+    acc = chains.rebase(chains.value(leaves, 0), const,
+                        [ns[k] for k in const], [0] * len(const))
+    return chains.terms(acc)
 
 
-class _Chains:
-    """The chain walk of `_nested`: Horner's rule along each index.
+class _Chains(_Stepper):
+    """The chain walk of `_nested`: Horner's rule along each index, on
+    the accumulator of `qfactorial._Stepper`.
 
     A factor belongs to the last index its subscript reads, and the kids
     of a prefix, grouped by that index, form a chain.  W(L), the product
     of the runs of the chain's factors at subscripts L, steps from one
-    subscript to the next by (a; q^b)_(L+1) / (a; q^b)_L = 1 - a q^(bL),
-    taken in `reflect`'s valuation-0 form (1 - 1/A for a binomial 1 - A
-    of negative q-weight, whose -A is in the points' leads), so
+    subscript to the next by one binomial (`_Stepper.rebase`), so
     sum_i U_i W(L_i) is Horner's rule from both ends of the chain toward
     its anchor, the kid with the fewest binomials: each step multiplies
     or divides by one binomial and cuts at the order, and the anchor's
     own binomials come last, as steps from L = 0.  A step that would
     divide by a binomial of q-weight 0 with no inverse ends the chain's
-    segment, and the kids beyond it get their own anchor.
-
-    Every step's series has q-exponents >= 0, so a cut at the order after
-    each step is exact.  A pure-q accumulator is a term dict keyed by
-    q-exponent, or, once a row from q^low, low the least exponent of a
-    point's lead (or 0), to the order would hold fewer than
-    `_ROW_PER_TERM` fields per term, that row, stepped in place by
-    `qfactorial._sweep` and `_recur`.  With formal variables it is a
-    dict keyed by one int (`qring.KeyLayout`): a term is a point's lead
-    times, from each step 1 - A, a power A^j, with sum j weight(A) <=
-    order - low for the A of positive q-weight, and at most one A of
-    q-weight 0 per factor from each of the two walks that can pass it,
-    so the fields hold every exponent in play.
+    segment (`_Stepper.passes`), and the kids beyond it get their own
+    anchor.
     """
 
-    def __init__(self, factors, depth, leaves, order: int):
-        self.factors, self.depth = factors, depth
-        self.bottom = max(depth, default=0)
-        self.low = min([0, *(lead.qexp for _, lead, _ in leaves)])
-        self.budget = order - self.low  # the largest step weight in play
-        self.size = self.budget + 1     # fields of a row
-        reach: dict[str, int] = {}
-        for f, _ in factors:
-            for name, e in f.arg.vars:
-                reach[name] = max(reach.get(name, 0), abs(e))
-        bounds = dict.fromkeys(reach, 0)
-        for _, lead, _ in leaves:
-            for name, e in lead.vars:
-                bounds[name] = max(bounds.get(name, 0), abs(e))
-        steps = self.budget + 2 * len(factors) + 1
-        self.layout = KeyLayout({name: b + steps * reach.get(name, 0)
-                                 for name, b in bounds.items()})
-        self.pure = not bounds
-        self.limit = self.layout.limit(order)
-        self.leaves = leaves
-        # the position of each factor's binomial of q-weight 0, when it
-        # has no inverse
-        self.stuck = [
-            -f.arg.qexp // f.basepow if f.arg.qexp % f.basepow == 0 and (
-                f.arg.vars or 1 - f.arg.coeff not in (1, -1)) else None
-            for f, _ in factors]
-
-    def terms(self) -> dict:
-        """The sum's term dict, the constant subscripts' runs applied."""
-        const = [k for k, d in enumerate(self.depth) if d == 0]
-        ns = self.leaves[0][2]
-        acc = self.rebase(self.value(self.leaves, 0), const,
-                          [ns[k] for k in const], [0] * len(const))
-        if isinstance(acc, list):
-            return {(self.low + i, ()): c for i, c in enumerate(acc) if c}
-        return self.layout.terms(acc, lifted=False)
+    def __init__(self, factors, leaves, order: int):
+        super().__init__([(f.arg, f.basepow, expo) for f, expo in factors],
+                         [lead for _, lead, _ in leaves], order)
+        # how many indices each subscript reads
+        self.depth = [max((k + 1 for k, c in enumerate(f.count.coeffs) if c),
+                          default=0) for f, _ in factors]
+        self.bottom = max(self.depth, default=0)
 
     def value(self, leaves, d: int):
         """The sum of `leaves`, which share their first d indices, times
         the runs of the factors of index d and later."""
         if d == self.bottom:
-            acc: dict = {}
-            key, limit = self.layout.key, self.limit
-            for _, lead, _ in leaves:
-                k = key(lead.qexp, lead.vars)
-                if k < limit:
-                    acc[k] = acc.get(k, 0) + lead.coeff
-            return self.add(None, acc)
+            return self.monomials(lead for _, lead, _ in leaves)
         # the points come grouped by prefix, as in the sorted support
         kids = [list(g) for _, g in groupby(leaves, key=lambda p: p[0][d])]
         chain = [k for k, dk in enumerate(self.depth) if dk == d + 1]
@@ -912,106 +859,3 @@ class _Chains:
             out.append((s, m, e))
             todo += [(lo, s), (e + 1, hi)]
         return out
-
-    def passes(self, chain, old, new) -> bool:
-        """Can `rebase` take a sum from subscripts `old` to `new`?"""
-        for k, a, b in zip(chain, old, new):
-            p = self.stuck[k]
-            if p is not None and min(a, b) <= p < max(a, b) and (
-                    self.factors[k][1] if a > b else -self.factors[k][1]) < 0:
-                return False
-        return True
-
-    def rebase(self, acc, chain, old, new):
-        """acc * W(old) / W(new) for the factors `chain`, one binomial
-        step at a time, each skipped when its weight passes the budget."""
-        for k, a, b in zip(chain, old, new):
-            if a == b:
-                continue
-            f, expo = self.factors[k]
-            arg, base = f.arg, f.basepow
-            power = expo if a > b else -expo
-            # the positions p whose binomial 1 - arg q^(b p) is in play
-            lo = max(min(a, b), -((self.budget + arg.qexp) // base))
-            hi = min(max(a, b), (self.budget - arg.qexp) // base + 1)
-            for p in range(lo, hi):
-                x = Monomial._of(arg.coeff, arg.qexp + base * p, arg.vars)
-                acc = self.step(acc, x if x.qexp >= 0 else x.inverse(),
-                                power < 0)
-        return acc
-
-    def step(self, acc, x: Monomial, divide: bool):
-        """acc * (1 - x) or acc / (1 - x), cut at the order."""
-        s, c = x.qexp, x.coeff
-        if s == 0 and not x.vars:  # a constant, a unit when it divides
-            u = 1 - c
-            if isinstance(acc, list):
-                acc[:] = [u * v for v in acc]
-                return acc
-            return {k: u * v for k, v in acc.items()}
-        if isinstance(acc, list):
-            (_recur if divide else _sweep)(acc, c, s)
-            return acc
-        kx, limit = self.layout.key(s, x.vars), self.limit
-        if not divide:
-            if self.pure and self.size < _ROW_PER_TERM * len(acc):
-                return self.step(self.row(acc), x, divide)
-            get = acc.get
-            for k, v in list(acc.items()):
-                n = k + kx
-                if n < limit:
-                    acc[n] = get(n, 0) - c * v
-            return acc
-        # out[k] = acc[k] + c out[k - kx], walked up each line k + j kx
-        # from its least key
-        starts: dict = {}
-        for k in acc:
-            r = k % kx
-            if r not in starts or k < starts[r]:
-                starts[r] = k
-        if self.pure and self.size < _ROW_PER_TERM * sum(
-                (limit - 1 - k) // kx + 1 for k in starts.values()):
-            return self.step(self.row(acc), x, divide)
-        out = {}
-        get = acc.get
-        for k in starts.values():
-            run = 0
-            while k < limit:
-                run = run * c + get(k, 0)
-                if run:
-                    out[k] = run
-                k += kx
-        return out
-
-    def add(self, acc, other):
-        """acc + other, either None for zero; a pure-q dict becomes a row
-        once the row is dense enough."""
-        if acc is None or other is None:
-            acc = other if acc is None else acc
-        elif isinstance(acc, list):
-            if isinstance(other, list):
-                acc[:] = map(add, acc, other)
-            else:
-                low = self.low
-                for k, v in other.items():
-                    acc[k - low] += v
-        elif isinstance(other, list):
-            return self.add(other, acc)
-        else:
-            if len(acc) < len(other):
-                acc, other = other, acc
-            get = acc.get
-            for k, v in other.items():
-                acc[k] = get(k, 0) + v
-        if self.pure and isinstance(acc, dict) and \
-                self.size < _ROW_PER_TERM * len(acc):
-            return self.row(acc)
-        return acc
-
-    def row(self, acc: dict) -> list[int]:
-        """A pure-q dict as a row from q^low to the order."""
-        row = [0] * self.size
-        low = self.low
-        for k, v in acc.items():
-            row[k - low] = v
-        return row

@@ -4,11 +4,16 @@ Oracles here are deliberately naive: signed subset-sum DP for products of
 (1 - q^k), and a plain partition-counting DP for their reciprocals.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_assembly import binomials
 
-from qident import qfactorial
+from qident import qfactorial, summation
+from qident.catalog import get_identity
 from qident.ctengine import expand_zfactors
 from qident.qfactorial import (
     INF,
@@ -23,8 +28,7 @@ from qident.qfactorial import (
     poch_recip_finite,
     reflect,
 )
-from qident.qfactorial import _run
-from qident.qring import Monomial, NotInvertible, Series
+from qident.qring import EXACT, Monomial, NotInvertible, Series
 from qident.summation import _dip
 
 A = Monomial(1, 0, (("a", 1),))
@@ -288,10 +292,10 @@ def test_spec_rejects_negative_valuation():
 
 # ------------------------------------------------------------------ runs
 #
-# `_run` takes a step of positive q-weight free of formal variables at a
-# finite order on a coefficient row, and every other step as a product
-# of Series.  Every prefix, however it was built, must be the product of
-# its binomials multiplied out one at a time.
+# A finite factor is stepped one binomial at a time, on a term dict, a
+# coefficient row or a dict keyed by one int (`qfactorial._Stepper`).
+# Every product, however it was stepped, must be its binomials
+# multiplied out one at a time.
 
 
 def naive_product(f, g, top):
@@ -331,23 +335,23 @@ def binomial_prefixes(coeff, weight, basepow, expo, top):
 @pytest.mark.parametrize("coeff", [1, -1])
 def test_every_prefix_of_a_run_is_its_binomial_product(coeff, weight,
                                                        basepow, expo):
-    """Orders 0 to 40, each run built in one call and then read back from
-    the cache, and built again one binomial per call."""
+    """Orders 0 to 40, every count from 0 to 42.  A reciprocal of weight
+    0 ends the list: 1/(1; q^b)_n divides by 1 - 1, and 1/(-1; q^b)_n by
+    1 - (-1) = 2, which has no integral inverse."""
     arg = Monomial(coeff, weight, ())
+    poch = poch_finite if expo > 0 else poch_recip_finite
     want = list(binomial_prefixes(coeff, weight, basepow, expo, 40))
-    last = 42
     for order in range(41):
-        for counts in (range(last, -1, -1), range(last + 1)):
-            qfactorial._RUNS.clear()
-            for count in counts:
-                if count >= len(want):
-                    with pytest.raises(NotInvertible):
-                        _run(arg, basepow, count, expo, order)
-                    continue
-                got = _run(arg, basepow, count, expo, order)
-                assert (got.order, got.floor) == (order, 0)
-                assert all(got.terms.values())
-                assert got.qcoeffs(order) == want[count][:order + 1]
+        for count in range(43):
+            if count >= len(want):
+                with pytest.raises(ZeroDivisor if coeff == 1
+                                   else NotInvertible):
+                    poch(arg, basepow, count, order)
+                continue
+            got = poch(arg, basepow, count, order)
+            assert (got.order, got.floor) == (order, 0)
+            assert all(got.terms.values())
+            assert got.qcoeffs(order) == want[count][:order + 1]
 
 
 def test_a_reciprocal_run_makes_no_inverse(monkeypatch):
@@ -358,21 +362,66 @@ def test_a_reciprocal_run_makes_no_inverse(monkeypatch):
         real = getattr(Series, name)
         monkeypatch.setattr(Series, name, lambda *a, real=real, name=name:
                             calls.append(name) or real(*a))
-    qfactorial._RUNS.clear()
     for n in range(122):
-        _run(Q, 1, n, -1, 120)
+        poch_recip_finite(Q, 1, n, 120)
     assert calls == []
-    assert _run(Q, 1, 121, -1, 120).qcoeffs(120) == oracle_partitions(
-        range(1, 121), 120)
+    assert poch_recip_finite(Q, 1, 121, 120).qcoeffs(120) == (
+        oracle_partitions(range(1, 121), 120))
 
 
-def test_a_numerator_row_reaches_only_the_degree():
-    """(q;q)_5 at order 10^9 is a polynomial of degree 15: its row holds
-    16 entries, not the order."""
-    qfactorial._RUNS.clear()
-    got = _run(Q, 1, 5, 1, 10 ** 9)
+def test_a_numerator_row_reaches_only_the_degree(monkeypatch):
+    """(q;q)_5 at order 10^9 is a polynomial of degree 15: it is stepped
+    on its 16 terms, never on a row to the order."""
+    rows = []
+    real = qfactorial._Stepper.row
+    monkeypatch.setattr(qfactorial._Stepper, "row",
+                        lambda self, acc: rows.append(1) or real(self, acc))
+    got = poch_finite(Q, 1, 5, 10 ** 9)
     assert got.qcoeffs(15) == oracle_euler_product(range(1, 6), 15)
     assert max(e for e, _ in got.terms) == 15
+    assert rows == []
+
+
+EXACT_ARGS = [make(w) for w in range(-3, 4) for make in (
+    lambda w: Monomial(1, w), lambda w: Monomial(-1, w),
+    lambda w: Monomial(2, w), lambda w: Monomial(-2, w),
+    lambda w: Monomial.var("x", 1, w), lambda w: Monomial.var("y", -1, w))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EXACT_ARGS), st.integers(1, 3), st.integers(-6, 6))
+def test_an_exact_polynomial_is_its_binomials_multiplied_out(arg, basepow,
+                                                             n):
+    """(arg; q^b)_n for n >= 0 and 1/(arg; q^b)_n for n < 0, with no
+    order: the walk to the polynomial's degree, marked exact, against
+    the binomials multiplied out as exact Series.  A binomial 1 - A of
+    negative q-weight is reflected through 1/A, which a coefficient of
+    +-2 does not allow."""
+    poch = poch_finite if n >= 0 else poch_recip_finite
+    first = arg * Monomial.q(n * basepow) if n < 0 else arg
+    if n and arg.coeff not in (1, -1) and first.qexp < 0:
+        with pytest.raises(NotInvertible):
+            poch(arg, basepow, n)
+        return
+    got = poch(arg, basepow, n)
+    assert got.order == EXACT
+    assert got == binomials(arg, basepow, n)
+
+
+def test_the_product_side_cache_holds_finished_factors_only():
+    """`summation` steps with `qfactorial._Stepper` and reaches for none
+    of its row internals, and a product side caches each infinite factor
+    as one Series, no list of prefixes."""
+    tree = ast.parse(Path(summation.__file__).read_text())
+    named = [alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    assert "_Stepper" in named
+    assert not {"_sweep", "_recur", "_ROW_PER_TERM"} & set(named)
+    qfactorial._RUNS.clear()
+    expand_product_spec(get_identity("main").lowered.rhs, 24)
+    assert qfactorial._RUNS
+    assert all(type(v) is Series for v in qfactorial._RUNS.values())
 
 
 # ------------------------------------------------------- infinite factors

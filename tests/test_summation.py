@@ -11,10 +11,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_assembly import reference
 
 from qident import qfactorial, qring, summation
 from qident.catalog import get_identity
-from qident.qfactorial import expand_factors
 from qident.qring import Monomial, Series
 from qident.summation import (
     AffineForm,
@@ -653,17 +653,19 @@ def test_a_sum_needs_integral_subscript_forms():
 
 
 def term_by_term(spec: SumSpec, order: int) -> dict:
-    """The terms of `spec` below the order, each point's term assembled
-    apart by `qfactorial.expand_factors` from its cached runs and their
-    products, and the terms added one after another."""
+    """The terms of `spec` below the order, each point's term multiplied
+    out and inverted apart by `test_assembly.reference`, which shares no
+    code with the chain walk, and the terms added one after another."""
     kernel = spec.compiled
-    acc = Series.zero(order)
+    acc: dict = {}
     for point in enumerate_support(spec, order).points:
-        acc = acc + expand_factors(
-            kernel.lead(point),
-            [(f.arg, f.basepow, n, -1)
-             for f, n in zip(spec.denoms, kernel.subscripts(point))], order)
-    return {k: c for k, c in acc.terms.items() if k[0] <= order}
+        for k, c in reference(
+                kernel.lead(point),
+                [(f.arg, f.basepow, n, -1)
+                 for f, n in zip(spec.denoms, kernel.subscripts(point))],
+                order).items():
+            acc[k] = acc.get(k, 0) + c
+    return {k: c for k, c in acc.items() if c}
 
 
 @pytest.mark.parametrize("key,order", [("main", 24), ("cor-triple", 40)])
@@ -686,8 +688,8 @@ def test_the_factor_free_theta_sum_holds_no_dense_row(monkeypatch):
     """sum over Z of q^(n^2) at order 10^5: 633 points, 317 terms, stay
     in a dict, never a row of 10^5 fields."""
     rows = []
-    real = summation._Chains.row
-    monkeypatch.setattr(summation._Chains, "row",
+    real = qfactorial._Stepper.row
+    monkeypatch.setattr(qfactorial._Stepper, "row",
                         lambda self, acc: rows.append(1) or real(self, acc))
     n = AffineForm.index(0, 1)
     theta = eval_sum(make_sum_spec(1, "Z", QuadForm.square(n)), 100000)
