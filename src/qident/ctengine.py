@@ -3,10 +3,11 @@
 z is a formal variable of `Series`, like x or y, and a statement in z
 lowers to the kernel's own specs: a one-index `SumSpec` whose summand
 carries z^n or z^(-n), and a `ProductSpec` whose z-carrying factors hold
-z in their arguments.  `expand_zfactors` expands such a product side:
-every z-carrying Pochhammer symbol expands to a series in z by Euler's
-series, as every infinite factor with formal variables does
-(`qfactorial.infinite_factor`), the kernel multiplies them out, and
+z in their arguments.  `expand_zfactors` expands such a product side on
+the path of every product side (`qfactorial.expand_closed`), with z one
+more formal variable: its factors cancel, telescope and pair into theta
+series there, and what is left expands by Euler's series.  The z layer
+keeps only its own refusals and the fold of an open factor, and
 `zcoeffs` reads off single z-powers.  `sum_zcoeff` gives [z^k] of the
 sum side, one summand each.
 Pairing two Jacobi triple products and extracting the constant term
@@ -33,8 +34,10 @@ from .qfactorial import (
     INF,
     NotTruncatable,
     ProductSpec,
+    closed_factors,
+    expand_closed,
     expand_product_spec,
-    infinite_factor,
+    theta,
 )
 from .qring import Monomial, NotInvertible, QSeriesError, Series
 from .report import VerificationReport, find_first_mismatch
@@ -84,6 +87,7 @@ def jtp_zseries(m: Monomial, order: int) -> Series:
     The coefficient of z^n is exactly (-1)^n q^binom(n,2) m^n; the
     series keeps every n whose q-weight binom(n,2) fits under `order`,
     which is symmetric apart from the extra n=1 entry at weight zero.
+    It is `qfactorial.theta` at a = m*z, the expander of product sides.
     """
     if m.coeff not in (1, -1):
         raise NotInvertible(
@@ -92,14 +96,7 @@ def jtp_zseries(m: Monomial, order: int) -> Series:
         raise NotTruncatable(
             "fold the companion's q-power into the z-substitution; a "
             "q-carrying companion leaves z-powers below the order")
-    terms = {}
-    for n, step in ((0, 1), (-1, -1)):
-        while binom2(n) <= order:
-            mono = (Monomial(-1 if n % 2 else 1, binom2(n)) * m ** n
-                    * Monomial.var(Z, n))
-            terms[mono.key()] = mono.coeff
-            n += step
-    return Series(terms, order)
+    return theta(m * Monomial.var(Z), 1, order)
 
 
 # ------------------------------------------------------- statements in z
@@ -127,19 +124,20 @@ def expand_zfactors(spec: ProductSpec, order: int,
                     zwindow=None) -> Series | dict[int, Series]:
     """The product side `spec` of a statement in z, sound to `order`.
 
-    The z-free factors and the prefactor expand first, so their refusals
-    win.  Each z-carrying factor (a z^e; q^b)_inf^expo is |expo| factors
-    (a z^e; q^b)_inf^(+-1), in statement order.  At most one of them may
-    be "open" (reciprocal with q-free argument, such as 1/(z;q)_inf): its
-    z-powers are unbounded at every order, so it is folded into the
-    product of the others over `zwindow`, an int K for [-K, K] or a
-    (lo, hi) pair, and the result is the mapping k -> [z^k] for k in
-    that range.
+    The z-free factors and the prefactor are checked first, so their
+    refusals win.  Each z-carrying factor (a z^e; q^b)_inf^expo is |expo|
+    factors (a z^e; q^b)_inf^(+-1), in statement order.  At most one of
+    them may be "open" (reciprocal with q-free argument, such as
+    1/(z;q)_inf): its z-powers are unbounded at every order, so it is
+    folded into the product of the others over `zwindow`, an int K for
+    [-K, K] or a (lo, hi) pair, and the result is the mapping
+    k -> [z^k] for k in that range.  The closed factors, z-free or not,
+    expand together on the path of every product side
+    (`qfactorial.expand_closed`).
     """
-    rest = expand_product_spec(ProductSpec(
+    finite, infinite = closed_factors(ProductSpec(
         tuple(f for f in spec.factors if Z not in dict(f.arg.vars)),
         spec.prefactor), order)
-    closed = Series.one(order)
     opens: list[Monomial] = []
     for f in spec.factors:
         mon, e = _split_z(f.arg)
@@ -161,9 +159,8 @@ def expand_zfactors(spec: ProductSpec, order: int,
                 raise NotTruncatable(
                     f"argument {mon.text()} has negative q-weight; its "
                     "z-expansion never settles")
-            closed = zmul(closed, infinite_factor(arg, f.basepow, expo,
-                                                  order))
-    closed = closed * rest
+            infinite.append((arg, f.basepow, expo))
+    closed = expand_closed(spec.prefactor, finite, infinite, order)
     if not opens:
         return closed
     if len(opens) > 1:

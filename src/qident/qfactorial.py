@@ -21,12 +21,21 @@ a dict keyed by one int.  A sum steps it along each index
 (`expand_factors`) step each factor from subscript 0, and an exact
 polynomial is that walk to its degree.  Neither keeps a run.
 
-Every infinite factor (a; q^b)_inf^(+-1), of a product side or of the z
-layer, is one call of `infinite_factor`, which inverts no series: a
-pure-q factor is one coefficient row stepped to the order, and a factor
-with formal variables is Euler's series in a, its coefficients read off
-one row 1/(q^b; q^b)_n stepped in n.  `_RUNS` caches the finished
-factors, and is the module's only cache.
+A product side, of a statement or of the z layer, takes one path,
+`expand_closed`, once `closed_factors` has made its refusals.  First
+`_rewrite` takes its infinite factors to an exact normal form: equal
+factors net, quotients telescope to finite factors, and Jacobi triple
+products become theta series theta(a; q^m) = sum (-1)^n a^n
+q^(m binom(n, 2)) of O(sqrt(order)) terms (`theta`), a pure-q reciprocal
+pair completed by (q^m; q^m)_inf / (q^m; q^m)_inf first.  A pure-q
+theta in the denominator is divided out of the finished series by its
+row recurrence (`qring.divide_row`).  Every other infinite factor
+(a; q^b)_inf^(+-1) is one call of `infinite_factor`, which inverts no
+series: (q^b; q^b)_inf by the pentagonal theorem, any other pure-q
+factor one coefficient row stepped to the order, and a factor with
+formal variables Euler's series in a, its coefficients read off one row
+1/(q^b; q^b)_n stepped in n.  `_RUNS` caches the factors of
+`infinite_factor`, and is the module's only cache.
 """
 
 from __future__ import annotations
@@ -36,7 +45,14 @@ from itertools import accumulate, chain
 from math import gcd
 from operator import add, sub
 
-from .qring import EXACT, KeyLayout, Monomial, QSeriesError, Series
+from .qring import (
+    EXACT,
+    KeyLayout,
+    Monomial,
+    QSeriesError,
+    Series,
+    divide_row,
+)
 
 INF = None  # sentinel for an infinite product count
 
@@ -173,8 +189,11 @@ def infinite_factor(arg: Monomial, basepow: int, expo: int,
 
     The caller has checked that finitely many terms lie at each q-weight:
     arg.qexp >= 1, or arg.qexp >= 0 for a product with formal variables.
-    No series is inverted.  A pure-q factor is one coefficient row to
-    the order (`_infinite_terms`).  A factor with formal variables is
+    No series is inverted.  (q^b; q^b)_inf is the pentagonal series
+    theta(q^b; q^(3b)) (Andrews, *The Theory of Partitions*, ch. 1),
+    and its reciprocal that series divided out of 1 (`_divide`).  Any
+    other pure-q factor is one coefficient row to the order
+    (`_infinite_terms`).  A factor with formal variables is
     Euler's series (Gasper-Rahman, eqs. (1.3.15)-(1.3.16)): [arg^n] is
     (-1)^n q^(b binom(n,2)) / (q^b; q^b)_n for the product and
     1/(q^b; q^b)_n for the reciprocal, each read off one row stepped
@@ -187,6 +206,10 @@ def infinite_factor(arg: Monomial, basepow: int, expo: int,
     if factor is None:
         if arg.vars:
             factor = _euler(arg, basepow, expo, order)
+        elif arg == Monomial.q(basepow):  # Euler's pentagonal theorem
+            factor = theta(arg, 3 * basepow, order)
+            if expo < 0:
+                factor = _divide(Series.one(order), factor)
         else:
             g = gcd(arg.qexp, basepow)
             steps = range(arg.qexp // g, order // g + 1, basepow // g)
@@ -529,6 +552,33 @@ def _truncatable(arg: Monomial, basepow: int) -> None:
             "q-weight, the product never stabilizes below the order")
 
 
+def closed_factors(spec: ProductSpec, order: int):
+    """(finite, infinite): the factors of `spec` as `expand_closed` takes
+    them, after every refusal of a product side, in statement order: an
+    infinite factor whose argument has no positive q-weight, then the
+    finite factors (`checked_lead`), then a negative valuation.  A side
+    of negative valuation is expanded factor by factor first, so that it
+    fails as that product fails (TruncationUnsound when its order drops
+    below q^0).  `infinite` holds (arg, basepow, expo)."""
+    finite, infinite = [], []
+    for f in spec.factors:
+        expo = 1 if f.expo > 0 else -1
+        if f.count is not INF:
+            finite += [(f.arg, f.basepow, f.count, expo)] * abs(f.expo)
+            continue
+        _truncatable(f.arg, f.basepow)
+        infinite.append((f.arg, f.basepow, f.expo))
+    lead = checked_lead(spec.prefactor, [reflect(*f) for f in finite], order)
+    if lead is not None and lead.qexp < 0:
+        expand_factors(spec.prefactor, finite, order, [
+            infinite_factor(arg, b, 1 if e > 0 else -1, order)
+            for arg, b, e in infinite for _ in range(abs(e))])
+        raise QSeriesError(
+            f"product expansion has negative q-valuation {lead.qexp}; "
+            "not a power series")
+    return finite, infinite
+
+
 def expand_product_spec(spec: ProductSpec, order: int) -> Series:
     """prefactor * prod factor^expo, exactly to `order`.
 
@@ -536,19 +586,138 @@ def expand_product_spec(spec: ProductSpec, order: int) -> Series:
     exact).  Raises if the result would dip below q^0, which a
     well-formed product side never does.
     """
-    finite, pieces = [], []
-    for f in spec.factors:
-        expo = 1 if f.expo > 0 else -1
-        if f.count is not INF:
-            finite += [(f.arg, f.basepow, f.count, expo)] * abs(f.expo)
-            continue
-        _truncatable(f.arg, f.basepow)
-        pieces += [infinite_factor(f.arg, f.basepow, expo, order)] * abs(
-            f.expo)
-    series = expand_factors(spec.prefactor, finite, order, pieces)
-    val = series.valuation
-    if val is not None and val < 0:
-        raise QSeriesError(
-            f"product expansion has negative q-valuation {val}; "
-            "not a power series")
+    return expand_closed(spec.prefactor, *closed_factors(spec, order), order)
+
+
+def expand_closed(prefactor: Monomial, finite, infinite,
+                  order: int) -> Series:
+    """prefactor * prod `finite` * prod `infinite`, exactly to `order`.
+
+    `finite` holds (arg, basepow, n, expo) with expo = +-1; `infinite`
+    holds (arg, basepow, expo), each factor closed: arg.qexp >= 1, or
+    arg.qexp >= 0 with formal variables in a numerator of the z layer.
+    `_rewrite` takes the infinite factors to their normal form.  The
+    finite factors, old and telescoped, are one `_Stepper` walk; each
+    theta numerator and every factor left is a piece multiplied in; and
+    each pure-q theta denominator is divided out of the finished series.
+    """
+    telescoped, thetas, rest = _rewrite(infinite)
+    pieces = [infinite_factor(arg, b, 1 if e > 0 else -1, order)
+              for (arg, b), e in rest.items() for _ in range(abs(e))]
+    pieces += [theta(arg, b, order) for (arg, b), e in thetas.items()
+               for _ in range(e)]
+    series = expand_factors(prefactor, finite + telescoped, order, pieces)
+    for (arg, b), e in thetas.items():
+        for _ in range(-e):
+            series = _divide(series, theta(arg, b, order))
     return series
+
+
+def _rewrite(infinite):
+    """(finite, thetas, rest): the closed infinite factors `infinite`,
+    (arg, basepow, expo) in statement order, as the finite factors
+    `finite`, theta(A; q^m)^e for ((A, m), e) in `thetas` and
+    (arg; q^b)_inf^e for ((arg, b), e) in `rest`.  Each rule is an
+    identity of formal power series, and each fires only on factors
+    given here, never on the open factor of the z layer:
+
+    1. equal factors net: (a; q^b)^e (a; q^b)^f = (a; q^b)^(e+f);
+    2. a quotient telescopes: (a; q^b)^s / (a q^(bk); q^b)^s is the
+       finite (a; q^b)_k^s, k >= 1, the factors of one line a q^(bZ)
+       matched like brackets, nearest first;
+    3. a triple (A; q^m)(q^m/A; q^m)(q^m; q^m) at one exponent, +1, or
+       -1 for pure q, is theta(A; q^m)^(+-1) (Jacobi's triple product,
+       Gasper-Rahman, *Basic Hypergeometric Series*, Sec. 1.6);
+    4. a pure-q reciprocal pair 1/((A; q^m)(q^m/A; q^m)) is
+       (q^m; q^m) / theta(A; q^m).
+
+    A lone (q^m; q^m)_inf^(+-1) is left to `infinite_factor`, which
+    takes it by the pentagonal theorem and caches it for every side.
+    """
+    net: dict[tuple[Monomial, int], int] = {}
+    for arg, b, e in infinite:
+        net[arg, b] = net.get((arg, b), 0) + e
+    finite = []
+    lines: dict = {}
+    for arg, b in net:
+        lines.setdefault((arg.coeff, arg.vars, b, arg.qexp % b),
+                         []).append((arg, b))
+    for line in lines.values():
+        stack: list = []  # unmatched factors, all of one sign
+        for key in sorted(line, key=lambda k: k[0].qexp):
+            e = net[key]
+            while e and stack and (net[stack[-1]] > 0) != (e > 0):
+                low = stack[-1]
+                s = 1 if net[low] > 0 else -1
+                t = min(abs(net[low]), abs(e))
+                arg, b = low
+                finite += [(arg, b, (key[0].qexp - arg.qexp) // b, s)] * t
+                net[low] -= s * t
+                e += s * t
+                if not net[low]:
+                    stack.pop()
+            net[key] = e
+            if e:
+                stack.append(key)
+
+    def take(keys, s: int) -> int:
+        """Take the product of `keys` to the power s out of `net` as many
+        times t as it goes, and return t."""
+        need: dict = {}
+        for key in keys:
+            need[key] = need.get(key, 0) + 1
+        t = max(0, min(s * net.get(key, 0) // n for key, n in need.items()))
+        if t:
+            for key, n in need.items():
+                net[key] -= s * t * n
+        return t
+
+    thetas: dict[tuple[Monomial, int], int] = {}
+    for arg, b in list(net):
+        e = net[arg, b]
+        if e and arg.coeff in (1, -1) and not (arg.vars and e < 0):
+            s = 1 if e > 0 else -1
+            mate = (Monomial.q(b) * arg.inverse(), b)
+            thetas[arg, b] = s * take([(arg, b), mate, (Monomial.q(b), b)], s)
+    for arg, b in list(net):
+        if net[arg, b] < 0 and not arg.vars and arg.coeff in (1, -1):
+            t = take([(arg, b), (Monomial.q(b) * arg.inverse(), b)], -1)
+            base = (Monomial.q(b), b)
+            net[base] = net.get(base, 0) + t
+            thetas[arg, b] = thetas.get((arg, b), 0) - t
+    return (finite, {k: e for k, e in thetas.items() if e},
+            {k: e for k, e in net.items() if e})
+
+
+def theta(arg: Monomial, basepow: int, order: int) -> Series:
+    """theta(a; q^m) = (a; q^m)_inf (q^m/a; q^m)_inf (q^m; q^m)_inf, m =
+    basepow, as its sum over n in Z of (-1)^n a^n q^(m binom(n, 2))
+    (Gasper-Rahman, eq. (1.6.1)), cut at `order`: O(sqrt(order)) terms.
+    The caller has checked both arguments closed, so a has q-weight in
+    [0, m], and the weights never fall as n runs up from 0 or down
+    from -1."""
+    terms: dict = {}
+    for n, step, by in ((0, 1, arg), (-1, -1, arg.inverse())):
+        power = arg ** n
+        while (w := power.qexp + basepow * (n * (n - 1) // 2)) <= order:
+            key = (w, power.vars)
+            terms[key] = terms.get(key, 0) + (
+                -power.coeff if n % 2 else power.coeff)
+            power, n = power * by, n + step
+    return Series._cut({k: c for k, c in terms.items() if c}, order, 0)
+
+
+def _divide(series: Series, den: Series) -> Series:
+    """series / den, den pure q with constant term 1, one
+    `qring.divide_row` per monomial in the formal variables."""
+    den_row = {qe: c for (qe, _), c in den.terms.items()}
+    rows: dict = {}
+    for (qe, vk), c in series.terms.items():
+        rows.setdefault(vk, {})[qe] = c
+    terms = {}
+    for vk, row in rows.items():
+        low = min(row)
+        out = divide_row([row.get(i, 0) for i in range(low, series.order + 1)],
+                         den_row)
+        terms.update(((low + i, vk), c) for i, c in enumerate(out) if c)
+    return Series._cut(terms, series.order, series.floor)

@@ -367,6 +367,11 @@ class Series:
         depth = order + v  # inverse of u is needed to this q-grade
         if depth < 0:
             return Series({}, order, min(0, -v))
+        if all(not k for _, k in self.terms):  # pure q: one row recurrence
+            row = divide_row([1] + [0] * depth,
+                             {qe: c2 for (qe, _), c2 in u.terms.items()})
+            return Series._cut({(g - v, ()): c * c2 for g, c2 in enumerate(row)
+                                if c2}, order, min(0, -v))
         grades: dict[int, dict[VKey, int]] = {}
         for (qe, vk2), c2 in u.terms.items():
             if qe == 0:
@@ -425,6 +430,33 @@ class Series:
     def __repr__(self) -> str:
         tail = "" if self.exact else f" + O(q^{self.order + 1})"
         return f"<Series {self.to_text()}{tail}>"
+
+
+def divide_row(num: list[int], den: Mapping[int, int]) -> list[int]:
+    """num / den as a row as long as `num`, both pure q from q^0, den
+    given as {exponent: coefficient} with den[0] = 1: out[i] = num[i] -
+    sum over e >= 1 of den[e] out[i - e], one sum of products per
+    coefficient.  A sparse den (a theta series, with O(sqrt(len(num)))
+    terms) is read at its exponents, a dense one as one reversed row
+    against a slice of the output: the dense loop makes one multiply per
+    field, zeros included, the sparse one about three calls per term, so
+    a den filling under a quarter of its span counts as sparse (a
+    rounded ratio, not a fitted one)."""
+    from itertools import repeat  # here, so that loading qring imports
+    from operator import mul, sub  # no module beyond its own list
+    es = sorted(e for e in den if 0 < e < len(num))
+    top = es[-1] if es else 0
+    out = [0] * top  # out[top + i] is the coefficient of q^i
+    if 4 * len(es) < top:
+        cs = [-den[e] for e in es]
+        for i, c in enumerate(num, top):
+            out.append(c + sum(map(mul, cs, map(out.__getitem__,
+                                                map(sub, repeat(i), es)))))
+    else:
+        rev = [-den.get(e, 0) for e in range(top, 0, -1)]
+        for i, c in enumerate(num, top):
+            out.append(c + sum(map(mul, rev, out[i - top:i])))
+    return out[top:]
 
 
 def _convolve(a: dict[TermKey, int], b: dict[TermKey, int],

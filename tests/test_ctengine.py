@@ -270,11 +270,13 @@ def test_euler_expansion_matches_the_formal_z_product(order):
 
 
 def test_zfactor_expansion_convolution_count(monkeypatch):
-    """The m = 1 product side of the 1psi1 sum at order 16, from cold
-    caches: the Euler series of its four z-carrying factors, each
-    multiplied once into the product of those before it, and that
-    product once by the z-free part, are 5 convolutions (516 when every
-    pair of z-coefficients was multiplied apart)."""
+    """The m = 1 product side of the 1psi1 sum at order 16, its z-carrying
+    factors from cold caches: (a^-1 z^-1 q; q)_inf nets away against its
+    reciprocal, the open 1/(z; q)_inf leaves the closed 1/(zq; q)_inf, and
+    the Euler series of (az; q)_inf times that of 1/(zq; q)_inf is the one
+    convolution (5 when each Euler series was multiplied into the product
+    of those before it and that product by the z-free part, 516 when
+    every pair of z-coefficients was multiplied apart)."""
     qfactorial._RUNS.clear()
     calls = []
     real = qring._convolve
@@ -282,7 +284,22 @@ def test_zfactor_expansion_convolution_count(monkeypatch):
                         lambda *a: calls.append(1) or real(*a))
     ident = get_identity("ramanujan-1psi1", m=1)
     expand(zcarrying(ident.lowered.rhs), 16, ident.zwindow)
-    assert len(calls) == 5
+    assert len(calls) == 1
+
+
+def test_bilateral_euler_at_m_1_is_one_euler_series(monkeypatch):
+    """At m = 1 the bilateral Euler side (q, z, q/z; q)_inf / (q, q/z;
+    q)_inf nets to (z; q)_inf: the Euler series of that one factor, with
+    no convolution (5 before the factors netted)."""
+    qfactorial._RUNS.clear()
+    calls = []
+    real = qring._convolve
+    monkeypatch.setattr(qring, "_convolve",
+                        lambda *a: calls.append(1) or real(*a))
+    ident = get_identity("bilateral-euler", m=1)
+    got = expand_zfactors(ident.lowered.rhs, 16, ident.zwindow)
+    assert calls == []
+    assert got == _product_with_formal_z(zfactor(ONE), 16, 0)
 
 
 def test_open_factor_fold_adds_once_per_closed_z_power(monkeypatch):

@@ -518,3 +518,139 @@ def test_long_order_infinite_factors_make_no_product_or_inverse(monkeypatch):
             pentagonal[(k * (3 * k - 1) // 2, ())] = -1 if k % 2 else 1
     assert euler.terms == pentagonal
     assert infinite_factor(Q, 1, -1, 3000) is recip  # cached, one entry
+
+
+# ------------------------------------------------- the rewrite of a side
+#
+# `expand_closed` nets, telescopes and pairs the infinite factors of a
+# side into theta series before it expands them.  The reference is every
+# factor expanded alone by `infinite_factor` and multiplied out.
+
+
+def one_by_one(factors, order):
+    """prod (arg; q^b)_inf^expo over `factors`, each factor alone."""
+    acc = Series.one(order)
+    for f in factors:
+        for _ in range(abs(f.expo)):
+            acc = acc * infinite_factor(f.arg, f.basepow,
+                                        1 if f.expo > 0 else -1, order)
+    return acc
+
+
+@st.composite
+def rewritable_sides(draw, var="x"):
+    """Theta triples, telescoping and cancelling pairs, pure-q reciprocal
+    pairs and lone factors, shuffled: signs +-1, bases 1-6, `var` and
+    y^-1 in arguments, exponents +-1 and +-2.  With z for `var`, a theta
+    numerator may start at q-weight 0, as in the z layer."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["theta", "telescope", "cancel", "pair", "euler", "lone"]))
+        b = draw(st.integers(1, 6))
+        e = draw(st.sampled_from([1, -1, 2, -2]))
+        vk = draw(st.sampled_from([(), ((var, 1),), (("y", -1),)]))
+        a = Monomial(draw(st.sampled_from([1, -1])), draw(st.integers(1, 6)),
+                     vk)
+        low = 0 if var == "z" and kind == "theta" and e > 0 \
+            and vk == ((var, 1),) else 1
+        if kind in ("theta", "pair") and b > 1:
+            a = Monomial(a.coeff, draw(st.integers(low, b - 1)),
+                         () if kind == "pair" else vk)
+            mate = Monomial.q(b) * a.inverse()
+            trio = [a, mate] + [Monomial.q(b)] * (kind == "theta")
+            factors += [FactorSpec(m, b, INF, e if kind == "theta" else -1)
+                        for m in trio]
+        elif kind == "telescope":
+            shifted = a * Monomial.q(b * draw(st.integers(1, 4)))
+            factors += [FactorSpec(a, b, INF, e),
+                        FactorSpec(shifted, b, INF, -e)]
+        elif kind == "cancel":
+            factors += [FactorSpec(a, b, INF, e), FactorSpec(a, b, INF, -e)]
+        elif kind == "euler":
+            factors.append(FactorSpec(Monomial.q(b), b, INF, e))
+        else:
+            factors.append(FactorSpec(a, b, INF, e))
+    return tuple(draw(st.permutations(factors)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from("xz").flatmap(
+    lambda var: st.tuples(st.just(var), rewritable_sides(var))),
+    st.integers(0, 24))
+def test_a_rewritten_side_is_its_factors_multiplied_out(side, order):
+    """Through `expand_product_spec`, or with z through `expand_zfactors`,
+    which expands on the same path."""
+    var, factors = side
+    qfactorial._RUNS.clear()
+    expand = expand_zfactors if var == "z" else expand_product_spec
+    got = expand(ProductSpec(factors), order)
+    want = one_by_one(factors, order)
+    assert (got.order, got.floor) == (want.order, want.floor) == (order, 0)
+    assert got.terms == want.terms
+
+
+def test_theta_pieces_and_quotients_replace_the_dense_rows():
+    """theta(-xyq; q^2) and the pentagonal series of `main`, and the
+    (q^5; q^5)_inf / theta(q; q^5) of `rr1`, against the factors alone."""
+    for key, params in (("main", {}), ("rr1", {}), ("cor-double", {}),
+                        ("cao-wang", {"a": 2})):
+        spec = get_identity(key, **params).lowered.rhs
+        assert expand_product_spec(spec, 30) == one_by_one(spec.factors, 30)
+    _, thetas, rest = qfactorial._rewrite(
+        [(f.arg, f.basepow, f.expo)
+         for f in get_identity("rr1").lowered.rhs.factors])
+    assert thetas == {(Q, 5): -1} and rest == {(Monomial.q(5), 5): 1}
+
+
+# Each side below would rewrite through a factor that a product side
+# refuses; the refusal and its text stay those of the factor-by-factor
+# expansion.
+Z = Monomial.var("z")
+REFUSED = [
+    ("weight-0 pure q", (FactorSpec(Monomial.q(0), 1, INF, 1),
+                         FactorSpec(Q, 1, INF, -1)),
+     NotTruncatable, "(1*q^0; q^1)_inf: argument carries no positive "
+     "q-weight, the product never stabilizes below the order"),
+    ("negative weight", (FactorSpec(Monomial.q(-1), 1, INF, 1),
+                         FactorSpec(Monomial.q(2), 1, INF, -1)),
+     NotTruncatable, "(1*q^-1; q^1)_inf: argument carries no positive "
+     "q-weight, the product never stabilizes below the order"),
+    ("corpus (q^-3; q^3)", (FactorSpec(Monomial.q(-3), 3, INF, -1),
+                            FactorSpec(Monomial.q(3), 3, INF, 1)),
+     NotTruncatable, "(1*q^-3; q^3)_inf: argument carries no positive "
+     "q-weight, the product never stabilizes below the order"),
+    ("two open factors", (FactorSpec(Z, 1, INF, 1),
+                          FactorSpec(Z.inverse() * Q, 1, INF, 1),
+                          FactorSpec(Q, 1, INF, 1), FactorSpec(Z, 1, INF, -1),
+                          FactorSpec(A * Z, 1, INF, -1)),
+     NotTruncatable, "2 open factors leave every z-power at q-weight zero; "
+     "no window is sound"),
+]
+
+
+@pytest.mark.parametrize("name,factors,error,text", REFUSED,
+                         ids=[r[0] for r in REFUSED])
+def test_a_refused_factor_is_refused_before_any_rewrite(name, factors, error,
+                                                         text):
+    with pytest.raises(error) as refused:
+        if any("z" in dict(f.arg.vars) for f in factors):
+            expand_zfactors(ProductSpec(factors), 8, zwindow=4)
+        else:
+            expand_product_spec(ProductSpec(factors), 8)
+    assert str(refused.value) == text
+
+
+def test_rr1_product_side_steps_no_dense_reciprocal_row(monkeypatch):
+    """rr1's side at order 20,000 is the pentagonal series of q^5 divided
+    by theta(q; q^5): no `_recur` step of a reciprocal row, and the sum
+    side agrees with it."""
+    calls = []
+    real = qfactorial._recur
+    monkeypatch.setattr(qfactorial, "_recur",
+                        lambda *a: calls.append(1) or real(*a))
+    qfactorial._RUNS.clear()
+    rr1 = get_identity("rr1").lowered
+    got = expand_product_spec(rr1.rhs, 20000)
+    assert calls == []
+    assert got == summation.eval_sum(rr1.lhs, 20000)

@@ -525,6 +525,32 @@ def test_invert_matches_reference(case, requested):
     assert _triples(w) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=40), st.sampled_from([1, -1, 2]),
+       st.integers(-3, 3), st.integers(0, 30), st.integers(0, 40))
+def test_a_pure_q_inverse_is_the_grade_loop(coeffs, lead, v, spread, order):
+    """The row recurrence of a pure-q inverse, on dense and on sparse
+    series, against the grade loop for formal variables: the same
+    series with a variable t that tracks the q-exponent, so that
+    q^e t^e is one monomial per grade, and t dropped afterwards."""
+    terms = {(v, ()): lead}
+    for i, c in enumerate(coeffs, 1):
+        terms[(v + i * (1 + spread // 6), ())] = c
+    s = Series(terms, v + 60, min(0, v))
+    tagged = Series({(qe, (("t", qe),)): c for (qe, _), c in s.terms.items()},
+                    s.order, s.floor)
+    try:
+        want = tagged.invert(order)
+    except (NotInvertible, TruncationUnsound) as exc:
+        with pytest.raises(type(exc)) as refused:
+            s.invert(order)
+        assert str(refused.value) == str(exc)
+        return
+    got = s.invert(order)
+    assert (got.order, got.floor) == (want.order, want.floor)
+    assert got.terms == {(qe, ()): c for (qe, _), c in want.terms.items()}
+
+
 # Shifts and cuts build their results without re-filtering them, so each
 # is checked against the reference: no zero coefficient, nothing above
 # the order or below the floor.
