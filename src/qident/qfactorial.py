@@ -18,8 +18,9 @@ accumulator a term dict, a coefficient row (a binomial is a downward
 sweep, its reciprocal an upward recurrence) or, with formal variables,
 a dict keyed by one int.  A sum steps it along each index
 (`summation.eval_sum_over`); product sides and single factors
-(`expand_factors`) step each factor from subscript 0, and an exact
-polynomial is that walk to its degree.  Neither keeps a run.
+(`expand_factors`) step each factor from subscript 0, in q^g for the
+gcd g of every q-exponent in play, and an exact polynomial is that walk
+to its degree.  Neither keeps a run.
 
 A product side, of a statement or of the z layer, takes one path,
 `expand_closed`, once `closed_factors` has made its refusals.  First
@@ -27,21 +28,23 @@ A product side, of a statement or of the z layer, takes one path,
 factors net, quotients telescope to finite factors, and Jacobi triple
 products become theta series theta(a; q^m) = sum (-1)^n a^n
 q^(m binom(n, 2)) of O(sqrt(order)) terms (`theta`), a pure-q reciprocal
-pair completed by (q^m; q^m)_inf / (q^m; q^m)_inf first.  A pure-q
-theta in the denominator is divided out of the finished series by its
-row recurrence (`qring.divide_row`).  Every other infinite factor
-(a; q^b)_inf^(+-1) is one call of `infinite_factor`, which inverts no
-series: (q^b; q^b)_inf by the pentagonal theorem, any other pure-q
-factor one coefficient row stepped to the order, and a factor with
-formal variables Euler's series in a, its coefficients read off one row
-1/(q^b; q^b)_n stepped in n.  `_RUNS` caches the factors of
-`infinite_factor`, and is the module's only cache.
+pair completed by (q^m; q^m)_inf / (q^m; q^m)_inf first.  What is
+left makes no product of two dense pure-q series, and inverts none:
+(q^m; q^m)_inf is the pentagonal series theta(q^m; q^(3m)), multiplied
+in as a numerator and, like a pure-q theta denominator, divided out of
+the finished series by its row recurrence (`qring.divide_row`) as a
+denominator; every other pure-q factor (a; q^b)_inf^(+-1) is its finite
+truncation, the binomials at or below the order, stepped with the
+finite factors; and a factor with formal variables is Euler's series in
+a (`infinite_factor`), its coefficients read off one row 1/(q^b; q^b)_n
+stepped in n.  `_RUNS` caches Euler's series, and is the module's only
+cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import gcd
 from operator import add, sub
 
@@ -51,6 +54,7 @@ from .qring import (
     Monomial,
     QSeriesError,
     Series,
+    TruncationUnsound,
     divide_row,
 )
 
@@ -143,17 +147,17 @@ def reflect(arg: Monomial, basepow: int, n: int,
     return lead, tuple(runs)
 
 
-# (arg, basepow, INF, expo, order) -> the infinite factor of product
-# sides and the z layer; finite factors and sums are stepped afresh.
+# (arg, basepow, expo, order) -> Euler's series of an infinite factor
+# with formal variables (`infinite_factor`); everything else is stepped
+# afresh.
 _RUNS: dict[tuple, Series] = {}
 
 # An accumulator free of formal variables becomes a coefficient row once
-# the row would hold fewer than this many entries per term (`_Stepper`,
-# `_infinite_terms`).  Measured on 13 numerator runs (q^a; q^b)_n at
-# orders 60 to 10^5 against products of Series, the row was 4 to 7 times
-# as fast on dense runs and 2 to 3 times as slow on the sparse
-# (q^1000; q)_20 at order 10^5; thresholds of 4 and 8 gave the least
-# total time.
+# the row would hold fewer than this many entries per term (`_Stepper`).
+# Measured on 13 numerator runs (q^a; q^b)_n at orders 60 to 10^5
+# against products of Series, the row was 4 to 7 times as fast on dense
+# runs and 2 to 3 times as slow on the sparse (q^1000; q)_20 at order
+# 10^5; thresholds of 4 and 8 gave the least total time.
 _ROW_PER_TERM = 4
 
 
@@ -189,71 +193,23 @@ def infinite_factor(arg: Monomial, basepow: int, expo: int,
 
     The caller has checked that finitely many terms lie at each q-weight:
     arg.qexp >= 1, or arg.qexp >= 0 for a product with formal variables.
-    No series is inverted.  (q^b; q^b)_inf is the pentagonal series
-    theta(q^b; q^(3b)) (Andrews, *The Theory of Partitions*, ch. 1),
-    and its reciprocal that series divided out of 1 (`_divide`).  Any
-    other pure-q factor is one coefficient row to the order
-    (`_infinite_terms`).  A factor with formal variables is
+    No series is inverted.  A pure-q factor is the product side of that
+    one factor (`expand_closed`).  A factor with formal variables is
     Euler's series (Gasper-Rahman, eqs. (1.3.15)-(1.3.16)): [arg^n] is
     (-1)^n q^(b binom(n,2)) / (q^b; q^b)_n for the product and
     1/(q^b; q^b)_n for the reciprocal, each read off one row stepped
-    from n - 1 to n (`_euler`).  Their leading q-weights
-    never fall as n grows, so the series stops at the first n whose
-    weight passes the order.  The factor is cached in `_RUNS`.
+    from n - 1 to n (`_euler`).  Their leading q-weights never fall as
+    n grows, so the series stops at the first n whose weight passes the
+    order.  Euler's series is cached in `_RUNS`.
     """
-    key = (arg, basepow, INF, expo, order)
+    if not arg.vars:
+        return expand_closed(Monomial.unit(), [], [(arg, basepow, expo)],
+                             order)
+    key = (arg, basepow, expo, order)
     factor = _RUNS.get(key)
     if factor is None:
-        if arg.vars:
-            factor = _euler(arg, basepow, expo, order)
-        elif arg == Monomial.q(basepow):  # Euler's pentagonal theorem
-            factor = theta(arg, 3 * basepow, order)
-            if expo < 0:
-                factor = _divide(Series.one(order), factor)
-        else:
-            g = gcd(arg.qexp, basepow)
-            steps = range(arg.qexp // g, order // g + 1, basepow // g)
-            factor = Series._cut({
-                (g * i, ()): c for i, c in _infinite_terms(
-                    arg.coeff, steps, expo, order // g) if c}, order, 0)
-        _RUNS[key] = factor
+        factor = _RUNS[key] = _euler(arg, basepow, expo, order)
     return factor
-
-
-def _infinite_terms(a: int, steps: range, expo: int, top: int):
-    """The (i, c) pairs of prod over t in `steps` of (1 - a x^t)^expo,
-    cut at x^top.
-
-    A reciprocal is `_recur` stepped over a row to `top`.  A product is
-    stepped on its term dict while a row to its degree would hold
-    `_ROW_PER_TERM` or more entries per term, and from the first step
-    where it would hold fewer, `_sweep` stepped over that row.  It stays
-    on the row, though the product may thin out again: (q;q)_inf at order
-    3000 has 89 terms, and its row, kept to the end, took 0.23 s against
-    0.36 s when each step checked the rule anew (CPython 3.11 on a shared
-    2-vCPU machine).
-    """
-    if expo < 0:
-        row = [1] + [0] * top
-        for t in steps:
-            _recur(row, a, t)
-        return enumerate(row)
-    terms, steps = {0: 1}, iter(steps)
-    for t in steps:
-        if min(top, max(terms) + t) < _ROW_PER_TERM * len(terms):
-            row = [0] * (max(terms) + 1)
-            for i, c in terms.items():
-                row[i] = c
-            for t in chain([t], steps):
-                row += [0] * (min(top, len(row) - 1 + t) + 1 - len(row))
-                _sweep(row, a, t)
-            return enumerate(row)
-        stepped = dict(terms)
-        for i, c in terms.items():
-            if i + t <= top:
-                stepped[i + t] = stepped.get(i + t, 0) - a * c
-        terms = {i: c for i, c in stepped.items() if c}
-    return terms.items()
 
 
 def _euler(arg: Monomial, basepow: int, expo: int, order: int) -> Series:
@@ -476,22 +432,36 @@ def expand_factors(lead: Monomial, factors, order: int,
     if any factor is, after the checks of `checked_lead`.  Otherwise the
     reflected lead is a monomial at the product's valuation v, and one
     `_Stepper` walk steps each factor's binomials from subscript 0 to n,
-    those of q-weight above order - min(v, 0) skipped.  A product
-    dipping below q^0 keeps its floor there and its order at `order`.
+    those of q-weight above order - min(v, 0) skipped.  The product is a
+    series in q^g, g the gcd of v and every argument's q-exponent and
+    base, so the walk runs in q^g to order // g and its result is
+    stretched back.  A product dipping below q^0 keeps its floor there
+    and its order at `order`.
     """
     lead = checked_lead(lead, [reflect(*f) for f in factors], order)
     if lead is None:
         return Series.zero(order)
-    walk = _Stepper([(arg, b, expo) for arg, b, _, expo in factors], [lead],
-                    order)
+    g = gcd(lead.qexp, *(e for arg, b, _, _ in factors
+                         for e in (arg.qexp, b))) or 1
+    lead = _shrink(lead, g)
+    walk = _Stepper([(_shrink(arg, g), b // g, expo)
+                     for arg, b, _, expo in factors], [lead], order // g)
     acc = walk.rebase(walk.monomials([lead]), range(len(factors)),
                       [n for _, _, n, _ in factors], [0] * len(factors))
-    series = Series._cut(walk.terms(acc), order, walk.low)
+    terms = walk.terms(acc)
+    if g > 1:
+        terms = {(g * qe, vk): c for (qe, vk), c in terms.items()}
+    series = Series._cut(terms, order, g * walk.low)
     if pieces and series.terms == {(0, ()): 1}:  # 1 * piece is the piece
         series, pieces = pieces[0], pieces[1:]
     for piece in pieces:
         series = series * piece
     return series
+
+
+def _shrink(m: Monomial, g: int) -> Monomial:
+    """m with q -> q^(1/g), g dividing its q-exponent."""
+    return Monomial._of(m.coeff, m.qexp // g, m.vars)
 
 
 def _poch(arg: Monomial, basepow: int, n: int, expo: int,
@@ -556,10 +526,12 @@ def closed_factors(spec: ProductSpec, order: int):
     """(finite, infinite): the factors of `spec` as `expand_closed` takes
     them, after every refusal of a product side, in statement order: an
     infinite factor whose argument has no positive q-weight, then the
-    finite factors (`checked_lead`), then a negative valuation.  A side
-    of negative valuation is expanded factor by factor first, so that it
-    fails as that product fails (TruncationUnsound when its order drops
-    below q^0).  `infinite` holds (arg, basepow, expo)."""
+    finite factors (`checked_lead`), then a negative valuation v.  Such
+    a side fails as its product factor by factor fails: the finite
+    factors make a series of valuation v sound to `order`, and an
+    infinite factor, of valuation 0 and sound to `order`, cuts the
+    product's order to order + v, TruncationUnsound below q^0 (the rule
+    of `Series.__mul__`).  `infinite` holds (arg, basepow, expo)."""
     finite, infinite = [], []
     for f in spec.factors:
         expo = 1 if f.expo > 0 else -1
@@ -570,9 +542,10 @@ def closed_factors(spec: ProductSpec, order: int):
         infinite.append((f.arg, f.basepow, f.expo))
     lead = checked_lead(spec.prefactor, [reflect(*f) for f in finite], order)
     if lead is not None and lead.qexp < 0:
-        expand_factors(spec.prefactor, finite, order, [
-            infinite_factor(arg, b, 1 if e > 0 else -1, order)
-            for arg, b, e in infinite for _ in range(abs(e))])
+        if infinite and order + lead.qexp < 0:
+            raise TruncationUnsound(
+                "product of truncated series with negative valuations "
+                f"retains no sound coefficients (cap {order + lead.qexp})")
         raise QSeriesError(
             f"product expansion has negative q-valuation {lead.qexp}; "
             "not a power series")
@@ -596,20 +569,37 @@ def expand_closed(prefactor: Monomial, finite, infinite,
     `finite` holds (arg, basepow, n, expo) with expo = +-1; `infinite`
     holds (arg, basepow, expo), each factor closed: arg.qexp >= 1, or
     arg.qexp >= 0 with formal variables in a numerator of the z layer.
-    `_rewrite` takes the infinite factors to their normal form.  The
-    finite factors, old and telescoped, are one `_Stepper` walk; each
-    theta numerator and every factor left is a piece multiplied in; and
-    each pure-q theta denominator is divided out of the finished series.
+    `_rewrite` takes the infinite factors to their normal form, and no
+    product of two dense pure-q series is left:
+
+    - the finite factors, old and telescoped, and every pure-q factor
+      (a; q^b)_inf^(+-1) left but (q^m; q^m)_inf, as its truncation
+      (a; q^b)_n to the n binomials at or below the order, are one
+      `_Stepper` walk (`expand_factors`);
+    - each factor with formal variables (`infinite_factor`) and each
+      (q^m; q^m)_inf numerator, the pentagonal series theta(q^m; q^(3m))
+      (Andrews, *The Theory of Partitions*, ch. 1), in `_rewrite`'s
+      order, then each theta numerator, is a piece multiplied in;
+    - each pure-q theta denominator and each (q^m; q^m)_inf denominator
+      is divided out of the finished series.
     """
     telescoped, thetas, rest = _rewrite(infinite)
-    pieces = [infinite_factor(arg, b, 1 if e > 0 else -1, order)
-              for (arg, b), e in rest.items() for _ in range(abs(e))]
-    pieces += [theta(arg, b, order) for (arg, b), e in thetas.items()
-               for _ in range(e)]
-    series = expand_factors(prefactor, finite + telescoped, order, pieces)
+    walk, pieces, dens = finite + telescoped, [], []
+    for (arg, b), e in rest.items():
+        s = 1 if e > 0 else -1
+        if arg.vars:
+            pieces += [infinite_factor(arg, b, s, order)] * abs(e)
+        elif arg == Monomial.q(b):  # Euler's pentagonal theorem
+            (pieces if e > 0 else dens).extend(
+                [theta(arg, 3 * b, order)] * abs(e))
+        else:
+            n = max(0, (order - arg.qexp) // b + 1)
+            walk += [(arg, b, n, s)] * abs(e)
     for (arg, b), e in thetas.items():
-        for _ in range(-e):
-            series = _divide(series, theta(arg, b, order))
+        (pieces if e > 0 else dens).extend([theta(arg, b, order)] * abs(e))
+    series = expand_factors(prefactor, walk, order, pieces)
+    for den in dens:
+        series = _divide(series, den)
     return series
 
 
@@ -631,8 +621,8 @@ def _rewrite(infinite):
     4. a pure-q reciprocal pair 1/((A; q^m)(q^m/A; q^m)) is
        (q^m; q^m) / theta(A; q^m).
 
-    A lone (q^m; q^m)_inf^(+-1) is left to `infinite_factor`, which
-    takes it by the pentagonal theorem and caches it for every side.
+    A lone (q^m; q^m)_inf^(+-1) is left to `expand_closed`, which
+    takes it by the pentagonal theorem.
     """
     net: dict[tuple[Monomial, int], int] = {}
     for arg, b, e in infinite:

@@ -18,24 +18,13 @@ q-exponent its window admits.  A sum is known to the smaller order; a
 product to min(order_a + val_b, order_b + val_a), the largest sound
 order, which is ``EXACT`` only when both operands are.
 
-Products go through `_convolve`, which repacks the two term dicts for the
-time of one product and hands back a term dict:
-
-- Two operands free of formal variables whose packed rows hold fewer
-  than half as many fields as the term-by-term loop would make
-  multiply-adds pack into one int each, one signed field per
-  coefficient (Kronecker substitution), and multiply as big ints.  A
-  field is a whole number of bytes, wide enough for
-  max|a| * max|b| * min(len(a), len(b)), the most a product coefficient
-  can reach.
-- Every other product keys each term by one int (`KeyLayout`, which
-  the sum walk shares): the q-exponent in the top bits and the formal
-  variables' exponents in signed fields below, each wide enough for a
-  sum of two operand exponents.  Merging two monomials is then one
-  integer add.
-
-The path rests on the operands and the cap alone, with no option to
-choose it.
+Products go through `_convolve`, which keys each term by one int
+(`KeyLayout`, which the sum walk shares): the q-exponent in the top bits
+and the formal variables' exponents in signed fields below, each wide
+enough for a sum of two operand exponents.  Merging two monomials is
+then one integer add.  No product side multiplies two dense pure-q
+rows: it steps its pure-q factors in one binomial walk and multiplies in
+theta series of O(sqrt(order)) terms (`qfactorial.expand_closed`).
 """
 
 from __future__ import annotations
@@ -459,113 +448,6 @@ def divide_row(num: list[int], den: Mapping[int, int]) -> list[int]:
     return out[top:]
 
 
-def _convolve(a: dict[TermKey, int], b: dict[TermKey, int],
-              cap: int) -> dict[TermKey, int]:
-    """The product of two term dicts, dropping q-exponents above `cap`.
-
-    Two paths, chosen by their cost on the operands at hand:
-
-    - packed: both operands are free of formal variables, and the packed
-      rows, cut to the exponents that can reach `cap`, hold fewer than
-      half as many fields (two rows in, one row out) as the keyed loop
-      would make multiply-adds, estimated from the operands' lengths and
-      spans.  Each row packs into one int and the product is one big-int
-      multiply (`_packed_product`).  The factor 2 was fitted on 400
-      random pure-q products, 2 to 120 terms, 1 to 50 q-exponents per
-      term, 3- to 80-bit coefficients, on CPython 3.11: it costs 1.3%
-      over always taking the faster path.  Against a dense row of 121 terms below q^120, an
-      operand with a term every 5 q-exponents packs and one with a term
-      every 20 does not.  The fields are bounded by the multiply-adds, so
-      a sparse operand (terms up to q^1000000000, say) never packs.
-    - keyed: every other product.  Each term is keyed by one int, so the
-      inner loop merges two monomials with one integer add
-      (`_keyed_product`).
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    vks = {vk for t in (a, b) for _, vk in t}
-    if vks != {()} or not a:
-        return _keyed_product(a, b, cap, vks)
-    lo_a, hi_a = min(a)[0], max(a)[0]
-    lo_b, hi_b = min(b)[0], max(b)[0]
-    if cap < lo_a + lo_b:
-        return {}
-    top_a, top_b = min(hi_a, cap - lo_b), min(hi_b, cap - lo_a)
-    size = top_a - lo_a + top_b - lo_b + 1  # fields of the full product row
-    fields = size + 1 + min(size, cap - lo_a - lo_b + 1)
-    # The exponent pairs below the cap fill the rectangle of the two cut
-    # rows but for a corner triangle with legs `over`; scaled by each
-    # operand's density of terms, that is the keyed loop's multiply-adds.
-    over = max(0, top_a + top_b - cap)
-    area = (top_a - lo_a + 1) * (top_b - lo_b + 1) - over * (over + 1) // 2
-    if 2 * fields * (hi_a - lo_a + 1) * (hi_b - lo_b + 1) < \
-            len(a) * len(b) * area:
-        return _packed_product(a, lo_a, top_a, b, lo_b, top_b, cap)
-    return _keyed_product(a, b, cap, vks)
-
-
-def _packed_product(a: dict[TermKey, int], lo_a: int, hi_a: int,
-                    b: dict[TermKey, int], lo_b: int, hi_b: int,
-                    cap: int) -> dict[TermKey, int]:
-    """Kronecker substitution: pure-q a[lo_a..hi_a] times b[lo_b..hi_b].
-
-    A row c_0, c_1, ... packs into the int sum c_i 2^(w i), one signed
-    field of w = 8 * width bits per coefficient, so the product of two
-    packed rows is the packed product row (Harvey, "Faster polynomial
-    multiplication via multipoint Kronecker substitution", JSC 2009).
-    A product coefficient is a sum of at most min(len(a), len(b)) terms,
-    so its size is at most max|a| * max|b| * min(len(a), len(b)) =
-    `bound`; a field holds it when bound < 2^(w-1), and `_unpack` reads
-    the fields off the product.
-    """
-    row_a, row_b = _row(a, lo_a, hi_a), _row(b, lo_b, hi_b)
-    bound = (max(map(abs, row_a)) * max(map(abs, row_b))
-             * min(len(a), len(b)))
-    width = bound.bit_length() // 8 + 1
-    size = len(row_a) + len(row_b) - 1
-    lo = lo_a + lo_b
-    row = _unpack(_pack(row_a, width) * _pack(row_b, width),
-                  min(size, cap - lo + 1), width)
-    return {(lo + i, ()): c for i, c in enumerate(row) if c}
-
-
-def _row(terms: dict[TermKey, int], lo: int, hi: int) -> list[int]:
-    """The coefficients of q^lo .. q^hi of pure-q terms, none below q^lo."""
-    row = [0] * (hi - lo + 1)
-    for (qe, _), c in terms.items():
-        if qe <= hi:
-            row[qe - lo] = c
-    return row
-
-
-def _bias(n: int, width: int) -> int:
-    """2^(w-1) in each of n fields of w = 8 * width bits."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-
-
-def _pack(row: list[int], width: int) -> int:
-    """sum row[i] 2^(w i) for |row[i]| < 2^(w-1), w = 8 * width."""
-    half = 1 << (8 * width - 1)
-    biased = b"".join([(c + half).to_bytes(width, "little") for c in row])
-    return int.from_bytes(biased, "little") - _bias(len(row), width)
-
-
-def _unpack(value: int, n: int, width: int) -> list[int]:
-    """The row c_0 .. c_(n-1) with sum c_i 2^(w i) = value mod 2^(w n),
-    w = 8 * width, each c_i in (-2^(w-1), 2^(w-1)).
-
-    Such a row is unique, and it is the row that `_pack` packed whenever
-    value is congruent to a packed row whose fields all lie in that
-    range: adding 2^(w-1) to every field then makes each one a digit in
-    [0, 2^w), so the fields read off the bytes of the sum mod 2^(w n).
-    """
-    half = 1 << (8 * width - 1)
-    fields = ((value + _bias(n, width)) & ((1 << 8 * width * n) - 1)
-              ).to_bytes(n * width, "little")
-    return [int.from_bytes(fields[i:i + width], "little") - half
-            for i in range(0, n * width, width)]
-
-
 class KeyLayout:
     """One-int keys for the terms q^e prod names[i]^x_i.
 
@@ -627,9 +509,9 @@ class KeyLayout:
         return out
 
 
-def _keyed_product(a: dict[TermKey, int], b: dict[TermKey, int], cap: int,
-                   vks: set[VKey]) -> dict[TermKey, int]:
-    """Dict convolution over one-int keys; `vks` holds the operands' vars.
+def _convolve(a: dict[TermKey, int], b: dict[TermKey, int],
+              cap: int) -> dict[TermKey, int]:
+    """The product of two term dicts, dropping q-exponents above `cap`.
 
     Each term is keyed by `KeyLayout`, every field wide enough for a sum
     of two operand exponents, so the key of a product of terms is the
@@ -638,6 +520,9 @@ def _keyed_product(a: dict[TermKey, int], b: dict[TermKey, int], cap: int,
     its top bits.  With `b` sorted by key, each row of the loop stops at
     the keys of q-degree above `cap`, found by bisection.
     """
+    if len(a) > len(b):
+        a, b = b, a
+    vks = {vk for t in (a, b) for _, vk in t}
     widest = {}
     for vk in vks:
         for n, e in vk:

@@ -9,6 +9,8 @@ and build each piece only to its depth, so the two paths share nothing
 above the ring operations.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,7 @@ from qident.summation import (
 )
 
 
+@functools.cache
 def binomials(arg: Monomial, basepow: int, n: int) -> Series:
     """The binomials of (arg; q^basepow)_n multiplied out, for |n|: the
     numerator when n >= 0, the denominator when n < 0."""

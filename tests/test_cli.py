@@ -611,18 +611,12 @@ def test_catalog_output_matches_the_golden_records(capsys):
 
 
 def test_dense_statements_match_the_golden_records(capsys, monkeypatch):
-    """Long dense pure-q series at order 120, which take the packed product
-    path: Rogers-Ramanujan, Euler's pentagonal theorem, the double and
-    triple sums, and andrews-p20 at i = 68, j = 52, whose coefficients
-    reach 2^45.  The records were made before the packed path existed."""
-    packed = []
-    real = qring._packed_product
-    monkeypatch.setattr(qring, "_packed_product",
-                        lambda *args: packed.append(1) or real(*args))
+    """Long dense pure-q series at order 120: Rogers-Ramanujan, Euler's
+    pentagonal theorem, the double and triple sums, and andrews-p20 at
+    i = 68, j = 52, whose coefficients reach 2^45."""
     monkeypatch.chdir(DENSE.parent)
     assert main(["verify", DENSE.name, "--order", "120", "--no-timing"]) == 0
     assert capsys.readouterr().out == DENSE_GOLDEN.read_text()
-    assert packed
 
 
 def test_z_statements_match_the_golden_records(capsys, monkeypatch):

@@ -5,12 +5,13 @@ Oracles here are deliberately naive: signed subset-sum DP for products of
 """
 
 import ast
+from math import isqrt
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_assembly import binomials
+from test_assembly import ARGS, BASES, binomials
 
 from qident import qfactorial, summation
 from qident.catalog import get_identity
@@ -28,7 +29,7 @@ from qident.qfactorial import (
     poch_recip_finite,
     reflect,
 )
-from qident.qring import EXACT, Monomial, NotInvertible, Series
+from qident.qring import EXACT, Monomial, NotInvertible, QSeriesError, Series
 from qident.summation import _dip
 
 A = Monomial(1, 0, (("a", 1),))
@@ -290,6 +291,25 @@ def test_spec_rejects_negative_valuation():
         expand_product_spec(spec, 5)
 
 
+def test_a_side_below_q0_is_refused_without_a_product(monkeypatch):
+    """q^-v (q; q^2)_inf / (q^2; q^3)_inf is refused before any series is
+    multiplied, as the product factor by factor would fail: with
+    TruncationUnsound when it keeps no order, order - v < 0."""
+    calls = []
+    real = Series.__mul__
+    monkeypatch.setattr(Series, "__mul__",
+                        lambda a, b: calls.append(1) or real(a, b))
+    infinite = (FactorSpec(Q, 2, INF, 1),
+                FactorSpec(Monomial.q(2), 3, INF, -1))
+    for v, order, error in ((1, 6000, "negative q-valuation -1"),
+                            (3, 2, r"no sound coefficients \(cap -1\)")):
+        with pytest.raises(QSeriesError, match=error):
+            expand_product_spec(ProductSpec(infinite, Monomial.q(-v)), order)
+    assert calls == []
+    with pytest.raises(QSeriesError, match="negative q-valuation -3"):
+        expand_product_spec(ProductSpec((), Monomial.q(-3)), 2)
+
+
 # ------------------------------------------------------------------ runs
 #
 # A finite factor is stepped one binomial at a time, on a term dict, a
@@ -500,8 +520,9 @@ def partition_numbers(top):
 
 
 def test_long_order_infinite_factors_make_no_product_or_inverse(monkeypatch):
-    """1/(q;q)_inf and (q;q)_inf at order 3000, each one row: no
-    Series.invert and no product of Series."""
+    """1/(q;q)_inf and (q;q)_inf at order 3000, the pentagonal series
+    divided out of 1 and the series itself: no Series.invert and no
+    product of Series."""
     calls = []
     for name in ("invert", "__mul__"):
         real = getattr(Series, name)
@@ -517,7 +538,6 @@ def test_long_order_infinite_factors_make_no_product_or_inverse(monkeypatch):
         if k * (3 * k - 1) // 2 <= 3000:
             pentagonal[(k * (3 * k - 1) // 2, ())] = -1 if k % 2 else 1
     assert euler.terms == pentagonal
-    assert infinite_factor(Q, 1, -1, 3000) is recip  # cached, one entry
 
 
 # ------------------------------------------------- the rewrite of a side
@@ -654,3 +674,90 @@ def test_rr1_product_side_steps_no_dense_reciprocal_row(monkeypatch):
     got = expand_product_spec(rr1.rhs, 20000)
     assert calls == []
     assert got == summation.eval_sum(rr1.lhs, 20000)
+
+
+# ------------------------------------------------ the walk in q^g
+#
+# A pure-q factor left by the rewrite joins the finite factors' walk as
+# its truncation, and the walk runs in q^g for the gcd g of the
+# exponents in play.  Substituting q -> q^g in a side must then stretch
+# its expansion, whichever route each factor takes.
+
+
+def scaled(spec, g):
+    """`spec` with q -> q^g: every q-exponent and base times g."""
+    def stretch(m):
+        return Monomial(m.coeff, g * m.qexp, m.vars)
+    return ProductSpec(tuple(FactorSpec(stretch(f.arg), g * f.basepow,
+                                        f.count, f.expo)
+                             for f in spec.factors), stretch(spec.prefactor))
+
+
+def expanded(build, *args):
+    """build(*args), or the type of what it raises."""
+    try:
+        return build(*args)
+    except QSeriesError as exc:
+        return type(exc)
+
+
+def check_stretched(got, want, g, order):
+    """`got` to `order` is `want` stretched by q -> q^g, or raises as
+    `want` does."""
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type)
+    assert (got.order, got.floor) == (order, g * want.floor)
+    assert got.terms == want.rescale_base(g).terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(rewritable_sides(), st.lists(st.tuples(ARGS, BASES, st.integers(-5, 6),
+                                             st.sampled_from((1, -1, 2, -2))),
+                                    max_size=3),
+       st.integers(0, 6), st.integers(2, 4), st.integers(0, 60))
+def test_a_side_in_q_to_the_g_is_the_side_stretched(infinite, finite, shift,
+                                                     g, order):
+    """Finite factors, lone pure-q factors, theta and pentagonal
+    numerators and denominators and x arguments, with q -> q^g, against
+    the side itself to order // g stretched by g."""
+    spec = ProductSpec(infinite + tuple(FactorSpec(*f) for f in finite),
+                       Monomial.q(shift))
+    qfactorial._RUNS.clear()
+    check_stretched(expanded(expand_product_spec, scaled(spec, g), order),
+                    expanded(expand_product_spec, spec, order // g), g, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(EXACT_ARGS), st.integers(1, 3), st.integers(-6, 6),
+       st.integers(2, 4), st.integers(0, 40))
+def test_a_finite_factor_in_q_to_the_g_is_the_factor_stretched(arg, basepow,
+                                                               n, g, order):
+    """(arg; q^b)_n to an order, whose floor may lie below q^0."""
+    stretched = Monomial(arg.coeff, g * arg.qexp, arg.vars)
+    check_stretched(expanded(poch_finite, stretched, g * basepow, n, order),
+                    expanded(poch_finite, arg, basepow, n, order // g),
+                    g, order)
+
+
+def test_a_pure_q_side_multiplies_no_two_dense_series(monkeypatch):
+    """Each product that these sides make at order 3000 has an operand of
+    O(sqrt(order)) terms, a theta or pentagonal series: 1/((q;q)(q^2;q^2)),
+    (q^2;q^5)/(q^3;q^7), 1/((q;q^8)(q^4;q^8)(q^7;q^8)) and Andrews-Gordon
+    at k = 2, i = 1."""
+    order = 3000
+    smaller = []
+    real = Series.__mul__
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: smaller.append(
+        min(len(a.terms), len(b.terms))) or real(a, b))
+
+    def side(*factors):
+        return ProductSpec(tuple(FactorSpec(Monomial.q(a), b, INF, e)
+                                 for a, b, e in factors))
+    for spec in (side((1, 1, -1), (2, 2, -1)), side((2, 5, 1), (3, 7, -1)),
+                 side((1, 8, -1), (4, 8, -1), (7, 8, -1)),
+                 get_identity("andrews-gordon", k=2, i=1).lowered.rhs):
+        qfactorial._RUNS.clear()
+        expand_product_spec(spec, order)
+    assert max(smaller, default=0) <= 3 * isqrt(order) + 3

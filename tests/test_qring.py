@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import qring
 from qident.qring import (
     EXACT,
     Monomial,
@@ -368,10 +367,9 @@ def test_mul_matches_reference(pa, pb):
     _check_mul(pa, pb)
 
 
-# Long and wide operands, which reach both paths of the product kernel:
-# dense pure-q runs of 8 to 60 terms with coefficients up to 2^80 (packed
-# into big ints when that costs less than the term-by-term loop), and
-# x, y exponents up to 40 (keyed by one int each).
+# Long and wide operands: dense pure-q runs of 8 to 60 terms with
+# coefficients up to 2^80, and x, y exponents up to 40, each field of a
+# term's one-int key.
 
 _BIG = st.integers(-2 ** 80, 2 ** 80)
 _WIDE = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
@@ -420,79 +418,62 @@ def test_mul_matches_reference_on_wide_operands(pa, pb):
     _check_mul(pa, pb)
 
 
-def _paths(monkeypatch):
-    """The kernel paths later products take, in call order."""
-    ran = []
-    for name in ("_packed_product", "_keyed_product"):
-        real = getattr(qring, name)
-        monkeypatch.setattr(qring, name, lambda *args, _real=real, _name=name:
-                            ran.append(_name) or _real(*args))
-    return ran
-
-
 def _row(coeffs, lo=0):
     return {(lo + i, 0, 0): c for i, c in enumerate(coeffs) if c}
 
 
-# (a, order_a, b, order_b) as completions; order None for an exact operand
-_PACKED_CASES = {
-    # 16 * 2^13 * 2^14 = 2^31 needs a fifth byte in its field ...
-    "field-grows": (_row([2 ** 13] * 16), None, _row([2 ** 14] * 16), None),
-    "field-grows-negative": (_row([-2 ** 13] * 16), None,
-                             _row([2 ** 14] * 16), None),
-    # ... and 16 * 511 * 262657 = 2^31 - 16 just fits in four
-    "field-just-fits": (_row([511] * 16), None, _row([262657] * 16), None),
-    "field-just-fits-negative": (_row([511] * 16), None,
-                                 _row([-262657] * 16), None),
+def _op(known, order=EXACT, floor=0):
+    """(series, completion) of the terms `known`."""
+    return _build(known, order, floor), known
+
+
+_FA = {(-2, 40, -40): 2 ** 80, (0, 0, 0): 1, (1, -40, 39): -3,
+       (3, 17, 0): 5, (5, 0, -1): -1}
+_FB = {(0, 40, 40): -1, (1, -40, 1): 2 ** 64, (2, 0, 0): 7,
+       (4, -1, -40): 1, (6, 3, 3): 9}
+_SPARSE = {(i * 10 ** 8, 0, 0): i + 1 for i in range(16)}
+
+_MUL_CASES = {
+    # coefficients of 16 * 2^13 * 2^14 = 2^31 and 16 * 511 * 262657 =
+    # 2^31 - 16
+    "field-grows": (_op(_row([2 ** 13] * 16), floor=-5),
+                    _op(_row([2 ** 14] * 16), floor=-5)),
+    "field-grows-negative": (_op(_row([-2 ** 13] * 16), floor=-5),
+                             _op(_row([2 ** 14] * 16), floor=-5)),
+    "field-just-fits": (_op(_row([511] * 16), floor=-5),
+                        _op(_row([262657] * 16), floor=-5)),
+    "field-just-fits-negative": (_op(_row([511] * 16), floor=-5),
+                                 _op(_row([-262657] * 16), floor=-5)),
     # the odd coefficients cancel to 0 exactly
-    "cancellation": (_row([1] * 20), None,
-                     _row([(-1) ** i for i in range(20)]), None),
-    "negative-floors": (_row([3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8, 9], -5),
-                        None, _row(list(range(1, 21)), -2), 30),
+    "cancellation": (_op(_row([1] * 20), floor=-5),
+                     _op(_row([(-1) ** i for i in range(20)]), floor=-5)),
+    "negative-floors": (
+        _op(_row([3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8, 9], -5), floor=-5),
+        _op(_row(list(range(1, 21)), -2), 30, -5)),
     # the cap, 20 + 0, cuts the exact operand's run of 40 to 21 terms
-    "cap-below-span": (_row([2 ** 70 + i for i in range(40)]), None,
-                       _row([-1] * 16), 20),
-    # 1/(1 - q^5) below q^120 times a dense row: 1525 multiply-adds
-    # against 363 fields
-    "sparse-step-5": (_row(([1] + [0] * 4) * 24 + [1]), None,
-                      _row(list(range(1, 122))), 120),
+    "cap-below-span": (_op(_row([2 ** 70 + i for i in range(40)]), floor=-5),
+                       _op(_row([-1] * 16), 20, -5)),
+    # 1/(1 - q^5) and 1/(1 - q^20) below q^120 times a dense row
+    "sparse-step-5": (_op(_row(([1] + [0] * 4) * 24 + [1]), floor=-5),
+                      _op(_row(list(range(1, 122))), 120, -5)),
+    "sparse-step-20": (_op(_row(([1] + [0] * 19) * 6 + [1])),
+                       _op(_row(list(range(1, 122))), 120)),
+    "wide-vars-truncated": (_op(_FA, floor=-2), _op(_FB, 8)),
+    "wide-vars-exact": (_op(_FA, floor=-2), _op(_FB)),
+    # x^40 * x^-40 leaves a pure-q term, and the two products that land
+    # on q^1 cancel to 0
+    "vars-cancel-to-pure-q": (_op({(0, 40, 0): 1, (1, 0, 0): 1}),
+                              _op({(0, -40, 0): 1, (0, 0, 0): 1,
+                                   (1, -40, 0): -1, (2, 0, 0): 5})),
+    "short-pure-q": (_op(_row([1, 2, 3])), _op(_row(list(range(1, 30))), 20)),
+    # terms 10^8 q-exponents apart
+    "sparse-far-apart": (_op(_SPARSE), _op(_SPARSE)),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_PACKED_CASES))
-def test_packed_path_matches_reference(monkeypatch, case):
-    ran = _paths(monkeypatch)
-    fa, order_a, fb, order_b = _PACKED_CASES[case]
-    a = _build(fa, EXACT if order_a is None else order_a, -5)
-    b = _build(fb, EXACT if order_b is None else order_b, -5)
-    _check_mul((a, fa), (b, fb))
-    assert ran == ["_packed_product"]
-
-
-def test_keyed_path_matches_reference(monkeypatch):
-    ran = _paths(monkeypatch)
-    fa = {(-2, 40, -40): 2 ** 80, (0, 0, 0): 1, (1, -40, 39): -3,
-          (3, 17, 0): 5, (5, 0, -1): -1}
-    fb = {(0, 40, 40): -1, (1, -40, 1): 2 ** 64, (2, 0, 0): 7,
-          (4, -1, -40): 1, (6, 3, 3): 9}
-    _check_mul((_build(fa, EXACT, -2), fa), (_build(fb, 8, 0), fb))
-    _check_mul((_build(fa, EXACT, -2), fa), (_build(fb, EXACT, 0), fb))
-    # x^40 * x^-40 leaves a pure-q term, and the two products that land
-    # on q^1 cancel to 0
-    fc = {(0, 40, 0): 1, (1, 0, 0): 1}
-    fd = {(0, -40, 0): 1, (0, 0, 0): 1, (1, -40, 0): -1, (2, 0, 0): 5}
-    _check_mul((_build(fc, EXACT, 0), fc), (_build(fd, EXACT, 0), fd))
-    # short pure-q operands take the keyed path too
-    fe, ff = _row([1, 2, 3]), _row(list(range(1, 30)))
-    _check_mul((_build(fe, EXACT, 0), fe), (_build(ff, 20, 0), ff))
-    # so do long sparse ones, whose packed rows would span 10^9 fields
-    fg = {(i * 10 ** 8, 0, 0): i + 1 for i in range(16)}
-    _check_mul((_build(fg, EXACT, 0), fg), (_build(fg, EXACT, 0), fg))
-    # and 1/(1 - q^20) below q^120 times a dense row: 427 multiply-adds
-    # against 363 fields
-    fh, fi = _row(([1] + [0] * 19) * 6 + [1]), _row(list(range(1, 122)))
-    _check_mul((_build(fh, EXACT, 0), fh), (_build(fi, 120, 0), fi))
-    assert ran == ["_keyed_product"] * 6
+@pytest.mark.parametrize("case", sorted(_MUL_CASES))
+def test_mul_matches_reference_on_fixed_cases(case):
+    _check_mul(*_MUL_CASES[case])
 
 
 @settings(max_examples=200, deadline=None)
