@@ -36,9 +36,8 @@ the finished series by its row recurrence (`qring.divide_row`) as a
 denominator; every other pure-q factor (a; q^b)_inf^(+-1) is its finite
 truncation, the binomials at or below the order, stepped with the
 finite factors; and a factor with formal variables is Euler's series in
-a (`infinite_factor`), its coefficients read off one row 1/(q^b; q^b)_n
-stepped in n.  `_RUNS` caches Euler's series, and is the module's only
-cache.
+a (`_euler`), its coefficients read off one row 1/(q^b; q^b)_n stepped
+in n.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from .qring import (
     EXACT,
     KeyLayout,
     Monomial,
+    NotInvertible,
     QSeriesError,
     Series,
     TruncationUnsound,
@@ -147,11 +147,6 @@ def reflect(arg: Monomial, basepow: int, n: int,
     return lead, tuple(runs)
 
 
-# (arg, basepow, expo, order) -> Euler's series of an infinite factor
-# with formal variables (`infinite_factor`); everything else is stepped
-# afresh.
-_RUNS: dict[tuple, Series] = {}
-
 # An accumulator free of formal variables becomes a coefficient row once
 # the row would hold fewer than this many entries per term (`_Stepper`).
 # Measured on 13 numerator runs (q^a; q^b)_n at orders 60 to 10^5
@@ -187,36 +182,16 @@ def _recur(row: list[int], a: int, t: int) -> None:
                            prev if a == 1 else [a * c for c in prev])
 
 
-def infinite_factor(arg: Monomial, basepow: int, expo: int,
-                    order: int) -> Series:
-    """(arg; q^basepow)_inf ^ expo, expo = +-1, exactly to `order`.
-
-    The caller has checked that finitely many terms lie at each q-weight:
-    arg.qexp >= 1, or arg.qexp >= 0 for a product with formal variables.
-    No series is inverted.  A pure-q factor is the product side of that
-    one factor (`expand_closed`).  A factor with formal variables is
-    Euler's series (Gasper-Rahman, eqs. (1.3.15)-(1.3.16)): [arg^n] is
-    (-1)^n q^(b binom(n,2)) / (q^b; q^b)_n for the product and
-    1/(q^b; q^b)_n for the reciprocal, each read off one row stepped
-    from n - 1 to n (`_euler`).  Their leading q-weights never fall as
-    n grows, so the series stops at the first n whose weight passes the
-    order.  Euler's series is cached in `_RUNS`.
-    """
-    if not arg.vars:
-        return expand_closed(Monomial.unit(), [], [(arg, basepow, expo)],
-                             order)
-    key = (arg, basepow, expo, order)
-    factor = _RUNS.get(key)
-    if factor is None:
-        factor = _RUNS[key] = _euler(arg, basepow, expo, order)
-    return factor
-
-
 def _euler(arg: Monomial, basepow: int, expo: int, order: int) -> Series:
-    """Euler's series of (arg; q^basepow)_inf^expo, arg with formal
-    variables (`infinite_factor`).  row[i] is the coefficient of q^(b i)
-    in 1/(q^b; q^b)_n, stepped from n - 1 to n by `_recur` and cut, as
-    the weight of arg^n rises, to what still reaches the order."""
+    """(arg; q^basepow)_inf ^ expo, expo = +-1, exactly to `order`, for
+    an argument with formal variables and arg.qexp >= 0, as Euler's
+    series (Gasper-Rahman, eqs. (1.3.15)-(1.3.16)): [arg^n] is
+    (-1)^n q^(b binom(n,2)) / (q^b; q^b)_n for the product and
+    1/(q^b; q^b)_n for the reciprocal.  row[i] is the coefficient of
+    q^(b i) in 1/(q^b; q^b)_n, stepped from n - 1 to n by `_recur` and
+    cut, as the weight of arg^n rises, to what still reaches the order;
+    those weights never fall as n grows, so the series stops at the
+    first n whose weight passes the order.  No series is inverted."""
     row = [1] + [0] * (order // basepow)
     terms: dict = {}
     power = Monomial.unit()  # arg^n
@@ -237,19 +212,34 @@ def _euler(arg: Monomial, basepow: int, expo: int, order: int) -> Series:
         n += 1
 
 
-def checked_lead(lead: Monomial, reflected, order: int) -> Monomial | None:
+def no_inverse(a: Monomial) -> str | None:
+    """Why the binomial 1 - a, a of q-weight 0, has no inverse, in the
+    words of `Series.invert`, or None when it has one: a with formal
+    variables, or 1 - a.coeff not a unit."""
+    if a.vars:
+        return ("lowest q-level (q^0) holds 2 monomials; need a single "
+                "unit monomial")
+    u = 1 - a.coeff
+    if u in (1, -1):
+        return None
+    if u == 0:
+        return "zero series has no inverse"
+    return f"leading coefficient {u} is not a unit"
+
+
+def checked_lead(lead: Monomial, reflected) -> Monomial | None:
     """`lead` times the leads in `reflected`, the `reflect` values of a
     term's factors, or None when a factor is zero.  Every factor is
     reflected first (by the caller, so that a ZeroDivisor raises even
-    beside a zero factor); then, unless a factor is zero, the binomial
-    of q-weight 0 that starts a reciprocal run, the one that can have no
-    inverse, is inverted, to raise NotInvertible where it has none."""
+    beside a zero factor); then, unless a factor is zero, NotInvertible
+    raises for a reciprocal run that starts at a binomial of q-weight 0
+    with no inverse (`no_inverse`)."""
     if None in reflected:
         return None
     for factor_lead, runs in reflected:
         for arg, _, _, power in runs:
-            if power < 0 and arg.qexp == 0:
-                (Series.one() - Series.from_monomial(arg)).invert(order)
+            if power < 0 and arg.qexp == 0 and (why := no_inverse(arg)):
+                raise NotInvertible(why)
         lead = lead * factor_lead
     return lead
 
@@ -299,9 +289,8 @@ class _Stepper:
         # the position of each factor's binomial of q-weight 0, when it
         # has no inverse
         self.stuck = [
-            -arg.qexp // base if arg.qexp % base == 0 and (
-                arg.vars or 1 - arg.coeff not in (1, -1)) else None
-            for arg, base, _ in factors]
+            -arg.qexp // base if arg.qexp % base == 0 and no_inverse(arg)
+            else None for arg, base, _ in factors]
 
     def monomials(self, leads):
         """The sum of `leads` as an accumulator, cut at the order."""
@@ -438,7 +427,7 @@ def expand_factors(lead: Monomial, factors, order: int,
     stretched back.  A product dipping below q^0 keeps its floor there
     and its order at `order`.
     """
-    lead = checked_lead(lead, [reflect(*f) for f in factors], order)
+    lead = checked_lead(lead, [reflect(*f) for f in factors])
     if lead is None:
         return Series.zero(order)
     g = gcd(lead.qexp, *(e for arg, b, _, _ in factors
@@ -510,8 +499,8 @@ def poch_infinite(arg: Monomial, basepow: int = 1, order: int = 32) -> Series:
     arg.qexp + basepow*k and only finitely many factors touch the window.
     Anything else would put infinitely many terms at or below q^0.
     """
-    _truncatable(arg, basepow)
-    return infinite_factor(arg, basepow, 1, order)
+    return expand_product_spec(ProductSpec((FactorSpec(arg, basepow),)),
+                               order)
 
 
 def _truncatable(arg: Monomial, basepow: int) -> None:
@@ -540,7 +529,7 @@ def closed_factors(spec: ProductSpec, order: int):
             continue
         _truncatable(f.arg, f.basepow)
         infinite.append((f.arg, f.basepow, f.expo))
-    lead = checked_lead(spec.prefactor, [reflect(*f) for f in finite], order)
+    lead = checked_lead(spec.prefactor, [reflect(*f) for f in finite])
     if lead is not None and lead.qexp < 0:
         if infinite and order + lead.qexp < 0:
             raise TruncationUnsound(
@@ -576,10 +565,11 @@ def expand_closed(prefactor: Monomial, finite, infinite,
       (a; q^b)_inf^(+-1) left but (q^m; q^m)_inf, as its truncation
       (a; q^b)_n to the n binomials at or below the order, are one
       `_Stepper` walk (`expand_factors`);
-    - each factor with formal variables (`infinite_factor`) and each
-      (q^m; q^m)_inf numerator, the pentagonal series theta(q^m; q^(3m))
-      (Andrews, *The Theory of Partitions*, ch. 1), in `_rewrite`'s
-      order, then each theta numerator, is a piece multiplied in;
+    - each factor with formal variables, Euler's series (`_euler`), and
+      each (q^m; q^m)_inf numerator, the pentagonal series
+      theta(q^m; q^(3m)) (Andrews, *The Theory of Partitions*, ch. 1), in
+      `_rewrite`'s order, then each theta numerator, is a piece
+      multiplied in;
     - each pure-q theta denominator and each (q^m; q^m)_inf denominator
       is divided out of the finished series.
     """
@@ -588,7 +578,7 @@ def expand_closed(prefactor: Monomial, finite, infinite,
     for (arg, b), e in rest.items():
         s = 1 if e > 0 else -1
         if arg.vars:
-            pieces += [infinite_factor(arg, b, s, order)] * abs(e)
+            pieces += [_euler(arg, b, s, order)] * abs(e)
         elif arg == Monomial.q(b):  # Euler's pentagonal theorem
             (pieces if e > 0 else dens).extend(
                 [theta(arg, 3 * b, order)] * abs(e))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .qfactorial import INF, FactorSpec, ProductSpec
+from .qfactorial import INF, FactorSpec, ProductSpec, no_inverse
 from .qring import Monomial
 from .summation import (
     AffineForm,
@@ -940,9 +940,10 @@ def _lower_sum(node: SumCall, formal: set[str], params: dict,
                     "infinite products do not belong inside a sum")
             count = _as_affine(factor.count.substitute(params), indices,
                                "Pochhammer subscript")
-            (numers if op > 0 else denoms).append(DenomFactor(
-                _monomial_from_key(factor.arg, factor.coeff),
-                _base_qexp(factor.base), count))
+            f = DenomFactor(_monomial_from_key(factor.arg, factor.coeff),
+                            _base_qexp(factor.base), count)
+            _check_reach(factor, op, f, domains)
+            (numers if op > 0 else denoms).append(f)
         elif _try_sign_base(factor):
             aff = _as_affine(factor.exp.substitute(params), indices,
                              "sign exponent")
@@ -961,6 +962,32 @@ def _lower_sum(node: SumCall, formal: set[str], params: dict,
         except UnboundedSupport as exc:
             raise LoweringError(str(exc)) from None
     return spec
+
+
+def _check_reach(poch: PochCall, op: int, f: DenomFactor,
+                 domains: str) -> None:
+    """Refuse a summand's factor that, at a subscript the domain reaches,
+    divides by a binomial 1 - A of q-weight 0 with no inverse
+    (`qfactorial.no_inverse`), 1 - 1 included.  A denominator
+    (a; q^b)_L divides by 1 - a q^(bk) for 0 <= k < L, a numerator for
+    L <= k < 0, and the supremum of L, or of -L, over the domain's box
+    decides whether the domain reaches the k of q-weight 0.  Such a term
+    has no series at any order, whether or not the support below the
+    order holds it, and a zero factor beside it excuses nothing."""
+    a, b = f.arg, f.basepow
+    if a.qexp % b or not (why := no_inverse(a)):
+        return
+    k = -a.qexp // b
+    form, first = (f.count, k + 1) if op < 0 else (-f.count, -k)
+    if first < 1:
+        return
+    if form.const >= first or any(c > 0 or (c and d == "Z")
+                                  for c, d in zip(form.coeffs, domains)):
+        raise LoweringError(
+            f"{'1/' if op < 0 else ''}{_factor_text(poch)} divides by "
+            f"1 - {Monomial(a.coeff, 0, a.vars).text()} at subscript "
+            f"{k + 1 if op < 0 else k} and {'above' if op < 0 else 'below'}, "
+            f"which the domain reaches: {why}")
 
 
 def _poch_factor(poch: PochCall, params: dict, expo: int) -> FactorSpec:

@@ -19,11 +19,10 @@ ch. 7): a factor belongs to the last index its subscript reads, the
 inner sums along that index differ in their run products by one
 binomial per change of subscript, and Horner's rule takes those steps
 one binomial at a time on `qfactorial._Stepper`, the engine of finite
-factors too, with no run product and no run cache (see
-`eval_sum_over`).  Every point, of the support and of a sum, is read
-through the spec's forms compiled once to scaled integers
-(`SumSpec.compiled`), and each spec's support is certified once
-(`SumSpec.plans`).
+factors too, with no run product (see `eval_sum_over`).  Every point,
+of the support and of a sum, is read through the spec's forms compiled
+once to scaled integers (`SumSpec.compiled`), and each spec's support
+is certified once (`SumSpec.plans`).
 """
 
 from __future__ import annotations
@@ -264,7 +263,8 @@ def _dip(a: int, b: int, m: int) -> int:
 
 
 def _recip_offset(arg: Monomial, basepow: int, n: int) -> int | None:
-    """q-valuation contributed by 1/(arg;q^b)_n; None when the factor is 0.
+    """A lower bound on the q-valuation of 1/(arg;q^b)_n, exact for
+    n < 0 and 0 for n >= 0; None when the factor is 0.
 
     For n = -m < 0 the reciprocal is prod_{j=1..m} 1/(1 - arg q^(-j b)),
     and each factor with a - j b < 0 (a = arg's q-exponent) lowers the
@@ -354,8 +354,8 @@ class _CompiledSum:
         return v
 
     def valuation(self, point) -> int | None:
-        """S times the exact q-valuation of the term at `point`, or None
-        if a factor vanishes there."""
+        """S times `term_valuation` at `point`, or None if a factor
+        vanishes there."""
         v = self.exponent(point)
         for form, f in self.denoms:
             off = _recip_offset(f.arg, f.basepow, form.at(point, "subscript"))
@@ -383,7 +383,10 @@ class _CompiledSum:
 
 
 def term_valuation(spec: SumSpec, point) -> Fraction | None:
-    """Exact q-valuation of the term at `point` (None if the term is 0)."""
+    """A lower bound on the q-valuation of the term at `point` (None if
+    a factor vanishes there), exact when every denominator's argument has
+    q-weight >= 0: a reciprocal binomial 1 - A of negative q-weight at a
+    subscript >= 0 lifts the term by -weight(A).  Numerators don't count."""
     kernel = spec.compiled
     kernel.check(point)
     v = kernel.valuation(point)
@@ -666,11 +669,12 @@ def certify_support(spec: SumSpec, names=None) -> tuple:
 
 
 def enumerate_support(spec: SumSpec, order: int) -> SupportReport:
-    """Exactly the lattice points whose term valuation is <= order.
+    """The lattice points whose `term_valuation`, a lower bound, is <=
+    order: every point whose term reaches the order, and maybe more.
 
     Each sign region is walked coordinate by coordinate over the ranges
     its certificate allows (see `certify_support`), and every point
-    reached is kept iff its exact valuation, in scaled integers, is
+    reached is kept iff its valuation bound, in scaled integers, is
     <= order.
     """
     if spec.numers:
@@ -780,7 +784,7 @@ def _nested(spec: SumSpec, points, order: int) -> dict:
     for point in points:
         lead, ns = kernel.lead(point), kernel.subscripts(point)
         lead = checked_lead(lead, [reflect_once(f.arg, f.basepow, n, e)
-                                   for (f, e), n in zip(factors, ns)], order)
+                                   for (f, e), n in zip(factors, ns)])
         if lead is not None:
             leaves.append((point, lead, ns))
     if not leaves:

@@ -27,6 +27,8 @@ MULTISUM = DENSE.parent / "multisum_order120.qid"
 MULTISUM_GOLDEN = DENSE.parent / "verify_multisum_order120.jsonl"
 WIDE = DENSE.parent / "wide_order150.qid"
 WIDE_GOLDEN = DENSE.parent / "verify_wide_order150.jsonl"
+UNDEFINED = DENSE.parent / "undefined_terms.qid"
+UNDEFINED_GOLDEN = DENSE.parent / "verify_undefined_terms.jsonl"
 
 BROKEN = """\
 identity broken {
@@ -44,9 +46,8 @@ def run(capsys, *argv):
 
 
 def count_convolutions(monkeypatch) -> dict:
-    """Count qring._convolve calls from cold caches, and the products of
-    their operand sizes, which bound the term pairs they visit."""
-    qfactorial._RUNS.clear()
+    """Count qring._convolve calls, and the products of their operand
+    sizes, which bound the term pairs they visit."""
     seen = {"calls": 0, "pairs": 0}
     real = qring._convolve
 
@@ -653,6 +654,22 @@ def test_wide_coefficients_match_the_golden_records(capsys, monkeypatch):
     assert capsys.readouterr().out == WIDE_GOLDEN.read_text()
 
 
+def test_sums_with_undefined_terms_are_refused_at_every_order(capsys,
+                                                              monkeypatch):
+    """Three sums whose terms divide by 1 - 1, 1 - x and 1 + 1 from the
+    subscript 4 on get an error record at orders 0, 8, 15, 16 and 40,
+    though their support below order 16 never reaches n = 4; the sum
+    over 1/(q^-3; q)_(3-n), which stops short of that subscript, passes
+    at each."""
+    monkeypatch.chdir(UNDEFINED.parent)
+    out = ""
+    for order in (0, 8, 15, 16, 40):
+        assert main(["verify", UNDEFINED.name, "--order", str(order),
+                     "--no-timing"]) == 2
+        out += capsys.readouterr().out
+    assert out == UNDEFINED_GOLDEN.read_text()
+
+
 def test_rr1_at_order_10000_fits_in_128_mb():
     """The sum of rr1 at order 10^4 holds one row, not every prefix of
     1/(q; q)_n (a 211 MB address space when it did).  The child runs
@@ -672,6 +689,35 @@ def test_rr1_at_order_10000_fits_in_128_mb():
     assert done.returncode == 0, done.stderr[-2000:]
     [record] = [json.loads(line) for line in done.stdout.splitlines()]
     assert record["status"] == "pass"
+
+
+def test_a_run_leaves_no_state_behind(capsys):
+    """`verify --catalog all` at order 16 and then at order 12 in one
+    process: the second run prints what a fresh child prints, and
+    `qfactorial` holds no more names, nor longer containers, after the
+    runs than before them."""
+    def sizes():
+        return {name: len(v) if isinstance(v, (dict, list, set)) else None
+                for name, v in vars(qfactorial).items()}
+
+    argv = ["verify", "--catalog", "all", "--no-timing", "--order"]
+    before = sizes()
+    assert main([*argv, "16"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "12"]) == 0
+    second = capsys.readouterr().out
+    assert sizes() == before
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    src = Path(cli.__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "qident.cli", *argv, "12"],
+        capture_output=True, text=True, timeout=300, preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert fresh.returncode == 0, fresh.stderr[-2000:]
+    assert second == fresh.stdout
 
 
 @pytest.mark.parametrize("argv,golden", [
@@ -696,8 +742,8 @@ def test_main_sum_outputs_match_the_golden_records(capsys, argv, golden):
 ])
 def test_the_benchmark_commands_invert_no_series(capsys, monkeypatch, argv,
                                                  golden):
-    """The commands of the benchmark's three workloads, from cold caches,
-    with `Series.invert` made to raise: every infinite factor is a row or
+    """The commands of the benchmark's three workloads, with
+    `Series.invert` made to raise: every infinite factor is a row or
     Euler's series, and every reciprocal binomial a recurrence or its
     geometric series.  The order-16 and order-24 records are the output
     of the code that still inverted its product sides."""
@@ -706,7 +752,6 @@ def test_the_benchmark_commands_invert_no_series(capsys, monkeypatch, argv,
 
     monkeypatch.setattr(qring.Series, "invert", refuse)
     monkeypatch.chdir(DENSE.parent)
-    qfactorial._RUNS.clear()
     assert main([*argv, "--no-timing"]) == 0
     assert capsys.readouterr().out == (DENSE.parent / golden).read_text()
 

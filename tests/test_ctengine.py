@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from qident import ctengine, qfactorial, qring
+from qident import ctengine, qring
 from qident.catalog import get_identity
 from qident.ctengine import (
     MainProof,
@@ -271,13 +271,11 @@ def test_euler_expansion_matches_the_formal_z_product(order):
 
 def test_zfactor_expansion_convolution_count(monkeypatch):
     """The m = 1 product side of the 1psi1 sum at order 16, its z-carrying
-    factors from cold caches: (a^-1 z^-1 q; q)_inf nets away against its
-    reciprocal, the open 1/(z; q)_inf leaves the closed 1/(zq; q)_inf, and
-    the Euler series of (az; q)_inf times that of 1/(zq; q)_inf is the one
+    factors: (a^-1 z^-1 q; q)_inf nets away against its reciprocal, the
+    open 1/(z; q)_inf leaves the closed 1/(zq; q)_inf, and the Euler series of (az; q)_inf times that of 1/(zq; q)_inf is the one
     convolution (5 when each Euler series was multiplied into the product
     of those before it and that product by the z-free part, 516 when
     every pair of z-coefficients was multiplied apart)."""
-    qfactorial._RUNS.clear()
     calls = []
     real = qring._convolve
     monkeypatch.setattr(qring, "_convolve",
@@ -291,7 +289,6 @@ def test_bilateral_euler_at_m_1_is_one_euler_series(monkeypatch):
     """At m = 1 the bilateral Euler side (q, z, q/z; q)_inf / (q, q/z;
     q)_inf nets to (z; q)_inf: the Euler series of that one factor, with
     no convolution (5 before the factors netted)."""
-    qfactorial._RUNS.clear()
     calls = []
     real = qring._convolve
     monkeypatch.setattr(qring, "_convolve",

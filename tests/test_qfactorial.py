@@ -22,8 +22,8 @@ from qident.qfactorial import (
     NotTruncatable,
     ProductSpec,
     ZeroDivisor,
+    checked_lead,
     expand_product_spec,
-    infinite_factor,
     poch_finite,
     poch_infinite,
     poch_recip_finite,
@@ -428,27 +428,92 @@ def test_an_exact_polynomial_is_its_binomials_multiplied_out(arg, basepow,
     assert got == binomials(arg, basepow, n)
 
 
-def test_the_product_side_cache_holds_finished_factors_only():
+def test_summation_steps_with_the_stepper_and_no_row_internals():
     """`summation` steps with `qfactorial._Stepper` and reaches for none
-    of its row internals, and a product side caches each infinite factor
-    as one Series, no list of prefixes."""
+    of its row internals."""
     tree = ast.parse(Path(summation.__file__).read_text())
     named = [alias.name for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom))
              for alias in node.names]
     assert "_Stepper" in named
     assert not {"_sweep", "_recur", "_ROW_PER_TERM"} & set(named)
-    qfactorial._RUNS.clear()
-    expand_product_spec(get_identity("main").lowered.rhs, 24)
-    assert qfactorial._RUNS
-    assert all(type(v) is Series for v in qfactorial._RUNS.values())
+
+
+# ------------------------------------------- binomials with no inverse
+#
+# One predicate, `no_inverse`, says whether a binomial 1 - A of q-weight
+# 0 has an inverse, for `checked_lead` and for `_Stepper.stuck`, and
+# neither inverts a series to learn it.
+
+WEIGHT_ZERO = [Monomial(c, 0) for c in (1, -1, 2, 3)] + [
+    Monomial(c, 0, ((name, 1),)) for name in "xy" for c in (1, -1)]
+
+
+def refuse_inverses(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Series.invert was called")
+    monkeypatch.setattr(Series, "invert", refuse)
+
+
+@pytest.mark.parametrize("a", WEIGHT_ZERO, ids=[a.text() for a in WEIGHT_ZERO])
+def test_checked_lead_refuses_as_the_inverse_does(monkeypatch, a):
+    """checked_lead on the reflected 1/(1 - A) raises the type and text
+    of Series.invert(1 - A), or returns the lead where 1 - A has an
+    inverse, with no Series.invert."""
+    want = None
+    try:
+        (Series.one() - Series.from_monomial(a)).invert(8)
+    except NotInvertible as exc:
+        want = str(exc)
+    refuse_inverses(monkeypatch)
+    reflected = [(Monomial.unit(), ((a, 1, 1, -1),))]
+    if want is None:
+        assert checked_lead(Q, reflected) == Q
+        return
+    with pytest.raises(NotInvertible) as refused:
+        checked_lead(Q, reflected)
+    assert str(refused.value) == want
+
+
+@pytest.mark.parametrize("poch,arg,n,text", [
+    (poch_recip_finite, Monomial(-1, 0), 2,
+     "leading coefficient 2 is not a unit"),
+    (poch_finite, Monomial(3, 1), -1, "leading coefficient -2 is not a unit"),
+    (poch_recip_finite, X, 3, "lowest q-level (q^0) holds 2 monomials; "
+     "need a single unit monomial"),
+    (poch_recip_finite, Monomial(-1, -2, (("y", -1),)), 4,
+     "lowest q-level (q^0) holds 2 monomials; need a single unit monomial"),
+])
+def test_a_factor_with_no_inverse_is_refused_without_inverting(
+        monkeypatch, poch, arg, n, text):
+    """1/(arg; q)_n for n >= 0, or (arg; q)_n for n < 0, divides by a
+    binomial of q-weight 0 with no inverse: at its first binomial, at
+    its last or between."""
+    refuse_inverses(monkeypatch)
+    with pytest.raises(NotInvertible) as refused:
+        poch(arg, 1, n, 8)
+    assert str(refused.value) == text
+
+
+def test_stuck_and_checked_lead_read_one_predicate(monkeypatch):
+    seen = []
+    real = qfactorial.no_inverse
+    monkeypatch.setattr(qfactorial, "no_inverse",
+                        lambda a: seen.append(a) or real(a))
+    a = Monomial(-1, 0)
+    assert qfactorial._Stepper([(a, 1, -1)], [Q], 8).stuck == [0]
+    assert seen == [a]
+    with pytest.raises(NotInvertible):
+        checked_lead(Q, [reflect(a, 1, 1, -1)])
+    assert seen == [a, a]
 
 
 # ------------------------------------------------------- infinite factors
 #
-# `infinite_factor` inverts no series.  The reference is the route it
-# replaced: the binomials multiplied out one at a time as Series, the
-# product raised to |expo|, and inverted by `Series.invert` for expo < 0.
+# An infinite factor is expanded with no inverted series.  The reference
+# is the route that once did invert: the binomials multiplied out one at
+# a time as Series, the product raised to |expo|, and inverted by
+# `Series.invert` for expo < 0.
 
 
 def binomials_multiplied(arg, basepow, expo, order):
@@ -480,7 +545,6 @@ def test_an_infinite_factor_is_its_binomials_multiplied_out(arg, basepow,
                                                             expo, order):
     """Pure-q factors as rows and factors with formal variables as
     Euler's series, against the product and inverse of Series."""
-    qfactorial._RUNS.clear()
     got = expand_product_spec(
         ProductSpec((FactorSpec(arg, basepow, INF, expo),)), order)
     assert (got.order, got.floor) == (order, 0)
@@ -498,7 +562,6 @@ def test_a_closed_zfactor_is_its_binomials_multiplied_out(mon, zexp, basepow,
     reciprocal needs a >= 1 to be closed."""
     qexp = max(qexp, 1) if expo < 0 else qexp
     arg = mon * Monomial.q(qexp) * Monomial.var("z", zexp)
-    qfactorial._RUNS.clear()
     got = expand_zfactors(ProductSpec((FactorSpec(arg, basepow, INF, expo),)),
                           order)
     assert got == binomials_multiplied(arg, basepow, expo, order)
@@ -528,7 +591,6 @@ def test_long_order_infinite_factors_make_no_product_or_inverse(monkeypatch):
         real = getattr(Series, name)
         monkeypatch.setattr(Series, name, lambda *a, real=real, name=name:
                             calls.append(name) or real(*a))
-    qfactorial._RUNS.clear()
     recip, euler = (expand_product_spec(
         ProductSpec((FactorSpec(Q, 1, INF, expo),)), 3000) for expo in (-1, 1))
     assert calls == []
@@ -544,16 +606,21 @@ def test_long_order_infinite_factors_make_no_product_or_inverse(monkeypatch):
 #
 # `expand_closed` nets, telescopes and pairs the infinite factors of a
 # side into theta series before it expands them.  The reference is every
-# factor expanded alone by `infinite_factor` and multiplied out.
+# factor expanded alone as a product side and multiplied out.
 
 
 def one_by_one(factors, order):
-    """prod (arg; q^b)_inf^expo over `factors`, each factor alone."""
+    """prod (arg; q^b)_inf^expo over `factors`, each factor (arg; q^b)_inf
+    to the power +-1 alone, as a product side of the z layer when it
+    carries z (which admits z at q-weight 0 in a numerator)."""
     acc = Series.one(order)
     for f in factors:
+        expand = expand_zfactors if "z" in dict(f.arg.vars) \
+            else expand_product_spec
+        one = ProductSpec((FactorSpec(f.arg, f.basepow, INF,
+                                      1 if f.expo > 0 else -1),))
         for _ in range(abs(f.expo)):
-            acc = acc * infinite_factor(f.arg, f.basepow,
-                                        1 if f.expo > 0 else -1, order)
+            acc = acc * expand(one, order)
     return acc
 
 
@@ -602,7 +669,6 @@ def test_a_rewritten_side_is_its_factors_multiplied_out(side, order):
     """Through `expand_product_spec`, or with z through `expand_zfactors`,
     which expands on the same path."""
     var, factors = side
-    qfactorial._RUNS.clear()
     expand = expand_zfactors if var == "z" else expand_product_spec
     got = expand(ProductSpec(factors), order)
     want = one_by_one(factors, order)
@@ -669,7 +735,6 @@ def test_rr1_product_side_steps_no_dense_reciprocal_row(monkeypatch):
     real = qfactorial._recur
     monkeypatch.setattr(qfactorial, "_recur",
                         lambda *a: calls.append(1) or real(*a))
-    qfactorial._RUNS.clear()
     rr1 = get_identity("rr1").lowered
     got = expand_product_spec(rr1.rhs, 20000)
     assert calls == []
@@ -724,7 +789,6 @@ def test_a_side_in_q_to_the_g_is_the_side_stretched(infinite, finite, shift,
     the side itself to order // g stretched by g."""
     spec = ProductSpec(infinite + tuple(FactorSpec(*f) for f in finite),
                        Monomial.q(shift))
-    qfactorial._RUNS.clear()
     check_stretched(expanded(expand_product_spec, scaled(spec, g), order),
                     expanded(expand_product_spec, spec, order // g), g, order)
 
@@ -758,6 +822,5 @@ def test_a_pure_q_side_multiplies_no_two_dense_series(monkeypatch):
     for spec in (side((1, 1, -1), (2, 2, -1)), side((2, 5, 1), (3, 7, -1)),
                  side((1, 8, -1), (4, 8, -1), (7, 8, -1)),
                  get_identity("andrews-gordon", k=2, i=1).lowered.rhs):
-        qfactorial._RUNS.clear()
         expand_product_spec(spec, order)
     assert max(smaller, default=0) <= 3 * isqrt(order) + 3

@@ -258,6 +258,61 @@ def test_numerator_pochhammer_inside_a_sum_is_refused():
     assert "numerator" in str(err.value)
 
 
+NO_INVERSE = [
+    ("sum(n >= 0; q^(n^2) / poch(q^(-3); q; n))",
+     "1/poch(q^(-3); q; n) divides by 1 - 1*q^0 at subscript 4 and above, "
+     "which the domain reaches: zero series has no inverse"),
+    ("sum(n >= 0; x^n * q^(n^2) / poch(x*q^(-3); q; n))",
+     "1/poch(x*q^(-3); q; n) divides by 1 - 1*q^0*x^1 at subscript 4 and "
+     "above, which the domain reaches: lowest q-level (q^0) holds 2 "
+     "monomials; need a single unit monomial"),
+    ("sum(n in Z; q^(n^2) / poch(-q^(-2); q^2; -n))",
+     "1/poch(-q^(-2); q^2; -n) divides by 1 - -1*q^0 at subscript 2 and "
+     "above, which the domain reaches: leading coefficient 2 is not a unit"),
+    # 1/(q; q)_n is zero where -n >= 4, and excuses nothing
+    ("sum(n in Z; q^(n^2) / poch(q; q; n) / poch(-q^(-3); q; -n))",
+     "1/poch(-q^(-3); q; -n) divides by 1 - -1*q^0 at subscript 4 and "
+     "above, which the domain reaches: leading coefficient 2 is not a unit"),
+    ("sum(i >= 0, j >= 0; q^(i^2 + j^2) / poch(-x*q^(-2); q; 4 - i + j))",
+     "1/poch(-x*q^(-2); q; -i + j + 4) divides by 1 - -1*q^0*x^1 at "
+     "subscript 3 and above, which the domain reaches: lowest q-level (q^0) "
+     "holds 2 monomials; need a single unit monomial"),
+]
+
+
+@pytest.mark.parametrize("lhs,text", NO_INVERSE)
+def test_a_sum_reaching_a_binomial_with_no_inverse_is_refused(lhs, text):
+    """A denominator at a subscript past its binomial of q-weight 0 with
+    no inverse, wherever the domain reaches it, whatever the order."""
+    with pytest.raises(LoweringError) as err:
+        validate_identity(parse_identity(
+            f"identity bad {{ vars: x; lhs: {lhs}; rhs: 1; }}"))
+    assert str(err.value) == text
+
+
+def test_a_z_sum_reaching_a_numerator_with_no_inverse_is_refused():
+    """(-q^2; q)_k at k <= -2 is 1/((1 + q^k) ... (1 + 1))."""
+    text = ("identity bad { vars: z; lhs: sum(k in Z; poch(-q^2; q; k) * z^k"
+            " / poch(q; q; k)); rhs: poch(z; q; inf); }")
+    with pytest.raises(LoweringError) as err:
+        validate_identity(parse_identity(text))
+    assert str(err.value) == (
+        "poch(-q^2; q; k) divides by 1 - -1*q^0 at subscript -2 and below, "
+        "which the domain reaches: leading coefficient 2 is not a unit")
+
+
+@pytest.mark.parametrize("lhs", [
+    "sum(n >= 0; q^(n^2) / poch(q^(-3); q; 3 - n))",
+    "sum(n >= 0; q^(n^2) / poch(-q^(-3); q; 3 - n))",
+    "sum(n in Z; q^(n^2) / poch(-q^2; q; n))"])
+def test_a_sum_short_of_its_binomial_with_no_inverse_lowers(lhs):
+    """The binomial of q-weight 0 with no inverse is never divided by: a
+    subscript of at most 3 takes in no binomial past the third, and the
+    1 + 1 of (-q^2; q)_n, at n = -2, is a factor of the numerator that
+    1/(-q^2; q)_n is for n < 0."""
+    validate_identity(parse_identity(f"identity ok {{ lhs: {lhs}; rhs: 1; }}"))
+
+
 def test_infinite_product_inside_a_sum_is_refused():
     text = ("identity bad { lhs: sum(k >= 0; q^k / poch(q; q; inf));"
             " rhs: 1; }")

@@ -150,6 +150,54 @@ def test_term_valuations_main():
     assert term_valuation(spec, (3, 2)) == 7
 
 
+DENOM_ARGS = [Monomial(c, w, vk) for c in (1, -1, 2) for w in range(-3, 4)
+              for vk in ((), (("x", 1),))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from("NZ"), st.integers(0, 2), st.integers(-2, 2),
+       st.lists(st.tuples(st.sampled_from(DENOM_ARGS), st.integers(1, 2),
+                          st.sampled_from([1, -1]), st.integers(-2, 2)),
+                min_size=1, max_size=2),
+       st.integers(-4, 4))
+def test_term_valuation_bounds_the_term_from_below(domain, a, b, dens, n):
+    """term_valuation is at most the valuation of the term, and equal to
+    it when every denominator's argument has q-weight >= 0: 1/(q^-3; q)_n
+    is q^3 / (q^3; q)_1 at n = 1, above the bound 0 of its subscript.  A
+    point whose term has no series (a binomial of q-weight 0 with no
+    inverse in a reciprocal) is skipped; one where a factor vanishes has
+    the zero term."""
+    n = abs(n) if domain == "N" else n
+    idx = AffineForm.index(0, 1)
+    spec = make_sum_spec(
+        1, domain, QuadForm.square(idx).scale(a) + QuadForm.linear(
+            idx.scale(b)),
+        denoms=[DenomFactor(arg, base, idx.scale(s).shift(c))
+                for arg, base, s, c in dens])
+    bound = term_valuation(spec, (n,))
+    try:
+        term = term_series(spec, (n,), max(int(bound or 0), 0) + 40)
+    except qring.QSeriesError:
+        return
+    if bound is None:
+        assert term.is_zero()
+        return
+    assert bound <= term.valuation
+    if all(arg.qexp >= 0 for arg, *_ in dens):
+        assert bound == term.valuation
+
+
+def test_term_valuation_leaves_out_reflected_binomials():
+    """1/(q^-3; q)_n at n = 1 and 2: the bound is n^2, the valuations
+    n^2 + 3 and n^2 + 5."""
+    n = AffineForm.index(0, 1)
+    spec = make_sum_spec(1, "N", QuadForm.square(n),
+                         denoms=[DenomFactor(Monomial.q(-3), 1, n)])
+    for point, bound, exact in (((1,), 1, 4), ((2,), 4, 9)):
+        assert term_valuation(spec, point) == bound
+        assert term_series(spec, point, 20).valuation == exact
+
+
 # ------------------------------------------------------------------ support
 
 
@@ -649,7 +697,7 @@ def test_a_sum_needs_integral_subscript_forms():
 #
 # Every sum is one chain walk: Horner's rule along each index's run
 # prefixes, one binomial step per change of subscript, with no run
-# product and no entry in `qfactorial._RUNS`.
+# product.
 
 
 def term_by_term(spec: SumSpec, order: int) -> dict:
@@ -671,17 +719,16 @@ def term_by_term(spec: SumSpec, order: int) -> dict:
 @pytest.mark.parametrize("key,order", [("main", 24), ("cor-triple", 40)])
 def test_the_chain_walk_multiplies_no_series_and_caches_no_run(
         monkeypatch, key, order):
-    """`main` (x, y) and `cor-triple` (pure q, three indices) from cold
-    caches: every step is a sweep, a recurrence or a keyed dict step."""
+    """`main` (x, y) and `cor-triple` (pure q, three indices): every step
+    is a sweep, a recurrence or a keyed dict step."""
     calls = []
     real = qring._convolve
     monkeypatch.setattr(qring, "_convolve",
                         lambda *a: calls.append(1) or real(*a))
-    qfactorial._RUNS.clear()
     spec = get_identity(key).lowered.lhs
     got = eval_sum_over(spec, enumerate_support(spec, order).points, order)
     assert got.coeff(0) == 1 and got.order == order
-    assert calls == [] and qfactorial._RUNS == {}
+    assert calls == []
 
 
 def test_the_factor_free_theta_sum_holds_no_dense_row(monkeypatch):
