@@ -19,9 +19,11 @@ engine can read the two sides one z-power at a time.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .qfactorial import INF, FactorSpec, ProductSpec, no_inverse
 from .qring import Monomial
@@ -58,35 +60,57 @@ RESERVED = frozenset(
 # ----------------------------------------------------------------- exponents
 
 
-def _frac_text(f: Fraction) -> str:
+def _frac_text(f: int | Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def _exact(c):
+    """The rational `c` as an int when it is integral, else a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
 
 
 class ExpPoly:
     """Polynomial exponent with rational coefficients in named symbols.
 
     Keys are sorted ``((name, power), ...)`` tuples; the empty key is the
-    constant term.  Everything is normalized on construction so that
-    equality and the canonical text are stable.
+    constant term.  A coefficient is an int when it is integral and a
+    Fraction otherwise, and no coefficient is zero, so that equality, the
+    hash and the canonical text are stable.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[tuple, Fraction] = {}
+        clean: dict[tuple, int | Fraction] = {}
         for key, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _exact(c)
             if c:
-                clean[tuple(sorted(key))] = clean.get(tuple(sorted(key)), 0) + c
-        self.terms = {k: c for k, c in clean.items() if c}
+                key = tuple(key)
+                if any(a > b for a, b in zip(key, key[1:])):
+                    key = tuple(sorted(key))
+                clean[key] = clean.get(key, 0) + c
+        self.terms = {k: _exact(c) for k, c in clean.items() if c}
+
+    @classmethod
+    def _of(cls, terms: dict) -> "ExpPoly":
+        """Wrap `terms`, whose keys are sorted and whose coefficients are
+        already exact and nonzero."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
 
     @classmethod
     def const(cls, c) -> "ExpPoly":
-        return cls({(): Fraction(c)})
+        c = _exact(c)
+        return cls._of({(): c} if c else {})
 
     @classmethod
     def var(cls, name: str) -> "ExpPoly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls._of({((name, 1),): 1})
 
     @property
     def degree(self) -> int:
@@ -96,46 +120,57 @@ class ExpPoly:
     def is_constant(self) -> bool:
         return all(not k for k in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant:
             raise LoweringError(f"exponent {self.text()} is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def names(self) -> set[str]:
         return {n for k in self.terms for n, _ in k}
 
-    def coefficient(self, key) -> Fraction:
-        return self.terms.get(tuple(sorted(key)), Fraction(0))
+    def coefficient(self, key) -> int | Fraction:
+        return self.terms.get(tuple(sorted(key)), 0)
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return ExpPoly(terms)
+            c += terms.get(k, 0)
+            if c:
+                terms[k] = _exact(c)
+            else:
+                del terms[k]
+        return ExpPoly._of(terms)
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly({k: -c for k, c in self.terms.items()})
+        return ExpPoly._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other)
 
     def scale(self, r) -> "ExpPoly":
-        r = Fraction(r)
-        return ExpPoly({k: r * c for k, c in self.terms.items()})
+        r = _exact(r)
+        if not r:
+            return ExpPoly()
+        return ExpPoly._of({k: _exact(r * c) for k, c in self.terms.items()})
 
     def __mul__(self, other: "ExpPoly") -> "ExpPoly":
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int | Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                merged: dict[str, int] = {}
-                for n, e in (*k1, *k2):
-                    merged[n] = merged.get(n, 0) + e
-                key = tuple(sorted(merged.items()))
+                if k1 and k2:
+                    merged = dict(k1)
+                    for n, e in k2:
+                        merged[n] = merged.get(n, 0) + e
+                    key = tuple(sorted(merged.items()))
+                else:
+                    key = k1 or k2
                 out[key] = out.get(key, 0) + c1 * c2
-        return ExpPoly(out)
+        return ExpPoly._of({k: _exact(c) for k, c in out.items() if c})
 
     def __pow__(self, n: int) -> "ExpPoly":
-        out = ExpPoly.const(1)
+        if self.is_constant:
+            return ExpPoly.const(Fraction(self.constant_value()) ** n)
+        out = _ONE_EXP
         for _ in range(n):
             out = out * self
         return out
@@ -147,16 +182,17 @@ class ExpPoly:
     def substitute(self, bindings) -> "ExpPoly":
         if not bindings:
             return self
-        out = ExpPoly()
+        out: dict[tuple, int | Fraction] = {}
         for k, c in self.terms.items():
-            piece = ExpPoly({(): c})
+            rest = []
             for n, e in k:
                 if n in bindings:
-                    piece = piece.scale(Fraction(bindings[n]) ** e)
+                    c = c * Fraction(bindings[n]) ** e
                 else:
-                    piece = piece * ExpPoly({((n, e),): Fraction(1)})
-            out = out + piece
-        return out
+                    rest.append((n, e))
+            key = tuple(rest)
+            out[key] = out.get(key, 0) + c
+        return ExpPoly._of({k: _exact(c) for k, c in out.items() if c})
 
     def _key(self):
         return tuple(sorted(self.terms.items()))
@@ -261,8 +297,7 @@ class IdentityAST:
 # --------------------------------------------------------------------- lexer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str      # NAME | INT | PUNCT | EOF
     text: str
     line: int
@@ -270,47 +305,46 @@ class Token:
     offset: int
 
 
-_PUNCT = set("{}();:,+-*/^=")
+# One alternative per lexeme; `tokenize` dispatches on the group number.
+# \s and \w match what str.isspace() and, with "_", str.isalnum() accept;
+# a run of \w is a name only when it starts with a letter (isalpha()) or
+# "_", and integers are ASCII, so any other digit starts no token.
+_LEXICON = re.compile(r"""
+    (\n)                            # 1: a line break
+  | [^\S\n]+ | \#[^\n]*             # blanks and comments: no group
+  | ([0-9]+)                        # 2: INT
+  | (\w+)                           # 3: NAME
+  | (>=|[{}();:,+\-*/^=])           # 4: PUNCT
+  | (.)                             # 5: any other character
+""", re.VERBOSE | re.DOTALL)
+_KINDS = (None, None, "INT", "NAME", "PUNCT")
 
 
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-        elif ch.isspace():
-            col, i = col + 1, i + 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("INT", text[i:j], line, col, i))
-            col += j - i
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("NAME", text[i:j], line, col, i))
-            col += j - i
-            i = j
-        elif ch == ">" and i + 1 < n and text[i + 1] == "=":
-            out.append(Token("PUNCT", ">=", line, col, i))
-            col += 2
-            i += 2
-        elif ch in _PUNCT:
-            out.append(Token("PUNCT", ch, line, col, i))
-            col += 1
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("EOF", "", line, col, n))
+    line, start = 1, 0          # the current line and its first offset
+    new = tuple.__new__         # a Token without NamedTuple's Python __new__
+    for m in _LEXICON.finditer(text):
+        group = m.lastindex
+        if group is None:
+            continue
+        i = m.start()
+        if group == 1:
+            line, start = line + 1, i + 1
+            continue
+        if group == 5 or (group == 3 and not (text[i].isalpha()
+                                              or text[i] == "_")):
+            ch = text[i]
+            why = ("; integers are written in the digits 0-9"
+                   if ch.isdigit() else "")
+            raise ParseError(f"unexpected character {ch!r}{why}",
+                             line, i - start + 1)
+        out.append(new(Token, (_KINDS[group], m[0], line, i - start + 1, i)))
+    # a comment's characters take no columns, and only the last line's
+    # comment can reach the end of the text
+    end = text.find("#", start)
+    out.append(Token("EOF", "", line, (len(text) if end < 0 else end)
+                     - start + 1, len(text)))
     return out
 
 
@@ -567,11 +601,10 @@ class _Parser:
 
     # -- exponent arithmetic -------------------------------------------------
 
-    def _check_degree(self, poly: ExpPoly, tok: Token) -> ExpPoly:
-        if poly.degree > 2:
+    def _check_degree(self, degree: int, tok: Token) -> None:
+        if degree > 2:
             raise ParseError(
-                f"exponent degree {poly.degree} exceeds 2", tok.line, tok.col)
-        return poly
+                f"exponent degree {degree} exceeds 2", tok.line, tok.col)
 
     def parse_iexpr(self) -> ExpPoly:
         sign = 1
@@ -593,12 +626,13 @@ class _Parser:
             tok = self.advance()
             rhs = self.parse_ifactor()
             if tok.text == "*":
-                poly = self._check_degree(poly * rhs, tok)
+                poly = poly * rhs
+                self._check_degree(poly.degree, tok)
             else:
                 if not rhs.is_constant or rhs.constant_value() == 0:
                     self.fail("division in exponents needs a nonzero constant",
                               tok)
-                poly = poly.scale(1 / rhs.constant_value())
+                poly = poly.scale(Fraction(1, rhs.constant_value()))
         return poly
 
     def parse_ifactor(self) -> ExpPoly:
@@ -606,7 +640,10 @@ class _Parser:
         if self.at_punct("^"):
             tok = self.advance()
             n = self.expect_int()
-            return self._check_degree(poly ** n, tok)
+            # checked before the power is formed, which takes one `**`
+            # for a constant and at most two products otherwise
+            self._check_degree(poly.degree * n, tok)
+            return poly ** n
         return poly
 
     def parse_iatom(self) -> ExpPoly:
@@ -623,7 +660,9 @@ class _Parser:
                 self.fail(f"only binom(e, 2) is supported, found {two.text!r}")
             self.advance()
             self.expect_punct(")")
-            return self._check_degree(inner.binom2(), tok)
+            poly = inner.binom2()
+            self._check_degree(poly.degree, tok)
+            return poly
         if t.kind == "NAME" and t.text not in RESERVED:
             return ExpPoly.var(self.advance().text)
         if self.at_punct("("):
@@ -830,21 +869,23 @@ def _base_qexp(base: MonoKey) -> int:
 
 
 def _as_affine(poly: ExpPoly, indices: list[str], what: str) -> AffineForm:
-    coeffs = []
-    for name in indices:
-        c = poly.coefficient(((name, 1),))
+    coeffs = [0] * len(indices)
+    affine = True
+    for key, c in poly.terms.items():
+        if len(key) == 1 and key[0][1] == 1 and key[0][0] in indices:
+            coeffs[indices.index(key[0][0])] = c
+        elif key:
+            affine = False
+    for c in coeffs:
         if c.denominator != 1:
             raise LoweringError(f"{what} has non-integer coefficient {c}")
-        coeffs.append(int(c))
-    const = poly.coefficient(())
+    const = poly.terms.get((), 0)
     if const.denominator != 1:
         raise LoweringError(f"{what} has non-integer constant {const}")
-    rebuilt = ExpPoly({((n, 1),): c for n, c in zip(indices, coeffs)})
-    rebuilt = rebuilt + ExpPoly.const(const)
-    if rebuilt != poly:
+    if not affine:
         raise LoweringError(f"{what} must be affine in the sum indices, got "
                             f"{poly.text()}")
-    return AffineForm.make(coeffs, int(const))
+    return AffineForm.make(coeffs, const)
 
 
 def _as_quadform(poly: ExpPoly, indices: list[str]) -> QuadForm:
@@ -853,20 +894,17 @@ def _as_quadform(poly: ExpPoly, indices: list[str]) -> QuadForm:
         raise LoweringError(
             f"q-exponent mentions {sorted(free)} which are not sum indices")
     dim = len(indices)
-    pos = {n: i for i, n in enumerate(indices)}
-    A = [[Fraction(0)] * dim for _ in range(dim)]
-    B = [Fraction(0)] * dim
-    C = Fraction(0)
+    A = [[0] * dim for _ in range(dim)]
+    B = [0] * dim
+    C = 0
     for key, c in poly.terms.items():
-        flat: list[str] = []
-        for n, e in key:
-            flat.extend([n] * e)
-        if len(flat) == 0:
+        degree = sum(e for _, e in key)
+        if degree == 0:
             C += c
-        elif len(flat) == 1:
-            B[pos[flat[0]]] += c
-        elif len(flat) == 2:
-            i, j = pos[flat[0]], pos[flat[1]]
+        elif degree == 1:
+            B[indices.index(key[0][0])] += c
+        elif degree == 2:
+            i, j = indices.index(key[0][0]), indices.index(key[-1][0])
             if i == j:
                 A[i][i] += 2 * c
             else:
@@ -874,7 +912,8 @@ def _as_quadform(poly: ExpPoly, indices: list[str]) -> QuadForm:
                 A[j][i] += c
         else:
             raise LoweringError(f"q-exponent degree exceeds 2: {poly.text()}")
-    return QuadForm(tuple(tuple(row) for row in A), tuple(B), C)
+    return QuadForm(tuple(tuple(map(Fraction, row)) for row in A),
+                    tuple(map(Fraction, B)), Fraction(C))
 
 
 def _try_sign_base(factor) -> bool:

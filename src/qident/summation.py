@@ -218,16 +218,17 @@ class SumSpec:
         """Least d for which d*Q takes integer values on the whole lattice.
 
         A quadratic is integer-valued exactly when its coefficients in the
-        basis 1, n_i, binom(n_i, 2), n_i*n_j are integers, and those
-        coefficients are integer combinations of Q at 0, e_i, 2e_i and
-        e_i + e_j; so those points decide d.
+        basis 1, n_i, binom(n_i, 2), n_i*n_j are integers.  Since
+        n_i^2 / 2 = binom(n_i, 2) + n_i / 2, those coefficients are C,
+        B_i + A_ii / 2, A_ii and A_ij (i < j), and d is the lcm of their
+        denominators.
         """
-        unit = [tuple(int(k == i) for k in range(self.dim))
-                for i in range(self.dim)]
-        points = [(0,) * self.dim] + unit + [
-            tuple(a + b for a, b in zip(u, v))
-            for i, u in enumerate(unit) for v in unit[i:]]
-        return lcm(*(self.quad.evaluate(p).denominator for p in points))
+        A, B = self.quad.A, self.quad.B
+        return lcm(self.quad.C.denominator,
+                   *(Fraction(2 * B[i] + A[i][i], 2).denominator
+                     for i in range(self.dim)),
+                   *(A[i][j].denominator
+                     for i in range(self.dim) for j in range(i, self.dim)))
 
 
 def make_sum_spec(dim, domains, quad, signform=None, varweights=None,
@@ -288,8 +289,9 @@ class _IntForm:
     @classmethod
     def of(cls, form: AffineForm) -> "_IntForm":
         den = lcm(*(x.denominator for x in form.coeffs), form.const.denominator)
-        return cls(tuple(int(x * den) for x in form.coeffs),
-                   int(form.const * den), den)
+        return cls(tuple(x.numerator * (den // x.denominator)
+                         for x in form.coeffs),
+                   form.const.numerator * (den // form.const.denominator), den)
 
     def at(self, point, what: str) -> int:
         """f(point); DomainError, naming `what`, if it is not an integer."""
@@ -543,7 +545,8 @@ def _regions(spec: SumSpec):
     for pieces in product(*choices):
         quad = base
         for piece in pieces:
-            quad = quad + piece.bound
+            if piece.bound is not zero:
+                quad = quad + piece.bound
         yield pieces, quad
 
 
@@ -551,8 +554,10 @@ def _scaled(A, B, C) -> tuple:
     """(W, V, U, S): S * (n.A.n / 2 + B.n + C) = sum W_ij n_i n_j + V.n + U."""
     S = 2 * lcm(*(x.denominator for row in A for x in row),
                 *(x.denominator for x in B), C.denominator)
-    return (tuple(tuple(int(x * S) // 2 for x in row) for row in A),
-            tuple(int(x * S) for x in B), int(C * S), S)
+    return (tuple(tuple(x.numerator * (S // x.denominator) // 2 for x in row)
+                  for row in A),
+            tuple(x.numerator * (S // x.denominator) for x in B),
+            C.numerator * (S // C.denominator), S)
 
 
 def _ldl_forms(quad: QuadForm):
@@ -565,15 +570,16 @@ def _ldl_forms(quad: QuadForm):
     forms = []
     for c in range(quad.dim - 1, -1, -1):
         forms.append(([row[:c + 1] for row in A[:c + 1]], B[:c + 1], C))
-        pivot = A[c][c]
+        pivot = Fraction(A[c][c])     # exact whatever rationals Q holds
         if c == 0:
             break
         if pivot <= 0:
             return None
         for i in range(c):
-            for j in range(c):
-                A[i][j] -= A[c][i] * A[c][j] / pivot
-            B[i] -= B[c] * A[c][i] / pivot
+            if A[c][i]:
+                for j in range(c):
+                    A[i][j] -= A[c][i] * A[c][j] / pivot
+                B[i] -= B[c] * A[c][i] / pivot
         C -= B[c] * B[c] / (2 * pivot)
     return forms[::-1]
 

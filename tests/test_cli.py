@@ -9,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,24 @@ def test_verify_parse_error_is_exit_two(capsys, tmp_path):
     assert code == 2
     assert records[0]["status"] == "error"
     assert records[0]["error"].startswith("ParseError:")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("identity sq { lhs: q^\u00b2; rhs: q^2; }", "line 1, col 22"),
+    ("identity ar {\n  lhs: poch(q; q; \u0663);\n  rhs: poch(q; q; 3);\n}",
+     "line 2, col 19"),
+])
+def test_verify_non_ascii_digit_is_a_located_parse_error(capsys, tmp_path,
+                                                         text, where):
+    """'²' used to reach int() and end in a ValueError record with no
+    position, and '٣' used to be read as 3 and pass."""
+    path = tmp_path / "digits.qid"
+    path.write_text(text, encoding="utf-8")
+    code, records, _ = run(capsys, "verify", str(path), "--order", "5")
+    assert code == 2
+    [record] = records
+    assert record["error"].startswith(f"ParseError: {where}: unexpected "
+                                      "character")
 
 
 DEEP = "(" * 300 + "q" + ")" * 300
@@ -505,6 +524,45 @@ def test_expand_huge_power_is_a_zero_record(capsys):
                         "series": "0", "qcoeffs": [0] * 6}]
 
 
+def run_capped(argv, limit_mb: int, timeout: float):
+    """The CLI in a child process under RLIMIT_AS = limit_mb, set in the
+    child alone: (exit code, records, seconds)."""
+    limit = limit_mb << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(cli.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "qident.cli", *argv], capture_output=True,
+        text=True, timeout=timeout, preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    seconds = time.perf_counter() - start
+    assert "Traceback" not in done.stderr, done.stderr[-2000:]
+    return (done.returncode, [json.loads(line)
+                              for line in done.stdout.splitlines()], seconds)
+
+
+@pytest.mark.parametrize("exponent, code, record", [
+    ("n^3000000", 2, {"status": "error", "error": "ParseError: line 1, "
+                      "col 5: exponent degree 3000000 exceeds 2"}),
+    ("2^300000", 0, {"status": "ok", "order": 5, "exact": False,
+                     "series": "0", "qcoeffs": [0] * 6}),
+    ("1^100000000", 0, {"status": "ok", "order": 5, "exact": False,
+                        "series": "1*q^1", "qcoeffs": [0, 1, 0, 0, 0, 0]}),
+])
+def test_powers_in_exponents_end_in_two_seconds(exponent, code, record):
+    """A power in an exponent has its degree checked before it is formed,
+    and a constant is raised with one `**`.  Multiplying n times, the
+    first took 21 s to be refused and the second 18 s to give 0, and the
+    third ran past 100 s."""
+    got, records, seconds = run_capped(
+        ["expand", f"q^({exponent})", "--order", "5"], 128, 60)
+    assert (got, records) == (code, [record])
+    assert seconds < 2
+
+
 def test_expand_memory_error_is_an_error_record(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("out of memory")
@@ -675,19 +733,10 @@ def test_rr1_at_order_10000_fits_in_128_mb():
     1/(q; q)_n (a 211 MB address space when it did).  The child runs
     under RLIMIT_AS = 128 MB, set in the child alone, so a regression
     fails here rather than exhausting the machine."""
-    limit = 128 << 20
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    src = Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-m", "qident.cli", "verify", "--catalog", "rr1",
-         "--order", "10000", "--no-timing"],
-        capture_output=True, text=True, timeout=300, preexec_fn=cap,
-        env=dict(os.environ, PYTHONPATH=str(src)))
-    assert done.returncode == 0, done.stderr[-2000:]
-    [record] = [json.loads(line) for line in done.stdout.splitlines()]
+    code, [record], _ = run_capped(
+        ["verify", "--catalog", "rr1", "--order", "10000", "--no-timing"],
+        128, 300)
+    assert code == 0
     assert record["status"] == "pass"
 
 

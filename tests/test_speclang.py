@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qident
 from qident import speclang
@@ -22,6 +24,8 @@ from qident.speclang import (
     PochCall,
     SumCall,
     Expr,
+    Group,
+    parse_expression,
     parse_file,
     parse_identity,
     serialize_identity,
@@ -49,6 +53,8 @@ MAIN_TEXT = (
     " * poch(-x^(-1)*y^(-1)*q; q^2; inf) * poch(q^2; q^2; inf)"
     " / poch(x*q; q; inf) / poch(y*q; q; inf);\n"
     "}\n")
+
+CATALOG_TEXTS = Path(__file__).parent / "data" / "catalog_texts.txt"
 
 
 def one(poly_or_atom):
@@ -164,6 +170,296 @@ def test_every_token_deletion_is_caught_at_or_before_the_gap():
         assert (err.value.line, err.value.col) <= bound, (
             f"deleting {tok.text!r} at col {tok.col} reported "
             f"col {err.value.col}")
+
+
+# ------------------------------------------- the lexer against a char loop
+
+
+def loop_tokenize(text: str) -> list[tuple]:
+    """The character-by-character lexer that `tokenize` replaced, kept as
+    its reference: tokens as (kind, text, line, col, offset) tuples."""
+    out = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+        elif ch.isspace():
+            col, i = col + 1, i + 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(("INT", text[i:j], line, col, i))
+            col += j - i
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("NAME", text[i:j], line, col, i))
+            col += j - i
+            i = j
+        elif ch == ">" and i + 1 < n and text[i + 1] == "=":
+            out.append(("PUNCT", ">=", line, col, i))
+            col += 2
+            i += 2
+        elif ch in "{}();:,+-*/^=":
+            out.append(("PUNCT", ch, line, col, i))
+            col += 1
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    out.append(("EOF", "", line, col, n))
+    return out
+
+
+def lexed(lexer, text: str):
+    """The tokens as tuples, or the (line, col) of the ParseError."""
+    try:
+        return [tuple(tok) for tok in lexer(text)]
+    except ParseError as err:
+        return (err.line, err.col)
+
+
+def non_ascii_digit(ch: str) -> bool:
+    return ch.isdigit() and not "0" <= ch <= "9"
+
+
+STATEMENT_PIECES = st.sampled_from([
+    "identity", "vars", "params", "lhs", "rhs", "sum", "poch", "inf", "binom",
+    "in", "Z", "q", "x", "n_1", "_k", "é", "λ2", "0", "7", "42", "007",
+    *"{}();:,+-*/^=", ">=", ">", " ", "  ", "\t", "\n", "\r", "\x0b",
+    "\u00a0", "\u2028", "\u3000", "# note", "#", "@", "$", "!", "<", ".",
+    "\u00bd", "\u2167", "\ufeff"])
+STRAY = st.characters().filter(lambda ch: not non_ascii_digit(ch))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.one_of(STATEMENT_PIECES, STRAY), max_size=40))
+def test_tokenize_matches_the_character_loop(pieces):
+    """Same tokens (kind, text, line, col, offset), or a ParseError at
+    the same place.  Texts with a digit other than 0-9 are excluded: the
+    loop read them into INT tokens that int() could not parse, or read
+    Arabic-Indic digits as numbers; `tokenize` refuses them."""
+    text = "".join(pieces)
+    assert lexed(tokenize, text) == lexed(loop_tokenize, text)
+
+
+def test_tokenize_matches_the_character_loop_on_the_catalog_texts():
+    texts = CATALOG_TEXTS.read_text()
+    assert lexed(tokenize, texts) == lexed(loop_tokenize, texts)
+    assert lexed(tokenize, texts + "# end") == lexed(loop_tokenize,
+                                                     texts + "# end")
+
+
+def test_every_bmp_character_lexes_in_its_old_class():
+    """For each code point of the Basic Multilingual Plane: whether it
+    starts a name, continues one, and is a blank between two names
+    agrees with the character loop's str.isalpha / isalnum / isspace."""
+    def classes(lexer, ch):
+        between = lexed(lexer, f"a{ch}b")
+        return (lexed(lexer, ch) == [("NAME", ch, 1, 1, 0),
+                                      ("EOF", "", 1, 2, 1)],
+                lexed(lexer, "a" + ch)[0] == ("NAME", "a" + ch, 1, 1, 0),
+                isinstance(between, list) and between[1] == ("NAME", "b", 1,
+                                                             3, 2))
+
+    differ = [hex(cp) for cp in range(0x10000)
+              if classes(tokenize, chr(cp)) != classes(loop_tokenize, chr(cp))]
+    assert differ == []
+
+
+@pytest.mark.parametrize("text, col", [
+    ("q^\u00b2", 3),                       # superscript two
+    ("poch(q; q; \u0663)", 12),            # Arabic-Indic three
+    ("q^(1\u0663)", 5),                    # an ASCII run stops at 0-9
+    ("q^(n + \uff11)", 8),                 # fullwidth one
+])
+def test_a_digit_outside_0_to_9_is_a_located_parse_error(text, col):
+    """The loop made an INT token of such digits: int() raised
+    ValueError on '²', and read '٣' as 3."""
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert "digits 0-9" in err.value.message
+
+
+def test_names_may_still_hold_any_digit_after_their_first_letter():
+    assert [t.text for t in tokenize("x\u00b2 n\u0663")[:2]] == [
+        "x\u00b2", "n\u0663"]
+
+
+# ------------------------------------------ exponents against a Fraction form
+
+
+class FractionExpPoly:
+    """The all-Fraction exponent polynomial that `ExpPoly` replaced, kept
+    as its reference: every coefficient a Fraction, every result built
+    and normalized through the constructor."""
+
+    def __init__(self, terms=None):
+        clean = {}
+        for key, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                clean[tuple(sorted(key))] = clean.get(tuple(sorted(key)), 0) + c
+        self.terms = {k: c for k, c in clean.items() if c}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return FractionExpPoly(terms)
+
+    def __neg__(self):
+        return FractionExpPoly({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, r):
+        r = Fraction(r)
+        return FractionExpPoly({k: r * c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                merged = {}
+                for n, e in (*k1, *k2):
+                    merged[n] = merged.get(n, 0) + e
+                key = tuple(sorted(merged.items()))
+                out[key] = out.get(key, 0) + c1 * c2
+        return FractionExpPoly(out)
+
+    def __pow__(self, n):
+        out = FractionExpPoly({(): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def binom2(self):
+        return (self * self - self).scale(Fraction(1, 2))
+
+    def substitute(self, bindings):
+        out = FractionExpPoly()
+        for k, c in self.terms.items():
+            piece = FractionExpPoly({(): c})
+            for n, e in k:
+                if n in bindings:
+                    piece = piece.scale(Fraction(bindings[n]) ** e)
+                else:
+                    piece = piece * FractionExpPoly({((n, e),): 1})
+            out = out + piece
+        return out
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.terms.items())))
+
+    text = ExpPoly.text
+
+
+EXP_KEYS = st.sampled_from([(), (("n", 1),), (("m", 1),), (("n", 2),),
+                            (("m", 1), ("n", 1)), (("k", 1),)])
+EXP_COEFFS = st.one_of(st.integers(-6, 6),
+                       st.builds(Fraction, st.integers(-6, 6),
+                                 st.integers(1, 4)))
+EXP_TERMS = st.dictionaries(EXP_KEYS, EXP_COEFFS, max_size=4)
+
+
+def agree(poly: ExpPoly, ref: FractionExpPoly) -> None:
+    assert poly.terms == ref.terms
+    assert hash(poly) == hash(ref)
+    assert poly.text() == ref.text()
+    assert all(type(c) is (int if c.denominator == 1 else Fraction)
+               for c in poly.terms.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXP_TERMS, EXP_TERMS, st.integers(0, 3), EXP_COEFFS,
+       st.dictionaries(st.sampled_from("nmk"), EXP_COEFFS, max_size=2))
+def test_exponent_algebra_matches_the_fraction_form(a, b, power, r, bindings):
+    """+, -, *, **, binom2, scale and substitute agree with the
+    all-Fraction form in their terms, hash and text, and keep each
+    integral coefficient an int."""
+    pa, pb = ExpPoly(a), ExpPoly(b)
+    ra, rb = FractionExpPoly(a), FractionExpPoly(b)
+    agree(pa, ra)
+    agree(pa + pb, ra + rb)
+    agree(pa - pb, ra - rb)
+    agree(pa * pb, ra * rb)
+    agree(pa ** power, ra ** power)
+    agree(pa.binom2(), ra.binom2())
+    agree(pa.scale(r), ra.scale(r))
+    agree(pa.substitute(bindings), ra.substitute(bindings))
+
+
+def exponent_polys(node):
+    """Every ExpPoly in an AST, depth first."""
+    if isinstance(node, ExpPoly):
+        yield node
+    elif isinstance(node, (MonoPow, PochCall, SumCall, Group, Mul, Expr)):
+        for value in vars(node).values():
+            yield from exponent_polys(value)
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from exponent_polys(item)
+
+
+def test_catalog_exponents_hold_integral_coefficients_as_ints():
+    polys = [poly for key, params in default_instances()
+             for side in (get_identity(key, **params).ast.lhs,
+                          get_identity(key, **params).ast.rhs)
+             for poly in exponent_polys(side)]
+    assert len(polys) > 100
+    assert any(type(c) is Fraction for p in polys for c in p.terms.values())
+    assert all(type(c) is (int if c.denominator == 1 else Fraction)
+               for p in polys for c in p.terms.values())
+
+
+def numbers(obj, seen=None):
+    """Every number reachable from `obj` through containers, instance
+    attributes (cached ones included) and slots."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, (int, float, Fraction)):
+        yield obj
+        return
+    if obj is None or isinstance(obj, str) or id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        items = [*obj, *obj.values()]
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        items = obj
+    else:
+        items = [*getattr(obj, "__dict__", {}).values(),
+                 *(getattr(obj, name) for name in getattr(obj, "__slots__", ()))]
+    for item in items:
+        yield from numbers(item, seen)
+
+
+def test_exponent_division_stays_exact():
+    poly = parse_expression("q^(n^2/2 + n/(2/3) + 4/2)").addends[0][1] \
+        .factors[0][1].exp
+    assert poly.terms == {(("n", 2),): Fraction(1, 2),
+                          (("n", 1),): Fraction(3, 2), (): 2}
+    assert type(poly.terms[()]) is int
+
+
+def test_the_catalog_statement_path_holds_no_float():
+    """From text to the certified support plans of every default
+    instance, every number is an int or a Fraction: the LDL^T pivots of
+    the certificate are exact, and no division in an exponent floats."""
+    found = [x for key, params in default_instances()
+             for ident in [get_identity(key, **params)]
+             for x in numbers((ident.ast, ident.lowered))]
+    assert any(type(x) is Fraction and x.denominator > 1 for x in found)
+    assert not [x for x in found if type(x) not in (int, bool, Fraction)]
 
 
 # ------------------------------------------------------- canonical rendering

@@ -7,6 +7,7 @@ never touches the series kernel, so agreement is meaningful.
 import warnings
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from test_assembly import reference
 
 from qident import qfactorial, qring, summation
-from qident.catalog import get_identity
+from qident.catalog import default_instances, get_identity
 from qident.qring import Monomial, Series
 from qident.summation import (
     AffineForm,
@@ -26,6 +27,7 @@ from qident.summation import (
     SupportReport,
     UnboundedSupport,
     _IntForm,
+    _ldl_forms,
     _recip_offset,
     certify_support,
     enumerate_support,
@@ -349,6 +351,49 @@ def test_fractional_exponents_need_scaled_eval():
     assert s.coeff(0, ()) == 1
 
 
+def point_base_scale(quad: QuadForm) -> int:
+    """The least d with d*Q integral on the lattice, from Q at 0, e_i,
+    2e_i and e_i + e_j (the definition `SumSpec.base_scale` replaced)."""
+    dim = quad.dim
+    unit = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    points = [(0,) * dim] + unit + [tuple(a + b for a, b in zip(u, v))
+                                    for i, u in enumerate(unit)
+                                    for v in unit[i:]]
+    return lcm(*(quad.evaluate(p).denominator for p in points))
+
+
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def rational_quadforms(draw):
+    dim = draw(st.integers(1, 4))
+    upper = {(i, j): draw(RATIONALS) for i in range(dim) for j in range(i, dim)}
+    A = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(dim))
+              for i in range(dim))
+    B = tuple(draw(RATIONALS) for _ in range(dim))
+    return QuadForm(A, B, draw(RATIONALS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rational_quadforms())
+def test_base_scale_is_the_point_evaluation_scale(quad):
+    spec = make_sum_spec(quad.dim, "Z" * quad.dim, quad)
+    assert spec.base_scale() == point_base_scale(quad)
+
+
+def test_lowering_the_catalog_evaluates_no_quadratic_form(monkeypatch):
+    """The base scale comes from the entries of Q in closed form, and
+    the support plans from its scaled integers: lowering every default
+    instance evaluates Q at no point."""
+    def evaluate(self, point):
+        raise AssertionError(f"QuadForm.evaluate{point} while lowering")
+
+    monkeypatch.setattr(QuadForm, "evaluate", evaluate)
+    for key, params in default_instances():
+        get_identity(key, **params)
+
+
 def test_rescale_keeps_numerator_factors():
     """q -> q^2 doubles the q-exponent and base of every factor, the
     numerators' as well as the denominators'."""
@@ -419,6 +464,20 @@ def test_semidefinite_regions_are_certified():
     assert support == tuple(sorted(
         p for p in product(range(8), repeat=3) if term_valuation(dip, p) <= 0))
     assert (2, 0, 2) in support
+
+
+def test_a_form_with_int_entries_is_certified_in_exact_rationals():
+    """The LDL^T pivots are Fractions whatever rationals Q holds: a
+    QuadForm written with int entries got float entries from `/` and
+    failed in `_scaled`."""
+    ints = QuadForm(((2, 1), (1, 2)), (0, 0), 0)
+    fracs = QuadForm(tuple(tuple(map(Fraction, row)) for row in ints.A),
+                     tuple(map(Fraction, ints.B)), Fraction(ints.C))
+    assert not [x for A, B, C in _ldl_forms(ints)
+                for x in (*(x for row in A for x in row), *B, C)
+                if type(x) not in (int, Fraction)]
+    assert (enumerate_support(make_sum_spec(2, "ZZ", ints), 10)
+            == enumerate_support(make_sum_spec(2, "ZZ", fracs), 10))
 
 
 def test_pieces_outside_the_domain_are_dropped():
