@@ -7,8 +7,8 @@ argument carries at least q^1.  Negative subscripts follow
 zero convention: the reciprocal of a factorial with a vanishing factor is
 the zero series, used to collapse bilateral sums onto N.
 
-Every finite factor goes through one rule, `reflect`: a binomial 1 - A
-of negative q-weight is -A (1 - 1/A) (Gasper-Rahman, *Basic
+Every finite factor cut at an order goes through one rule, `reflect`: a
+binomial 1 - A of negative q-weight is -A (1 - 1/A) (Gasper-Rahman, *Basic
 Hypergeometric Series*, Appendix I), so a factor is a signed monomial at
 its exact valuation times runs of binomials of q-weight >= 0.  Those
 runs have valuation 0 and are needed only to depth order - valuation.
@@ -19,8 +19,9 @@ sweep, its reciprocal an upward recurrence) or, with formal variables,
 a dict keyed by one int.  A sum steps it along each index
 (`summation.eval_sum_over`); product sides and single factors
 (`expand_factors`) step each factor from subscript 0, in q^g for the
-gcd g of every q-exponent in play, and an exact polynomial is that walk
-to its degree.  Neither keeps a run.
+gcd g of every q-exponent in play.  Neither keeps a run.  An exact
+polynomial needs no inverse, so it is its binomials multiplied out, none
+reflected (`_multiplied_out`).
 
 A product side, of a statement or of the z layer, takes one path,
 `expand_closed`, once `closed_factors` has made its refusals.  First
@@ -48,7 +49,6 @@ from math import gcd
 from operator import add, sub
 
 from .qring import (
-    EXACT,
     KeyLayout,
     Monomial,
     NotInvertible,
@@ -109,10 +109,12 @@ def _binomials(arg: Monomial, basepow: int, n: int) -> tuple[Monomial, int]:
 
 def vanishes(arg: Monomial, basepow: int, n: int) -> bool:
     """Does (arg; q^basepow)_n, for any integer n, hold a binomial 1 - 1?"""
-    first, count = _binomials(arg, basepow, n)
-    if first.vars or first.coeff != 1 or first.qexp % basepow:
+    if arg.vars or arg.coeff != 1:
         return False
-    return 0 <= -first.qexp // basepow < count
+    first = arg.qexp + basepow * min(n, 0)  # its first binomial's weight
+    if first % basepow:
+        return False
+    return 0 <= -first // basepow < abs(n)
 
 
 def reflect(arg: Monomial, basepow: int, n: int,
@@ -227,19 +229,27 @@ def no_inverse(a: Monomial) -> str | None:
     return f"leading coefficient {u} is not a unit"
 
 
+def refusal(runs) -> str | None:
+    """Why the runs of one reflected factor cannot be applied: the
+    `no_inverse` text of the first reciprocal run that starts at a
+    binomial of q-weight 0 with no inverse, or None."""
+    for arg, _, _, power in runs:
+        if power < 0 and arg.qexp == 0 and (why := no_inverse(arg)):
+            return why
+    return None
+
+
 def checked_lead(lead: Monomial, reflected) -> Monomial | None:
     """`lead` times the leads in `reflected`, the `reflect` values of a
     term's factors, or None when a factor is zero.  Every factor is
     reflected first (by the caller, so that a ZeroDivisor raises even
     beside a zero factor); then, unless a factor is zero, NotInvertible
-    raises for a reciprocal run that starts at a binomial of q-weight 0
-    with no inverse (`no_inverse`)."""
+    raises for the first factor with a `refusal`."""
     if None in reflected:
         return None
     for factor_lead, runs in reflected:
-        for arg, _, _, power in runs:
-            if power < 0 and arg.qexp == 0 and (why := no_inverse(arg)):
-                raise NotInvertible(why)
+        if why := refusal(runs):
+            raise NotInvertible(why)
         lead = lead * factor_lead
     return lead
 
@@ -286,6 +296,16 @@ class _Stepper:
                                  for name, b in bounds.items()})
         self.pure = not bounds
         self.limit = self.layout.limit(order)
+        self.top = self.layout.top
+        # per factor, in ints, (c, e, b, code, low, high, rise) for its
+        # binomials 1 - c q^(e + b p) v, code the layout code of v: only
+        # positions p in [low, high) have a weight within the budget, and
+        # those below `rise` a negative one
+        self.binomials = [
+            (arg.coeff, arg.qexp, base, self.layout.key(0, arg.vars),
+             -((self.budget + arg.qexp) // base),
+             (self.budget - arg.qexp) // base + 1, -(arg.qexp // base))
+            for arg, base, _ in factors]
         # the position of each factor's binomial of q-weight 0, when it
         # has no inverse
         self.stuck = [
@@ -319,25 +339,37 @@ class _Stepper:
 
     def rebase(self, acc, chain, old, new):
         """acc * W(old) / W(new) for the factors `chain`, one binomial
-        step at a time, each skipped when its weight passes the budget."""
+        step at a time, each skipped when its weight passes the budget.
+        A binomial 1 - A of negative weight steps as 1 - 1/A: the weight
+        and the code negated, the coefficient kept, as it is its own
+        inverse when it is a unit."""
         for k, a, b in zip(chain, old, new):
             if a == b:
                 continue
-            arg, base, expo = self.factors[k]
-            power = expo if a > b else -expo
-            # the positions p whose binomial 1 - arg q^(b p) is in play
-            lo = max(min(a, b), -((self.budget + arg.qexp) // base))
-            hi = min(max(a, b), (self.budget - arg.qexp) // base + 1)
+            c, e, base, code, low, high, rise = self.binomials[k]
+            expo = self.factors[k][2]
+            if a < b:
+                lo, hi, divide = a, b, expo > 0
+            else:
+                lo, hi, divide = b, a, expo < 0
+            # the positions in play, those of negative weight first
+            lo, hi = max(lo, low), min(hi, high)
+            rise = min(hi, rise)
+            if lo < rise:
+                if c not in (1, -1):
+                    raise NotInvertible(
+                        f"monomial coefficient {c} is not a unit")
+                for p in range(lo, rise):
+                    acc = self.step(acc, c, -e - base * p, -code, divide)
+                lo = rise
             for p in range(lo, hi):
-                x = Monomial._of(arg.coeff, arg.qexp + base * p, arg.vars)
-                acc = self.step(acc, x if x.qexp >= 0 else x.inverse(),
-                                power < 0)
+                acc = self.step(acc, c, e + base * p, code, divide)
         return acc
 
-    def step(self, acc, x: Monomial, divide: bool):
-        """acc * (1 - x) or acc / (1 - x), cut at the order."""
-        s, c = x.qexp, x.coeff
-        if s == 0 and not x.vars:  # a constant, a unit when it divides
+    def step(self, acc, c: int, s: int, code: int, divide: bool):
+        """acc * (1 - x) or acc / (1 - x), cut at the order, for the
+        binomial x = c q^s times the variables of layout code `code`."""
+        if s == 0 and not code:  # a constant, a unit when it divides
             u = 1 - c
             if isinstance(acc, list):
                 acc[:] = [u * v for v in acc]
@@ -346,10 +378,10 @@ class _Stepper:
         if isinstance(acc, list):
             (_recur if divide else _sweep)(acc, c, s)
             return acc
-        kx, limit = self.layout.key(s, x.vars), self.limit
+        kx, limit = (s << self.top) + code, self.limit
         if not divide:
             if self.pure and self.size < _ROW_PER_TERM * len(acc):
-                return self.step(self.row(acc), x, divide)
+                return self.step(self.row(acc), c, s, code, divide)
             get = acc.get
             for k, v in list(acc.items()):
                 n = k + kx
@@ -365,7 +397,7 @@ class _Stepper:
                 starts[r] = k
         if self.pure and self.size < _ROW_PER_TERM * sum(
                 (limit - 1 - k) // kx + 1 for k in starts.values()):
-            return self.step(self.row(acc), x, divide)
+            return self.step(self.row(acc), c, s, code, divide)
         out = {}
         get = acc.get
         for k in starts.values():
@@ -455,16 +487,30 @@ def _shrink(m: Monomial, g: int) -> Monomial:
 
 def _poch(arg: Monomial, basepow: int, n: int, expo: int,
           order: int | None) -> Series:
-    factors = [(arg, basepow, n, expo)]
     if order is not None:
-        return expand_factors(Monomial.unit(), factors, order)
+        return expand_factors(Monomial.unit(), [(arg, basepow, n, expo)],
+                              order)
     if (n >= 0) != (expo > 0):
         raise ValueError("an inverse factorial needs a truncation order")
-    # the walk to the polynomial's degree, its binomials' positive weights
+    return _multiplied_out(arg, basepow, n)
+
+
+def _multiplied_out(arg: Monomial, basepow: int, n: int) -> Series:
+    """The binomials of (arg; q^basepow)_n multiplied out, the exact
+    polynomial.  None is reflected, so none needs an inverse.  Terms are
+    keyed by one int (`qring.KeyLayout`), so a binomial 1 - A is one
+    pass over the terms that adds A's key."""
     first, count = _binomials(arg, basepow, n)
-    degree = sum(max(0, first.qexp + basepow * k) for k in range(count))
-    poly = expand_factors(Monomial.unit(), factors, degree)
-    return Series._cut(poly.terms, EXACT, poly.floor)
+    layout = KeyLayout({name: count * abs(e) for name, e in first.vars})
+    c, kx = first.coeff, layout.key(first.qexp, first.vars)
+    rise = layout.key(basepow, ())
+    acc = {0: 1}
+    for _ in range(count):
+        get = acc.get
+        for k, v in list(acc.items()):
+            acc[k + kx] = get(k + kx, 0) - c * v
+        kx += rise
+    return Series.poly(layout.terms(acc, lifted=False))
 
 
 def poch_finite(arg: Monomial, basepow: int = 1, n: int = 0,

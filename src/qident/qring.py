@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 VKey = tuple[tuple[str, int], ...]
 TermKey = tuple[int, VKey]
@@ -106,11 +106,15 @@ class Monomial:
 
     @classmethod
     def _of(cls, coeff: int, qexp: int, vars: VKey) -> "Monomial":
-        """A monomial whose `vars` are already normalized: no re-validation."""
+        """A monomial whose `vars` are already normalized: no re-validation.
+        The fields go straight into the instance dict, which a frozen
+        dataclass leaves writable, at a third of the cost of three
+        `object.__setattr__` calls."""
         m = object.__new__(cls)
-        object.__setattr__(m, "coeff", coeff)
-        object.__setattr__(m, "qexp", qexp)
-        object.__setattr__(m, "vars", vars)
+        fields = m.__dict__
+        fields["coeff"] = coeff
+        fields["qexp"] = qexp
+        fields["vars"] = vars
         return m
 
     @classmethod

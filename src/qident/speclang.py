@@ -76,10 +76,12 @@ def _exact(c):
 class ExpPoly:
     """Polynomial exponent with rational coefficients in named symbols.
 
-    Keys are sorted ``((name, power), ...)`` tuples; the empty key is the
-    constant term.  A coefficient is an int when it is integral and a
-    Fraction otherwise, and no coefficient is zero, so that equality, the
-    hash and the canonical text are stable.
+    Keys are ``((name, power), ...)`` tuples sorted by name, each name
+    once and no power 0 (the constructor merges a name that repeats and
+    drops a power 0); the empty key is the constant term.  A coefficient
+    is an int when it is integral and a Fraction otherwise, and no
+    coefficient is zero, so that equality, the hash and the canonical
+    text are stable.
     """
 
     __slots__ = ("terms",)
@@ -90,8 +92,12 @@ class ExpPoly:
             c = _exact(c)
             if c:
                 key = tuple(key)
-                if any(a > b for a, b in zip(key, key[1:])):
-                    key = tuple(sorted(key))
+                if any(a >= b for (a, _), (b, _) in zip(key, key[1:])) or \
+                        any(not e for _, e in key):
+                    powers: dict[str, int] = {}
+                    for name, e in key:
+                        powers[name] = powers.get(name, 0) + e
+                    key = tuple(sorted((n, e) for n, e in powers.items() if e))
                 clean[key] = clean.get(key, 0) + c
         self.terms = {k: _exact(c) for k, c in clean.items() if c}
 

@@ -29,12 +29,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import groupby, product
 from math import isqrt, lcm
+from operator import mul
 
-from .qfactorial import _Stepper, checked_lead, reflect, vanishes
-from .qring import Monomial, QSeriesError, Series
+from .qfactorial import _Stepper, reflect, refusal, vanishes
+from .qring import (
+    Monomial,
+    NotInvertible,
+    QSeriesError,
+    Series,
+    _normalize_vars,
+)
 
 
 class DomainError(QSeriesError):
@@ -295,9 +302,7 @@ class _IntForm:
 
     def at(self, point, what: str) -> int:
         """f(point); DomainError, naming `what`, if it is not an integer."""
-        num = self.const
-        for c, x in zip(self.coeffs, point):
-            num += c * x
+        num = sum(map(mul, self.coeffs, point), self.const)
         if num % self.den:
             raise DomainError(f"{what} evaluates to non-integer "
                               f"{Fraction(num, self.den)} at {point}")
@@ -323,14 +328,18 @@ class _CompiledSum:
     sign: _IntForm | None
     counts: tuple[_IntForm, ...]                    # denoms, then numers
     denoms: tuple[tuple[_IntForm, DenomFactor], ...]
-    weights: tuple[tuple[str, tuple[int, ...]], ...]
+    weights: tuple[tuple[str, tuple[int, ...]], ...]  # sorted by name
 
     @classmethod
     def of(cls, spec: SumSpec) -> "_CompiledSum":
+        """Raises the ValueError of `qring.Monomial` for a weight name that
+        is empty or q, or that repeats."""
+        _normalize_vars([(name, 1) for name, _ in spec.varweights])
         counts = tuple(_IntForm.of(f.count) for f in spec.denoms + spec.numers)
         return cls(spec.domains, *_scaled(spec.quad.A, spec.quad.B, spec.quad.C),
                    spec.signform and _IntForm.of(spec.signform), counts,
-                   tuple(zip(counts, spec.denoms)), spec.varweights)
+                   tuple(zip(counts, spec.denoms)),
+                   tuple(sorted(spec.varweights)))
 
     def check(self, point) -> None:
         """DomainError unless `point` is a lattice point of the domain."""
@@ -347,12 +356,9 @@ class _CompiledSum:
     def exponent(self, point) -> int:
         """S * Q(point)."""
         v = self.U
-        for i, x in enumerate(point):
+        for x, v_i, w_i in zip(point, self.V, self.W):
             if x:
-                t = self.V[i]
-                for w, y in zip(self.W[i], point):
-                    t += w * y
-                v += x * t
+                v += x * sum(map(mul, w_i, point), v_i)
         return v
 
     def valuation(self, point) -> int | None:
@@ -375,9 +381,9 @@ class _CompiledSum:
             raise DomainError(f"exponent {Fraction(q, self.S)} at {point} is "
                               "not an integer; rescale the base first")
         odd = self.sign and self.sign.at(point, "sign exponent") % 2
-        return Monomial(-1 if odd else 1, q // self.S, [
-            (name, sum(wi * pi for wi, pi in zip(w, point)))
-            for name, w in self.weights])
+        return Monomial._of(-1 if odd else 1, q // self.S, tuple(
+            (name, e) for name, w in self.weights
+            if (e := sum(map(mul, w, point)))) if self.weights else ())
 
     def subscripts(self, point) -> list[int]:
         """The subscripts of the denominators, then of the numerators."""
@@ -782,17 +788,34 @@ def _nested(spec: SumSpec, points, order: int) -> dict:
     """The terms at `points` summed into one term dict, every coefficient
     nonzero and every q-exponent at or below the order (eval_sum_over).
     Each point is first checked as `term_series` checks it, domain and
-    exponents, then `qfactorial.checked_lead`; the walk raises nothing."""
+    exponents, then every factor is reflected, so that a ZeroDivisor
+    raises even beside a zero factor; a zero factor then drops the point,
+    and otherwise the first factor with a `qfactorial.refusal` raises
+    NotInvertible.  The walk raises nothing."""
     factors = [(f, -1) for f in spec.denoms] + [(f, 1) for f in spec.numers]
-    reflect_once = cache(reflect)
+    # per factor and subscript: None for a zero factor, else its lead
+    # (None for the unit) and its refusal, found once per subscript value
+    seen: list[dict] = [{} for _ in factors]
     kernel = spec.compiled
     leaves = []
     for point in points:
         lead, ns = kernel.lead(point), kernel.subscripts(point)
-        lead = checked_lead(lead, [reflect_once(f.arg, f.basepow, n, e)
-                                   for (f, e), n in zip(factors, ns)])
-        if lead is not None:
-            leaves.append((point, lead, ns))
+        got = []
+        for memo, (f, e), n in zip(seen, factors, ns):
+            try:
+                entry = memo[n]
+            except KeyError:
+                entry = memo[n] = _reflected(f, n, e)
+            got.append(entry)
+        if None in got:
+            continue
+        for _, why in got:
+            if why:
+                raise NotInvertible(why)
+        for factor_lead, _ in got:
+            if factor_lead is not None:
+                lead = lead * factor_lead
+        leaves.append((point, lead, ns))
     if not leaves:
         return {}
     chains = _Chains(factors, leaves, order)
@@ -802,6 +825,17 @@ def _nested(spec: SumSpec, points, order: int) -> dict:
     acc = chains.rebase(chains.value(leaves, 0), const,
                         [ns[k] for k in const], [0] * len(const))
     return chains.terms(acc)
+
+
+def _reflected(f: DenomFactor, n: int, expo: int):
+    """The entry of `_nested` for factor `f` at subscript n: None when it
+    is zero, else (its lead, None for the unit, and its refusal)."""
+    value = reflect(f.arg, f.basepow, n, expo)
+    if value is None:
+        return None
+    lead, runs = value
+    unit = lead.coeff == 1 and not lead.qexp and not lead.vars
+    return (None if unit else lead), refusal(runs)
 
 
 class _Chains(_Stepper):
@@ -828,6 +862,9 @@ class _Chains(_Stepper):
         self.depth = [max((k + 1 for k, c in enumerate(f.count.coeffs) if c),
                           default=0) for f, _ in factors]
         self.bottom = max(self.depth, default=0)
+        # the factors of each index d, by the chain they form there
+        self.chains = [[k for k, dk in enumerate(self.depth) if dk == d + 1]
+                       for d in range(self.bottom)]
 
     def value(self, leaves, d: int):
         """The sum of `leaves`, which share their first d indices, times
@@ -836,7 +873,7 @@ class _Chains(_Stepper):
             return self.monomials(lead for _, lead, _ in leaves)
         # the points come grouped by prefix, as in the sorted support
         kids = [list(g) for _, g in groupby(leaves, key=lambda p: p[0][d])]
-        chain = [k for k, dk in enumerate(self.depth) if dk == d + 1]
+        chain = self.chains[d]
         subs = [[kid[0][2][k] for k in chain] for kid in kids]
         acc = None
         for s, m, e in self.segments(chain, subs):

@@ -1,9 +1,9 @@
 """Reflected assembly of terms, sums and product sides against naive builds.
 
 The reference multiplies out every binomial 1 - a q^(bk) of every
-Pochhammer factor as an exact Laurent polynomial, numerators and
-denominators apart, and inverts the denominator with `Series.invert` at
-an order widened by the numerator's valuation.  `term_series` and
+Pochhammer factor, numerators and denominators apart, each at valuation
+0 and to the depth that can still reach the order, and inverts the
+denominator with `Series.invert`.  `term_series` and
 `expand_product_spec` reflect the binomials of negative q-weight instead
 and build each piece only to its depth, so the two paths share nothing
 above the ring operations.
@@ -37,39 +37,83 @@ from qident.summation import (
 )
 
 
-@functools.cache
-def binomials(arg: Monomial, basepow: int, n: int) -> Series:
-    """The binomials of (arg; q^basepow)_n multiplied out, for |n|: the
+def binomial_list(arg: Monomial, basepow: int, n: int) -> list[Monomial]:
+    """The A of the binomials 1 - A of (arg; q^basepow)_n, for |n|: the
     numerator when n >= 0, the denominator when n < 0."""
     first = arg * Monomial.q(n * basepow) if n < 0 else arg
+    return [first * Monomial.q(basepow * k) for k in range(abs(n))]
+
+
+@functools.cache
+def binomials(arg: Monomial, basepow: int, n: int) -> Series:
+    """The binomials of (arg; q^basepow)_n multiplied out, exactly."""
     poly = Series.one()
-    for k in range(abs(n)):
-        a = first * Monomial.q(basepow * k)
+    for a in binomial_list(arg, basepow, n):
         terms = {(0, ()): 1}
         terms[a.key()] = terms.get(a.key(), 0) - a.coeff
         poly = poly * Series.poly(terms)
     return poly
 
 
+@functools.cache
+def lowered(arg: Monomial, basepow: int, n: int, depth: int) -> Series:
+    """The binomials of (arg; q^basepow)_n, each 1 - A divided by
+    q^min(0, weight(A)), multiplied out to `depth`: the product at
+    valuation 0, or zero when a binomial is 1 - 1.  It is the product
+    for the subscript one step nearer 0 times the binomial at position
+    p, n - 1 for n > 0 and n for n < 0."""
+    if n == 0:
+        return Series.one(depth)
+    p = n - 1 if n > 0 else n
+    a = arg * Monomial.q(basepow * p)
+    w = min(0, a.qexp)
+    terms = {(-w, ()): 1}
+    key = (a.qexp - w, a.vars)
+    terms[key] = terms.get(key, 0) - a.coeff
+    return lowered(arg, basepow, p if n > 0 else n + 1, depth) * Series(
+        terms, depth)
+
+
+@functools.cache
+def valuation(arg: Monomial, basepow: int, n: int) -> int:
+    """The valuation of the binomials of (arg; q^basepow)_n multiplied
+    out, none of them 1 - 1: the sum of their negative weights."""
+    return sum(min(0, a.qexp) for a in binomial_list(arg, basepow, n))
+
+
 def reference(lead: Monomial, factors, order: int):
     """lead * prod (arg; q^b)_n^expo to `order`, or the exception type
-    the product must raise."""
-    num, den = Series.from_monomial(lead), Series.one()
+    the product must raise.  The quotient has valuation `low`, so its
+    numerator and denominator are taken at valuation 0 and multiplied
+    out only to the depth order - low that can still reach the order."""
+    nums, dens, low = [], [], lead.qexp
     for arg, basepow, n, expo in factors:
-        poly = binomials(arg, basepow, n)
+        v = valuation(arg, basepow, n)
         if (n >= 0) == (expo > 0):
-            num = num * poly
+            nums.append((arg, basepow, n))
+            low += v
         else:
-            den = den * poly
+            dens.append((arg, basepow, n))
+            low -= v
+    depth = max(0, order - low)
+
+    def product(fs) -> Series:
+        return functools.reduce(Series.__mul__, [
+            lowered(*f, depth) for f in fs] or [Series.one(depth)])
+
+    num, den = product(nums), product(dens)
     if den.is_zero():
         return ZeroDivisor
     if num.is_zero():
         return {}
-    try:
-        inverse = den.invert(order - num.valuation)
-    except NotInvertible:
-        return NotInvertible
-    return {k: c for k, c in (num * inverse).terms.items() if k[0] <= order}
+    if dens:
+        try:
+            num = num * den.invert(depth)
+        except NotInvertible:
+            return NotInvertible
+    return {(qe + low, vk): c for (qe, vk), c in
+            num.mul_monomial(Monomial(lead.coeff, 0, lead.vars)).terms.items()
+            if qe + low <= order}
 
 
 def check(build, want, order: int):

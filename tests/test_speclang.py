@@ -96,6 +96,15 @@ def test_bilateral_declaration_and_signs_parse():
     assert sign_factor.exp == ExpPoly.var("k")
 
 
+def test_a_name_that_repeats_in_a_key_is_merged():
+    n = ExpPoly.var("n")
+    assert ExpPoly({(("n", 1), ("n", 1)): 1}) == n ** 2
+    assert ExpPoly({(("n", 1), ("m", 2), ("n", -1)): 3}) == (
+        ExpPoly.var("m") ** 2).scale(3)
+    assert ExpPoly({(("n", 1), ("n", -1)): 2}) == ExpPoly.const(2)
+    assert ExpPoly({(("m", 1), ("n", 0)): 1}) == ExpPoly.var("m")
+
+
 def test_binom_sugar_expands_to_halved_quadratic():
     a = parse_identity("identity a { lhs: q^(binom(n, 2)); rhs: 1; }")
     b = parse_identity(

@@ -16,7 +16,8 @@ from test_assembly import reference
 
 from qident import qfactorial, qring, summation
 from qident.catalog import default_instances, get_identity
-from qident.qring import Monomial, Series
+from qident.qfactorial import ZeroDivisor
+from qident.qring import Monomial, NotInvertible, Series
 from qident.summation import (
     AffineForm,
     DenomFactor,
@@ -621,6 +622,67 @@ def test_per_point_checks_come_in_order():
     # term_valuation reads the subscripts only
     with pytest.raises(DomainError, match="^subscript"):
         term_valuation(everything, (1,))
+
+
+# At a point every factor is reflected first, so that a ZeroDivisor
+# raises even beside a zero factor; a zero factor then drops the point,
+# and only then does the first factor with no inverse raise.
+
+
+def test_a_zero_numerator_drops_a_point_whose_denominator_has_no_inverse():
+    """At n = 2 the numerator (q^-1; q)_n holds 1 - 1 and the denominator
+    (-1; q)_n divides by 1 - (-1) = 2: the term is zero.  At n = 1 the
+    numerator is not zero, and the point is refused."""
+    spec = make_sum_spec(1, "N", QuadForm.square(N0),
+                         denoms=[DenomFactor(Monomial(-1, 0), 1, N0)],
+                         numers=[DenomFactor(Monomial.q(-1), 1, N0)])
+    assert term_series(spec, (2,), 6).is_zero()
+    assert eval_sum_over(spec, [(2,), (2,)], 6).is_zero()
+    for points in ([(1,)], [(2,), (1,)]):
+        with pytest.raises(NotInvertible,
+                           match="^leading coefficient 2 is not a unit$"):
+            eval_sum_over(spec, points, 6)
+
+
+def test_a_vanishing_denominator_beside_a_zero_factor_raises():
+    """At n = 2, 1/(q; q)_(n-3) = 1 - 1 is zero, and 1/(q^-1; q)_n divides
+    by 1 - 1; a numerator (q^-1; q)_n, zero there too, changes nothing."""
+    zero = DenomFactor(Q1, 1, N0.shift(-3))
+    infinite = DenomFactor(Monomial.q(-1), 1, N0)
+    for numers in ((), (infinite,)):
+        spec = make_sum_spec(1, "N", QuadForm.square(N0),
+                             denoms=[zero, infinite], numers=numers)
+        for points in ([(2,)], [(1,), (2,)]):
+            with pytest.raises(ZeroDivisor):
+                eval_sum_over(spec, points, 6)
+
+
+def test_the_first_factor_with_no_inverse_is_the_one_refused():
+    texts = {Monomial(-1, 0): "leading coefficient 2 is not a unit",
+             Monomial.var("x"): "lowest q-level (q^0) holds 2 monomials; "
+                                "need a single unit monomial"}
+    for first, second in (list(texts), list(texts)[::-1]):
+        spec = make_sum_spec(1, "N", QuadForm.square(N0), denoms=[
+            DenomFactor(first, 1, N0), DenomFactor(second, 1, N0)])
+        for run in (lambda: term_series(spec, (1,), 6),
+                    lambda: eval_sum_over(spec, [(0,), (1,)], 6)):
+            with pytest.raises(NotInvertible) as refused:
+                run()
+            assert str(refused.value) == texts[first]
+
+
+@pytest.mark.parametrize("weights,text", [
+    ((("q", (1,)),), "bad formal variable name 'q'"),
+    ((("", (1,)),), "bad formal variable name ''"),
+    ((("x", (1,)), ("x", (2,))), "duplicate variable in monomial"),
+])
+def test_weight_names_are_refused_as_a_monomial_refuses_them(weights, text):
+    spec = SumSpec(1, ("N",), QuadForm.square(N0), varweights=weights)
+    for run in (lambda: term_series(spec, (1,), 6),
+                lambda: eval_sum_over(spec, [(1,)], 6)):
+        with pytest.raises(ValueError) as refused:
+            run()
+        assert str(refused.value) == text
 
 
 def test_sums_make_no_per_point_fraction_evaluation(monkeypatch):
