@@ -74,7 +74,8 @@ def zcoeffs(s: Series, ks=None):
 
 
 def zmul(f: Series, g: Series) -> Series:
-    """The kernel's product, named apart so the z layer's can be timed."""
+    """The kernel's product, named apart so that its one caller, the
+    replay of `prove_main_theorem`, can be timed."""
     return f * g
 
 

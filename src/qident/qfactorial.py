@@ -10,18 +10,21 @@ the zero series, used to collapse bilateral sums onto N.
 Every finite factor cut at an order goes through one rule, `reflect`: a
 binomial 1 - A of negative q-weight is -A (1 - 1/A) (Gasper-Rahman, *Basic
 Hypergeometric Series*, Appendix I), so a factor is a signed monomial at
-its exact valuation times runs of binomials of q-weight >= 0.  Those
-runs have valuation 0 and are needed only to depth order - valuation.
-One engine applies them, `_Stepper`: it multiplies or divides an
-accumulator by one binomial at a time and cuts it at the order, the
-accumulator a term dict, a coefficient row (a binomial is a downward
-sweep, its reciprocal an upward recurrence) or, with formal variables,
-a dict keyed by one int.  A sum steps it along each index
-(`summation.eval_sum_over`); product sides and single factors
-(`expand_factors`) step each factor from subscript 0, in q^g for the
-gcd g of every q-exponent in play.  Neither keeps a run.  An exact
-polynomial needs no inverse, so it is its binomials multiplied out, none
-reflected (`_multiplied_out`).
+its exact valuation times binomials of q-weight >= 0, which have
+valuation 0 and are needed only to depth order - valuation.  One engine
+applies them, `_Stepper`: it multiplies or divides an accumulator by
+one binomial at a time and cuts it at the order, the accumulator a term
+dict, a coefficient row (a binomial is a downward sweep, its reciprocal
+an upward recurrence) or, with formal variables, a dict keyed by one
+int.  One function drives it, `walk`: a product of Pochhammer factors
+at the subscripts of each point of a sum, each factor reflected once
+per subscript value, the points added by Horner's rule along each index
+(`_Chains`), in q^g for the gcd g of every q-exponent in play.  A sum
+(`summation.eval_sum_over`), a single term, a product side and a single
+factor (`expand_factors`) are each one walk.  A polynomial needs no
+inverse, so an exact one, or one whose argument's coefficient is not a
+unit, is its binomials multiplied out, none reflected
+(`_multiplied_out`).
 
 A product side, of a statement or of the z layer, takes one path,
 `expand_closed`, once `closed_factors` has made its refusals.  First
@@ -44,8 +47,8 @@ in n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from math import gcd
+from itertools import accumulate, groupby
+from math import gcd, inf
 from operator import add, sub
 
 from .qring import (
@@ -95,10 +98,6 @@ class ProductSpec:
     prefactor: Monomial = Monomial.unit()
 
 
-# (arg, basepow, count, expo): the run prod_{k<count} (1 - arg q^{bk})^expo
-Run = tuple[Monomial, int, int, int]
-
-
 def _binomials(arg: Monomial, basepow: int, n: int) -> tuple[Monomial, int]:
     """(first, count): the binomials of (arg; q^basepow)_n are
     1 - first q^{bk} for k < count, in its denominator when n < 0."""
@@ -118,15 +117,17 @@ def vanishes(arg: Monomial, basepow: int, n: int) -> bool:
 
 
 def reflect(arg: Monomial, basepow: int, n: int,
-            expo: int = 1) -> tuple[Monomial, tuple[Run, ...]] | None:
-    """(arg; q^basepow)_n ^ expo, expo = +-1, as (lead, runs), or None.
+            expo: int = 1) -> tuple[Monomial | None, str | None] | None:
+    """(arg; q^basepow)_n ^ expo, expo = +-1, as (lead, refusal), or None.
 
     None is the zero series (a binomial 1 - 1 in the numerator), and a
     binomial 1 - 1 in the denominator raises ZeroDivisor.  Otherwise the
-    factor is lead * prod of the runs: `lead` is prod (-A)^(+-1) over the
-    binomials 1 - A of negative q-weight, and the runs, all of q-weight
-    >= 0, hold those binomials reflected to 1 - 1/A and the others as
-    they are.  1/A needs A's coefficient to be a unit (NotInvertible).
+    factor is `lead`, None for the unit, times binomials of q-weight >=
+    0: `lead` is prod (-A)^(+-1) over the binomials 1 - A of negative
+    q-weight, which leave 1 - 1/A behind, and 1/A needs A's coefficient
+    to be a unit (NotInvertible).  `refusal` is the `no_inverse` text of
+    a binomial of q-weight 0 that the factor divides by (`no_inverse_at`),
+    or None.
     """
     first, count = _binomials(arg, basepow, n)
     power = expo if n >= 0 else -expo
@@ -136,24 +137,23 @@ def reflect(arg: Monomial, basepow: int, n: int,
         raise ZeroDivisor(f"{'1/' if expo < 0 else ''}({arg.text()}; "
                           f"q^{basepow})_{n} divides by a vanishing factor")
     r = min(count, max(0, -(first.qexp // basepow)))  # weights below 0
-    lead = Monomial.unit()
-    runs = []
+    lead = None
     if r:
-        last = first * Monomial.q(basepow * (r - 1))
-        runs.append((last.inverse(), basepow, r, power))
+        if first.coeff not in (1, -1):
+            raise NotInvertible(
+                f"monomial coefficient {first.coeff} is not a unit")
         lead = (Monomial(-first.coeff, first.qexp, first.vars) ** r
                 * Monomial.q(basepow * (r * (r - 1) // 2))) ** power
-    if count > r:
-        runs.append((first * Monomial.q(basepow * r), basepow, count - r,
-                     power))
-    return lead, tuple(runs)
+    stuck = no_inverse_at(arg, basepow) if power < 0 else None
+    return lead, (stuck[1] if stuck and min(n, 0) <= stuck[0] < max(n, 0)
+                  else None)
 
 
 # An accumulator free of formal variables becomes a coefficient row once
 # the row would hold fewer than this many entries per term (`_Stepper`).
-# Measured on 13 numerator runs (q^a; q^b)_n at orders 60 to 10^5
+# Measured on 13 numerator factors (q^a; q^b)_n at orders 60 to 10^5
 # against products of Series, the row was 4 to 7 times as fast on dense
-# runs and 2 to 3 times as slow on the sparse (q^1000; q)_20 at order
+# factors and 2 to 3 times as slow on the sparse (q^1000; q)_20 at order
 # 10^5; thresholds of 4 and 8 gave the least total time.
 _ROW_PER_TERM = 4
 
@@ -229,14 +229,12 @@ def no_inverse(a: Monomial) -> str | None:
     return f"leading coefficient {u} is not a unit"
 
 
-def refusal(runs) -> str | None:
-    """Why the runs of one reflected factor cannot be applied: the
-    `no_inverse` text of the first reciprocal run that starts at a
-    binomial of q-weight 0 with no inverse, or None."""
-    for arg, _, _, power in runs:
-        if power < 0 and arg.qexp == 0 and (why := no_inverse(arg)):
-            return why
-    return None
+def no_inverse_at(arg: Monomial, basepow: int) -> tuple[int, str] | None:
+    """(k, why) when the binomial 1 - arg q^(bk), b = basepow, has
+    q-weight 0 and no inverse, why its `no_inverse` text; else None."""
+    if arg.qexp % basepow or not (why := no_inverse(arg)):
+        return None
+    return -arg.qexp // basepow, why
 
 
 def checked_lead(lead: Monomial, reflected) -> Monomial | None:
@@ -244,23 +242,24 @@ def checked_lead(lead: Monomial, reflected) -> Monomial | None:
     term's factors, or None when a factor is zero.  Every factor is
     reflected first (by the caller, so that a ZeroDivisor raises even
     beside a zero factor); then, unless a factor is zero, NotInvertible
-    raises for the first factor with a `refusal`."""
+    raises for the first factor with a refusal."""
     if None in reflected:
         return None
-    for factor_lead, runs in reflected:
-        if why := refusal(runs):
+    for _, why in reflected:
+        if why:
             raise NotInvertible(why)
-        lead = lead * factor_lead
+    for factor_lead, _ in reflected:
+        if factor_lead is not None:
+            lead = lead * factor_lead
     return lead
 
 
 class _Stepper:
-    """Sums of monomials times binomial runs, one binomial step at a
-    time: the accumulator of a sum's chain walk (`summation._Chains`)
-    and of a product of finite factors (`expand_factors`).
+    """Sums of monomials times products of binomials, one binomial step
+    at a time: the accumulator of `walk`.
 
     `factors` holds (arg, basepow, expo) per Pochhammer factor.  Its
-    runs at subscript L, W(L), step to L + 1 by the binomial
+    binomials at subscript L, W(L), step to L + 1 by the binomial
     (a; q^b)_(L+1) / (a; q^b)_L = 1 - a q^(bL), taken in `reflect`'s
     valuation-0 form: 1 - 1/A for a binomial 1 - A of negative q-weight,
     whose -A is in the leads.  So every step's series has q-exponents
@@ -308,9 +307,8 @@ class _Stepper:
             for arg, base, _ in factors]
         # the position of each factor's binomial of q-weight 0, when it
         # has no inverse
-        self.stuck = [
-            -arg.qexp // base if arg.qexp % base == 0 and no_inverse(arg)
-            else None for arg, base, _ in factors]
+        self.stuck = [(stuck := no_inverse_at(arg, base)) and stuck[0]
+                      for arg, base, _ in factors]
 
     def monomials(self, leads):
         """The sum of `leads` as an accumulator, cut at the order."""
@@ -443,41 +441,132 @@ class _Stepper:
         return row
 
 
-def expand_factors(lead: Monomial, factors, order: int,
-                   pieces=()) -> Series:
-    """lead * prod (arg; q^b)_n^expo over `factors` * prod `pieces`.
+class _Chains(_Stepper):
+    """The chain walk of `walk`: Horner's rule along each index, on the
+    accumulator of `_Stepper`.
 
-    `factors` holds (arg, basepow, n, expo) with expo = +-1 and any
-    integer n; `pieces` are valuation-0 series sound to `order`, used
-    only when the product does not dip below q^0.  The product is zero
-    if any factor is, after the checks of `checked_lead`.  Otherwise the
-    reflected lead is a monomial at the product's valuation v, and one
-    `_Stepper` walk steps each factor's binomials from subscript 0 to n,
-    those of q-weight above order - min(v, 0) skipped.  The product is a
-    series in q^g, g the gcd of v and every argument's q-exponent and
-    base, so the walk runs in q^g to order // g and its result is
-    stretched back.  A product dipping below q^0 keeps its floor there
-    and its order at `order`.
+    A factor belongs to the last index its subscript reads, its depth,
+    and the kids of a prefix, grouped by that index, form a chain.
+    W(L), the product of the chain's factors at subscripts L, steps from
+    one subscript to the next by one binomial (`_Stepper.rebase`), so
+    sum_i U_i W(L_i) is Horner's rule from both ends of the chain toward
+    its anchor, the kid with the fewest binomials: each step multiplies
+    or divides by one binomial and cuts at the order, and the anchor's
+    own binomials come last, as steps from L = 0.  A step that would
+    divide by a binomial of q-weight 0 with no inverse ends the chain's
+    segment (`_Stepper.passes`), and the kids beyond it get their own
+    anchor.
     """
-    lead = checked_lead(lead, [reflect(*f) for f in factors])
-    if lead is None:
-        return Series.zero(order)
-    g = gcd(lead.qexp, *(e for arg, b, _, _ in factors
-                         for e in (arg.qexp, b))) or 1
-    lead = _shrink(lead, g)
-    walk = _Stepper([(_shrink(arg, g), b // g, expo)
-                     for arg, b, _, expo in factors], [lead], order // g)
-    acc = walk.rebase(walk.monomials([lead]), range(len(factors)),
-                      [n for _, _, n, _ in factors], [0] * len(factors))
-    terms = walk.terms(acc)
+
+    def __init__(self, factors, depths, leads, order: int):
+        super().__init__(factors, leads, order)
+        self.bottom = max(depths, default=0)
+        # the factors of each index d, by the chain they form there
+        self.chains = [[k for k, dk in enumerate(depths) if dk == d + 1]
+                       for d in range(self.bottom)]
+
+    def value(self, leaves, d: int):
+        """The sum of `leaves`, which share their first d indices, times
+        the binomials of the factors of index d and later."""
+        if d == self.bottom:
+            return self.monomials(lead for _, lead, _ in leaves)
+        # the points come grouped by prefix, as in the sorted support
+        kids = [list(g) for _, g in groupby(leaves, key=lambda p: p[0][d])]
+        chain = self.chains[d]
+        subs = [[kid[0][2][k] for k in chain] for kid in kids]
+        acc = None
+        for s, m, e in self.segments(chain, subs):
+            up = down = None
+            for i in range(e, m, -1):
+                up = self.add(up, self.value(kids[i], d + 1))
+                up = self.rebase(up, chain, subs[i], subs[i - 1])
+            for i in range(s, m):
+                down = self.add(down, self.value(kids[i], d + 1))
+                down = self.rebase(down, chain, subs[i], subs[i + 1])
+            seg = self.add(self.add(up, down), self.value(kids[m], d + 1))
+            acc = self.add(acc, self.rebase(seg, chain, subs[m],
+                                            [0] * len(chain)))
+        return acc
+
+    def segments(self, chain, subs) -> list[tuple[int, int, int]]:
+        """(s, m, e) per segment: kids s..e, anchored at m, that Horner's
+        rule reaches with no step through a binomial it cannot divide by."""
+        out, todo = [], [(0, len(subs))]
+        while todo:
+            lo, hi = todo.pop()
+            if lo >= hi:
+                continue
+            m = min(range(lo, hi), key=lambda i: sum(map(abs, subs[i])))
+            s = e = m
+            while s > lo and self.passes(chain, subs[s - 1], subs[s]):
+                s -= 1
+            while e + 1 < hi and self.passes(chain, subs[e + 1], subs[e]):
+                e += 1
+            out.append((s, m, e))
+            todo += [(lo, s), (e + 1, hi)]
+        return out
+
+
+def walk(factors, depths, leaves, order: int) -> tuple[dict, int]:
+    """(terms, floor): the sum over `leaves` of lead * prod (arg; q^b)_n
+    ^expo, cut at `order`, every coefficient nonzero, and the least
+    q-exponent of a lead or 0, below which no term lies.
+
+    `factors` holds (arg, basepow, expo) with expo = +-1, and `depths`
+    the number of indices each factor's subscript reads, 0 for a
+    constant one.  `leaves` yields (point, lead, subscripts), grouped by
+    prefix of the points, and is read one leaf at a time, so a bad point
+    raises before any later point is read.  At a leaf every factor is
+    reflected (`reflect`, once per subscript value), then `checked_lead`
+    drops the leaf or raises.  The kept leaves are one `_Chains` walk,
+    whose factors of constant subscript are stepped from L = 0 last; it
+    runs in q^g to order // g, g the gcd of every lead's q-exponent and
+    every argument's q-exponent and base, and its terms are stretched
+    back.
+    """
+    seen: list[dict] = [{} for _ in factors]
+    g = gcd(*(e for arg, b, _ in factors for e in (arg.qexp, b)))
+    kept = []
+    for point, lead, ns in leaves:
+        reflected = []
+        for memo, (arg, b, expo), n in zip(seen, factors, ns):
+            try:
+                value = memo[n]
+            except KeyError:
+                value = memo[n] = reflect(arg, b, n, expo)
+            reflected.append(value)
+        lead = checked_lead(lead, reflected)
+        if lead is not None:
+            kept.append((point, lead, ns))
+            if g != 1:
+                g = gcd(g, lead.qexp)
+    if not kept:
+        return {}, 0
+    g = g or 1
+    if g > 1:
+        factors = [(_shrink(arg, g), b // g, expo) for arg, b, expo in factors]
+        kept = [(point, _shrink(lead, g), ns) for point, lead, ns in kept]
+    chains = _Chains(factors, depths, [lead for _, lead, _ in kept],
+                     order // g)
+    const = [k for k, d in enumerate(depths) if d == 0]
+    ns = kept[0][2]
+    terms = chains.terms(chains.rebase(
+        chains.value(kept, 0), const, [ns[k] for k in const],
+        [0] * len(const)))
     if g > 1:
         terms = {(g * qe, vk): c for (qe, vk), c in terms.items()}
-    series = Series._cut(terms, order, g * walk.low)
-    if pieces and series.terms == {(0, ()): 1}:  # 1 * piece is the piece
-        series, pieces = pieces[0], pieces[1:]
-    for piece in pieces:
-        series = series * piece
-    return series
+    return terms, g * chains.low
+
+
+def expand_factors(lead: Monomial, factors, order: int) -> Series:
+    """lead * prod (arg; q^b)_n^expo over `factors`, (arg, basepow, n,
+    expo) with expo = +-1 and any integer n: the `walk` of one leaf.  A
+    product dipping below q^0 keeps its floor there and its order at
+    `order`."""
+    terms, floor = walk([(arg, b, expo) for arg, b, _, expo in factors],
+                        [0] * len(factors),
+                        [((), lead, [n for _, _, n, _ in factors])], order)
+    return Series._cut(terms, order, floor)
 
 
 def _shrink(m: Monomial, g: int) -> Monomial:
@@ -487,30 +576,46 @@ def _shrink(m: Monomial, g: int) -> Monomial:
 
 def _poch(arg: Monomial, basepow: int, n: int, expo: int,
           order: int | None) -> Series:
-    if order is not None:
-        return expand_factors(Monomial.unit(), [(arg, basepow, n, expo)],
-                              order)
-    if (n >= 0) != (expo > 0):
+    if (n >= 0) == (expo > 0):  # a polynomial
+        if order is None or arg.coeff not in (1, -1):
+            return _multiplied_out(arg, basepow, n, order)
+    elif order is None:
         raise ValueError("an inverse factorial needs a truncation order")
-    return _multiplied_out(arg, basepow, n)
+    return expand_factors(Monomial.unit(), [(arg, basepow, n, expo)], order)
 
 
-def _multiplied_out(arg: Monomial, basepow: int, n: int) -> Series:
-    """The binomials of (arg; q^basepow)_n multiplied out, the exact
-    polynomial.  None is reflected, so none needs an inverse.  Terms are
-    keyed by one int (`qring.KeyLayout`), so a binomial 1 - A is one
-    pass over the terms that adds A's key."""
+def _multiplied_out(arg: Monomial, basepow: int, n: int,
+                    order: int | None) -> Series:
+    """The binomials of (arg; q^basepow)_n multiplied out: the exact
+    polynomial, or its truncation at `order`.  None is reflected, so
+    none needs an inverse.  Terms are keyed by one int
+    (`qring.KeyLayout`), so a binomial 1 - A is one pass over the terms
+    that adds A's key.  The binomials rise in weight, so at an order
+    they stop at the first whose weight passes order - low, low the sum
+    of the negative weights, and a term above the order less the
+    negative weights still to come is never made."""
     first, count = _binomials(arg, basepow, n)
-    layout = KeyLayout({name: count * abs(e) for name, e in first.vars})
-    c, kx = first.coeff, layout.key(first.qexp, first.vars)
-    rise = layout.key(basepow, ())
+    c, e = first.coeff, first.qexp
+    r = min(count, max(0, -(e // basepow)))  # weights below 0
+    low = rest = r * e + basepow * (r * (r - 1) // 2)
+    if order is not None:
+        count = min(count, max(0, (order - low - e) // basepow + 1))
+    layout = KeyLayout({name: count * abs(x) for name, x in first.vars})
+    kx, rise = layout.key(e, first.vars), layout.key(basepow, ())
     acc = {0: 1}
-    for _ in range(count):
+    for k in range(count):
+        rest -= min(0, e + basepow * k)
+        limit = inf if order is None else layout.limit(order - rest)
         get = acc.get
-        for k, v in list(acc.items()):
-            acc[k + kx] = get(k + kx, 0) - c * v
+        for key, v in list(acc.items()):
+            if key + kx < limit:
+                acc[key + kx] = get(key + kx, 0) - c * v
         kx += rise
-    return Series.poly(layout.terms(acc, lifted=False))
+    terms = layout.terms(acc, lifted=False)
+    if order is None:
+        return Series.poly(terms)
+    return Series._cut({k: v for k, v in terms.items() if k[0] <= order},
+                       order, low)
 
 
 def poch_finite(arg: Monomial, basepow: int = 1, n: int = 0,
@@ -609,8 +714,8 @@ def expand_closed(prefactor: Monomial, finite, infinite,
 
     - the finite factors, old and telescoped, and every pure-q factor
       (a; q^b)_inf^(+-1) left but (q^m; q^m)_inf, as its truncation
-      (a; q^b)_n to the n binomials at or below the order, are one
-      `_Stepper` walk (`expand_factors`);
+      (a; q^b)_n to the n binomials at or below the order, are the
+      `walk` of one leaf (`expand_factors`);
     - each factor with formal variables, Euler's series (`_euler`), and
       each (q^m; q^m)_inf numerator, the pentagonal series
       theta(q^m; q^(3m)) (Andrews, *The Theory of Partitions*, ch. 1), in
@@ -620,7 +725,7 @@ def expand_closed(prefactor: Monomial, finite, infinite,
       is divided out of the finished series.
     """
     telescoped, thetas, rest = _rewrite(infinite)
-    walk, pieces, dens = finite + telescoped, [], []
+    stepped, pieces, dens = finite + telescoped, [], []
     for (arg, b), e in rest.items():
         s = 1 if e > 0 else -1
         if arg.vars:
@@ -630,10 +735,14 @@ def expand_closed(prefactor: Monomial, finite, infinite,
                 [theta(arg, 3 * b, order)] * abs(e))
         else:
             n = max(0, (order - arg.qexp) // b + 1)
-            walk += [(arg, b, n, s)] * abs(e)
+            stepped += [(arg, b, n, s)] * abs(e)
     for (arg, b), e in thetas.items():
         (pieces if e > 0 else dens).extend([theta(arg, b, order)] * abs(e))
-    series = expand_factors(prefactor, walk, order, pieces)
+    series = expand_factors(prefactor, stepped, order)
+    if pieces and series.terms == {(0, ()): 1}:  # 1 * piece is the piece
+        series, pieces = pieces[0], pieces[1:]
+    for piece in pieces:
+        series = series * piece
     for den in dens:
         series = _divide(series, den)
     return series

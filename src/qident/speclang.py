@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .qfactorial import INF, FactorSpec, ProductSpec, no_inverse
+from .qfactorial import INF, FactorSpec, ProductSpec, no_inverse_at
 from .qring import Monomial
 from .summation import (
     AffineForm,
@@ -133,9 +133,6 @@ class ExpPoly:
 
     def names(self) -> set[str]:
         return {n for k in self.terms for n, _ in k}
-
-    def coefficient(self, key) -> int | Fraction:
-        return self.terms.get(tuple(sorted(key)), 0)
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         terms = dict(self.terms)
@@ -679,16 +676,10 @@ class _Parser:
         self.fail(f"expected an exponent term, found {t.text!r}")
 
 
-def normalize_mono(parts) -> MonoKey:
-    """Sorted monomial key with q last and zero powers dropped."""
-    if isinstance(parts, dict):
-        items = parts.items()
-    else:
-        items = parts
-    merged: dict[str, int] = {}
-    for name, e in items:
-        merged[name] = merged.get(name, 0) + e
-    return tuple(sorted(((n, e) for n, e in merged.items() if e),
+def normalize_mono(powers: dict[str, int]) -> MonoKey:
+    """Sorted monomial key of `powers`, one per name, with q last and
+    zero powers dropped."""
+    return tuple(sorted(((n, e) for n, e in powers.items() if e),
                         key=lambda it: (it[0] == "q", it[0])))
 
 
@@ -1013,16 +1004,16 @@ def _check_reach(poch: PochCall, op: int, f: DenomFactor,
                  domains: str) -> None:
     """Refuse a summand's factor that, at a subscript the domain reaches,
     divides by a binomial 1 - A of q-weight 0 with no inverse
-    (`qfactorial.no_inverse`), 1 - 1 included.  A denominator
+    (`qfactorial.no_inverse_at`), 1 - 1 included.  A denominator
     (a; q^b)_L divides by 1 - a q^(bk) for 0 <= k < L, a numerator for
     L <= k < 0, and the supremum of L, or of -L, over the domain's box
     decides whether the domain reaches the k of q-weight 0.  Such a term
     has no series at any order, whether or not the support below the
     order holds it, and a zero factor beside it excuses nothing."""
-    a, b = f.arg, f.basepow
-    if a.qexp % b or not (why := no_inverse(a)):
+    a = f.arg
+    if not (stuck := no_inverse_at(a, f.basepow)):
         return
-    k = -a.qexp // b
+    k, why = stuck
     form, first = (f.count, k + 1) if op < 0 else (-f.count, -k)
     if first < 1:
         return

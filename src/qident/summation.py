@@ -16,10 +16,10 @@ certificate is refused, never scanned.
 A sum is evaluated nested, index inside index, by one chain walk
 (Horner's rule for several indices; Andrews, *The Theory of Partitions*,
 ch. 7): a factor belongs to the last index its subscript reads, the
-inner sums along that index differ in their run products by one
+inner sums along that index differ in their products of factors by one
 binomial per change of subscript, and Horner's rule takes those steps
-one binomial at a time on `qfactorial._Stepper`, the engine of finite
-factors too, with no run product (see `eval_sum_over`).  Every point,
+one binomial at a time in `qfactorial.walk`, the walk of product sides
+and single factors too (see `eval_sum_over`).  Every point,
 of the support and of a sum, is read through the spec's forms compiled
 once to scaled integers (`SumSpec.compiled`), and each spec's support
 is certified once (`SumSpec.plans`).
@@ -30,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, product
+from itertools import product
 from math import isqrt, lcm
 from operator import mul
 
-from .qfactorial import _Stepper, reflect, refusal, vanishes
+from .qfactorial import vanishes, walk
 from .qring import (
     Monomial,
-    NotInvertible,
     QSeriesError,
     Series,
     _normalize_vars,
@@ -405,8 +404,8 @@ def term_series(spec: SumSpec, point, order: int) -> Series:
     """The single term at `point`, truncated at `order`: the one-point
     case of `eval_sum_over`.  Numerator factorials are allowed, and a
     term of valuation v < 0 keeps its floor at q^v."""
-    terms = _nested(spec, [point], order)
-    return Series._cut(terms, order, min([0, *(k[0] for k in terms)]))
+    terms, floor = _nested(spec, [point], order)
+    return Series._cut(terms, order, floor)
 
 
 # ------------------------------------------------------- support enumeration
@@ -769,140 +768,30 @@ def eval_sum_over(spec: SumSpec, points, order: int) -> Series:
     A Pochhammer factor belongs to the last index its subscript depends
     on, and is reflected (`qfactorial.reflect`) once per subscript value;
     its lead, a monomial at its exact valuation, goes into the points'
-    terms, and its valuation-0 runs are never built: along each index the
-    inner sums are added by Horner's rule, one binomial step per change
-    of subscript (`_Chains` on `qfactorial._Stepper`).  A point raises
-    what `term_series` raises there; terms below q^0 that fail to cancel
-    raise NegativeValuationResidual.
+    terms, and along each index the inner sums are added by Horner's
+    rule, one binomial step per change of subscript (`qfactorial.walk`).
+    A point raises what `term_series` raises there; terms below q^0 that
+    fail to cancel raise NegativeValuationResidual.
     """
-    terms = _nested(spec, points, order)
-    bad = min((k for k in terms if k[0] < 0), default=None)
-    if bad is not None:
+    terms, floor = _nested(spec, points, order)
+    bad = floor < 0 and min((k for k in terms if k[0] < 0), default=None)
+    if bad:
         raise NegativeValuationResidual(
             f"residual term below q^0 after summation: q^{bad[0]} "
             f"(coefficient {terms[bad]})")
     return Series._cut(terms, order, 0)
 
 
-def _nested(spec: SumSpec, points, order: int) -> dict:
-    """The terms at `points` summed into one term dict, every coefficient
-    nonzero and every q-exponent at or below the order (eval_sum_over).
-    Each point is first checked as `term_series` checks it, domain and
-    exponents, then every factor is reflected, so that a ZeroDivisor
-    raises even beside a zero factor; a zero factor then drops the point,
-    and otherwise the first factor with a `qfactorial.refusal` raises
-    NotInvertible.  The walk raises nothing."""
-    factors = [(f, -1) for f in spec.denoms] + [(f, 1) for f in spec.numers]
-    # per factor and subscript: None for a zero factor, else its lead
-    # (None for the unit) and its refusal, found once per subscript value
-    seen: list[dict] = [{} for _ in factors]
+def _nested(spec: SumSpec, points, order: int) -> tuple[dict, int]:
+    """`qfactorial.walk` of the terms at `points`: (terms, floor).  Each
+    point is checked as `term_series` checks it, domain and exponents,
+    then subscripts, before the walk reflects its factors."""
     kernel = spec.compiled
-    leaves = []
-    for point in points:
-        lead, ns = kernel.lead(point), kernel.subscripts(point)
-        got = []
-        for memo, (f, e), n in zip(seen, factors, ns):
-            try:
-                entry = memo[n]
-            except KeyError:
-                entry = memo[n] = _reflected(f, n, e)
-            got.append(entry)
-        if None in got:
-            continue
-        for _, why in got:
-            if why:
-                raise NotInvertible(why)
-        for factor_lead, _ in got:
-            if factor_lead is not None:
-                lead = lead * factor_lead
-        leaves.append((point, lead, ns))
-    if not leaves:
-        return {}
-    chains = _Chains(factors, leaves, order)
-    # the factors of constant subscript, stepped from L = 0 last
-    const = [k for k, d in enumerate(chains.depth) if d == 0]
-    ns = leaves[0][2]
-    acc = chains.rebase(chains.value(leaves, 0), const,
-                        [ns[k] for k in const], [0] * len(const))
-    return chains.terms(acc)
-
-
-def _reflected(f: DenomFactor, n: int, expo: int):
-    """The entry of `_nested` for factor `f` at subscript n: None when it
-    is zero, else (its lead, None for the unit, and its refusal)."""
-    value = reflect(f.arg, f.basepow, n, expo)
-    if value is None:
-        return None
-    lead, runs = value
-    unit = lead.coeff == 1 and not lead.qexp and not lead.vars
-    return (None if unit else lead), refusal(runs)
-
-
-class _Chains(_Stepper):
-    """The chain walk of `_nested`: Horner's rule along each index, on
-    the accumulator of `qfactorial._Stepper`.
-
-    A factor belongs to the last index its subscript reads, and the kids
-    of a prefix, grouped by that index, form a chain.  W(L), the product
-    of the runs of the chain's factors at subscripts L, steps from one
-    subscript to the next by one binomial (`_Stepper.rebase`), so
-    sum_i U_i W(L_i) is Horner's rule from both ends of the chain toward
-    its anchor, the kid with the fewest binomials: each step multiplies
-    or divides by one binomial and cuts at the order, and the anchor's
-    own binomials come last, as steps from L = 0.  A step that would
-    divide by a binomial of q-weight 0 with no inverse ends the chain's
-    segment (`_Stepper.passes`), and the kids beyond it get their own
-    anchor.
-    """
-
-    def __init__(self, factors, leaves, order: int):
-        super().__init__([(f.arg, f.basepow, expo) for f, expo in factors],
-                         [lead for _, lead, _ in leaves], order)
-        # how many indices each subscript reads
-        self.depth = [max((k + 1 for k, c in enumerate(f.count.coeffs) if c),
-                          default=0) for f, _ in factors]
-        self.bottom = max(self.depth, default=0)
-        # the factors of each index d, by the chain they form there
-        self.chains = [[k for k, dk in enumerate(self.depth) if dk == d + 1]
-                       for d in range(self.bottom)]
-
-    def value(self, leaves, d: int):
-        """The sum of `leaves`, which share their first d indices, times
-        the runs of the factors of index d and later."""
-        if d == self.bottom:
-            return self.monomials(lead for _, lead, _ in leaves)
-        # the points come grouped by prefix, as in the sorted support
-        kids = [list(g) for _, g in groupby(leaves, key=lambda p: p[0][d])]
-        chain = self.chains[d]
-        subs = [[kid[0][2][k] for k in chain] for kid in kids]
-        acc = None
-        for s, m, e in self.segments(chain, subs):
-            up = down = None
-            for i in range(e, m, -1):
-                up = self.add(up, self.value(kids[i], d + 1))
-                up = self.rebase(up, chain, subs[i], subs[i - 1])
-            for i in range(s, m):
-                down = self.add(down, self.value(kids[i], d + 1))
-                down = self.rebase(down, chain, subs[i], subs[i + 1])
-            seg = self.add(self.add(up, down), self.value(kids[m], d + 1))
-            acc = self.add(acc, self.rebase(seg, chain, subs[m],
-                                            [0] * len(chain)))
-        return acc
-
-    def segments(self, chain, subs) -> list[tuple[int, int, int]]:
-        """(s, m, e) per segment: kids s..e, anchored at m, that Horner's
-        rule reaches with no step through a binomial it cannot divide by."""
-        out, todo = [], [(0, len(subs))]
-        while todo:
-            lo, hi = todo.pop()
-            if lo >= hi:
-                continue
-            m = min(range(lo, hi), key=lambda i: sum(map(abs, subs[i])))
-            s = e = m
-            while s > lo and self.passes(chain, subs[s - 1], subs[s]):
-                s -= 1
-            while e + 1 < hi and self.passes(chain, subs[e + 1], subs[e]):
-                e += 1
-            out.append((s, m, e))
-            todo += [(lo, s), (e + 1, hi)]
-        return out
+    factors = spec.denoms + spec.numers
+    return walk(
+        [(f.arg, f.basepow, -1 if k < len(spec.denoms) else 1)
+         for k, f in enumerate(factors)],
+        [max((k + 1 for k, c in enumerate(f.count.coeffs) if c), default=0)
+         for f in factors],
+        ((point, kernel.lead(point), kernel.subscripts(point))
+         for point in points), order)

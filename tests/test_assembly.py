@@ -20,6 +20,7 @@ from qident.qfactorial import (
     FactorSpec,
     ProductSpec,
     ZeroDivisor,
+    expand_factors,
     expand_product_spec,
 )
 from qident.qring import Monomial, NotInvertible, QSeriesError, Series
@@ -170,19 +171,68 @@ def sum_terms(draw, numers=True):
     return spec, point
 
 
+def integral(spec):
+    """`spec`'s forms in int coefficients, converted once, as a function
+    of a point: the term's lead, sign q^Q prod v^(w.n), and its factors
+    (arg, basepow, subscript, expo), denominators first.  The strategies
+    draw forms with integral coefficients only, and Q = sum_i (A_ii / 2)
+    n_i^2 + sum_(i<j) A_ij n_i n_j + B.n + C."""
+    def ints(xs):
+        assert all(x.denominator == 1 for x in xs)
+        return tuple(int(x) for x in xs)
+
+    A = spec.quad.A
+    halves = [ints([A[i][i] / 2, *A[i][i + 1:]]) for i in range(spec.dim)]
+    linear = (ints(spec.quad.B), *ints([spec.quad.C]))
+    sign = spec.signform and (ints(spec.signform.coeffs),
+                              *ints([spec.signform.const]))
+    factors = [(f.arg, f.basepow, (ints(f.count.coeffs),
+                                   *ints([f.count.const])), expo)
+               for fs, expo in ((spec.denoms, -1), (spec.numers, 1))
+               for f in fs]
+
+    def at(form, point) -> int:
+        coeffs, const = form
+        return sum(c * p for c, p in zip(coeffs, point)) + const
+
+    def read(point):
+        quad = sum(x * sum(h * y for h, y in zip(row, point[i:]))
+                   for i, (row, x) in enumerate(zip(halves, point)))
+        lead = Monomial(-1 if sign and at(sign, point) % 2 else 1,
+                        quad + at(linear, point),
+                        tuple((name, sum(w * p for w, p in zip(vec, point)))
+                              for name, vec in spec.varweights))
+        return lead, [(arg, b, at(form, point), expo)
+                      for arg, b, form, expo in factors]
+
+    return read
+
+
 @settings(max_examples=300, deadline=None)
 @given(sum_terms(), ORDERS)
 def test_terms_match_the_binomial_by_binomial_build(drawn, order):
     spec, point = drawn
-    value = lambda form: int(form.evaluate(point))
-    sign = -1 if spec.signform and value(spec.signform) % 2 else 1
-    exps = tuple((name, sum(w * p for w, p in zip(vec, point)))
-                 for name, vec in spec.varweights)
-    lead = Monomial(sign, int(spec.quad.evaluate(point)), exps)
-    factors = ([(f.arg, f.basepow, value(f.count), -1) for f in spec.denoms]
-               + [(f.arg, f.basepow, value(f.count), 1) for f in spec.numers])
     check(lambda: term_series(spec, point, order),
-          reference(lead, factors, order), order)
+          reference(*integral(spec)(point), order), order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_terms(), ORDERS)
+def test_a_term_is_the_product_of_its_factors(drawn, order):
+    """A single term and a single product are one walk: term_series at a
+    point and expand_factors of that point's lead and factors at its
+    subscripts give the same terms, order and floor, or the same error."""
+    spec, point = drawn
+
+    def run(build):
+        try:
+            got = build()
+        except QSeriesError as exc:
+            return type(exc), str(exc)
+        return got.terms, got.order, got.floor
+
+    assert run(lambda: term_series(spec, point, order)) == run(
+        lambda: expand_factors(*integral(spec)(point), order))
 
 
 def summed_terms(spec, points, order: int):
@@ -248,12 +298,9 @@ def summed_references(spec, points, order: int):
     """The sum over `points` of `reference`, cut at `order`, or the
     exception type the sum must raise."""
     acc: dict = {}
+    read = integral(spec)
     for point in points:
-        value = lambda form: int(form.evaluate(point))
-        sign = -1 if spec.signform and value(spec.signform) % 2 else 1
-        lead = Monomial(sign, int(spec.quad.evaluate(point)))
-        terms = reference(lead, [(f.arg, f.basepow, value(f.count), -1)
-                                 for f in spec.denoms], order)
+        terms = reference(*read(point), order)
         if isinstance(terms, type):
             return terms
         for k, c in terms.items():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_assembly import ARGS, BASES, binomials
 
-from qident import qfactorial, summation
+from qident import qfactorial, speclang, summation
 from qident.catalog import get_identity
 from qident.ctengine import expand_zfactors
 from qident.qfactorial import (
@@ -161,23 +161,30 @@ def test_negative_subscript_matches_shifted_inverse():
 def test_reflected_lead_of_a_negative_subscript_is_the_dip():
     """1/(x q^a; q^b)_(-m) reflects its binomials of negative q-weight
     into a monomial at q^_dip(a, b, m), the valuation the support
-    certificate bounds, and leaves at most two runs of weight >= 0."""
+    certificate bounds, and what is left has q-weight >= 0: the factor
+    has that valuation and no refusal."""
     for a in range(-4, 7):
         for b in (1, 2, 3):
             for m in range(8):
                 arg = Monomial(1, a, (("x", 1),))
-                lead, runs = reflect(arg, b, -m, -1)
-                assert lead.qexp == _dip(a, b, m), (a, b, m)
-                assert len(runs) <= 2
-                assert all(first.qexp >= 0 for first, *_ in runs)
+                lead, why = reflect(arg, b, -m, -1)
+                dip = _dip(a, b, m)
+                assert (0 if lead is None else lead.qexp) == dip, (a, b, m)
+                assert why is None
+                got = poch_recip_finite(arg, b, -m, order=4)
+                assert (got.valuation, got.floor) == (dip, min(0, dip))
 
 
 def test_reflection_needs_a_unit_coefficient():
     # 1 - 2q^-1 = -2q^-1 (1 - q/2): the reflected binomial is not integral
     with pytest.raises(NotInvertible):
         reflect(Monomial(2, -1, ()), 1, 1)
-    assert reflect(Monomial(2, 1, ()), 1, 3) == (
-        Monomial.unit(), ((Monomial(2, 1, ()), 1, 3, 1),))
+    # (2q; q)_3 has no binomial of negative weight: a unit lead, None
+    assert reflect(Monomial(2, 1, ()), 1, 3) == (None, None)
+    # a polynomial factor is multiplied out unreflected, at an order too
+    got = poch_finite(Monomial(2, -1), 1, 1, order=5)
+    assert (got.terms, got.order, got.floor) == (
+        {(0, ()): 1, (-1, ()): -2}, 5, -1)
 
 
 def test_finite_factors_skip_binomials_above_the_order():
@@ -186,6 +193,8 @@ def test_finite_factors_skip_binomials_above_the_order():
         assert poch_finite(Q, 1, n, order=5).qcoeffs(5) == [1, -1, -1, 0, 0, 1]
         assert poch_recip_finite(Q, 1, n, order=5).qcoeffs(5) == [
             1, 1, 2, 3, 5, 7]
+        assert poch_finite(Monomial(2, 1), 1, n, order=5) == poch_finite(
+            Monomial(2, 1), 1, 5).truncate(5)
 
 
 def test_top_variable_coefficient():
@@ -424,15 +433,42 @@ def test_an_exact_polynomial_is_its_binomials_multiplied_out(arg, basepow,
     assert got == binomials(arg, basepow, n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EXACT_ARGS), st.integers(1, 3), st.integers(-6, 6),
+       st.integers(0, 12))
+@example(Monomial(2, -1), 1, 1, 5)  # 1 - 2q^-1, whose reflection needs 1/2
+@example(Monomial(-2, -4), 2, 5, 0)  # weights -4, -2, 0, 2, 4
+def test_a_polynomial_factor_at_an_order_is_its_truncation(arg, basepow, n,
+                                                           order):
+    """(arg; q^b)_n for n >= 0 and 1/(arg; q^b)_n for n < 0, at an
+    order, is the exact polynomial cut there, its floor at the
+    polynomial's valuation, whatever arg's coefficient."""
+    poch = poch_finite if n >= 0 else poch_recip_finite
+    exact = poch(arg, basepow, n)
+    got = poch(arg, basepow, n, order)
+    assert got == exact.truncate(order)
+    assert (got.order, got.floor) == (order, exact.floor)
+
+
 def test_summation_steps_with_the_stepper_and_no_row_internals():
-    """`summation` steps with `qfactorial._Stepper` and reaches for none
-    of its row internals."""
+    """`summation` reaches the stepper only through `qfactorial.walk`: it
+    imports no underscore name from `qfactorial`, and in `qfactorial`
+    only `walk` builds a `_Stepper` or `_Chains`."""
     tree = ast.parse(Path(summation.__file__).read_text())
-    named = [alias.name for node in ast.walk(tree)
-             if isinstance(node, (ast.Import, ast.ImportFrom))
-             for alias in node.names]
-    assert "_Stepper" in named
-    assert not {"_sweep", "_recur", "_ROW_PER_TERM"} & set(named)
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "qfactorial"
+                for alias in node.names]
+    assert "walk" in imported
+    assert not [name for name in imported if name.startswith("_")]
+    tree = ast.parse(Path(qfactorial.__file__).read_text())
+    builders = {
+        func.name for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("_Stepper", "_Chains")}
+    assert builders == {"walk"}
 
 
 # ------------------------------------------- binomials with no inverse
@@ -453,16 +489,23 @@ def refuse_inverses(monkeypatch):
 
 @pytest.mark.parametrize("a", WEIGHT_ZERO, ids=[a.text() for a in WEIGHT_ZERO])
 def test_checked_lead_refuses_as_the_inverse_does(monkeypatch, a):
-    """checked_lead on the reflected 1/(1 - A) raises the type and text
-    of Series.invert(1 - A), or returns the lead where 1 - A has an
-    inverse, with no Series.invert."""
+    """`no_inverse_at` gives 1 - A the text of Series.invert(1 - A), or
+    None where it has an inverse, and checked_lead on the reflected
+    1/(1 - A) raises it, or returns the lead, with no Series.invert.
+    1/(1 - 1) divides by a vanishing factor, so reflect raises first."""
     want = None
     try:
         (Series.one() - Series.from_monomial(a)).invert(8)
     except NotInvertible as exc:
         want = str(exc)
     refuse_inverses(monkeypatch)
-    reflected = [(Monomial.unit(), ((a, 1, 1, -1),))]
+    assert qfactorial.no_inverse_at(a, 1) == (want and (0, want))
+    if a == Monomial.unit():
+        with pytest.raises(ZeroDivisor):
+            reflect(a, 1, 1, -1)
+        return
+    reflected = [reflect(a, 1, 1, -1)]
+    assert reflected == [(None, want)]
     if want is None:
         assert checked_lead(Q, reflected) == Q
         return
@@ -492,16 +535,25 @@ def test_a_factor_with_no_inverse_is_refused_without_inverting(
 
 
 def test_stuck_and_checked_lead_read_one_predicate(monkeypatch):
+    """reflect (and so checked_lead), `_Stepper.stuck` and the lowering's
+    `_check_reach` all ask `no_inverse_at` where a factor's binomial of
+    q-weight 0 with no inverse lies."""
     seen = []
-    real = qfactorial.no_inverse
-    monkeypatch.setattr(qfactorial, "no_inverse",
-                        lambda a: seen.append(a) or real(a))
-    a = Monomial(-1, 0)
-    assert qfactorial._Stepper([(a, 1, -1)], [Q], 8).stuck == [0]
+    real = qfactorial.no_inverse_at
+    spy = lambda arg, b: seen.append(arg) or real(arg, b)  # noqa: E731
+    monkeypatch.setattr(qfactorial, "no_inverse_at", spy)
+    monkeypatch.setattr(speclang, "no_inverse_at", spy)
+    a = Monomial(-1, -1)  # 1 - a q^k is 1 + 1 at k = 1
+    assert qfactorial._Stepper([(a, 1, -1)], [Q], 8).stuck == [1]
     assert seen == [a]
     with pytest.raises(NotInvertible):
-        checked_lead(Q, [reflect(a, 1, 1, -1)])
+        checked_lead(Q, [reflect(a, 1, 2, -1)])
     assert seen == [a, a]
+    with pytest.raises(speclang.LoweringError, match="at subscript 2 "):
+        speclang.validate_identity(speclang.parse_identity(
+            "identity bad { lhs: sum(n >= 0; q^(n^2) / poch(-q^(-1); q; n));"
+            " rhs: 1; }"))
+    assert seen == [a, a, a]
 
 
 # ------------------------------------------------------- infinite factors

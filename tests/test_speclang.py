@@ -111,7 +111,7 @@ def test_binom_sugar_expands_to_halved_quadratic():
         "identity a { lhs: q^(1/2*n^2 - 1/2*n); rhs: 1; }")
     assert a == b
     poly = a.lhs.addends[0][1].factors[0][1].exp
-    assert poly.coefficient((("n", 2),)) == Fraction(1, 2)
+    assert poly.terms[(("n", 2),)] == Fraction(1, 2)
 
 
 def test_cubic_exponent_is_rejected_at_parse_time():

@@ -886,11 +886,32 @@ def test_a_step_with_no_inverse_splits_the_chain(monkeypatch):
         DenomFactor(Monomial(-1, 1), 1, n.shift(-1)),
         DenomFactor(Monomial.q(), 1, n)])
     segments = []
-    real = summation._Chains.segments
-    monkeypatch.setattr(summation._Chains, "segments",
+    real = qfactorial._Chains.segments
+    monkeypatch.setattr(qfactorial._Chains, "segments",
                         lambda *a: segments.append(real(*a)) or segments[-1])
     assert eval_sum(spec, 60).terms == term_by_term(spec, 60)
     assert sorted(segments[0]) == [(0, 0, 0), (1, 1, 7)]
+
+
+@pytest.mark.parametrize("key", ["main", "cor-triple"])
+def test_a_sum_in_q_to_the_g_walks_in_q_to_the_g(monkeypatch, key):
+    """With q -> q^3 every exponent of the sum is a multiple of 3: the
+    sum is the base sum with q -> q^3, and its chain walk runs in q^3,
+    to order // 3."""
+    built = []
+    real = qfactorial._Chains.__init__
+    monkeypatch.setattr(
+        qfactorial._Chains, "__init__",
+        lambda self, factors, depths, leads, order:
+        built.append(order) or real(self, factors, depths, leads, order))
+    spec = get_identity(key).lowered.lhs
+    base = eval_sum_over(spec, enumerate_support(spec, 12).points, 12)
+    scaled = rescale_sum(spec, 3)
+    points = enumerate_support(scaled, 38).points
+    assert points == enumerate_support(spec, 12).points
+    got = eval_sum_over(scaled, points, 38)
+    assert got == base.rescale_base(3) and got.order == 38
+    assert built == [12, 12]
 
 
 def test_a_sum_is_certified_once(monkeypatch):
