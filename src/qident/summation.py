@@ -787,11 +787,10 @@ def _nested(spec: SumSpec, points, order: int) -> tuple[dict, int]:
     point is checked as `term_series` checks it, domain and exponents,
     then subscripts, before the walk reflects its factors."""
     kernel = spec.compiled
-    factors = spec.denoms + spec.numers
+    factors = [(f, -1) for f in spec.denoms] + [(f, 1) for f in spec.numers]
     return walk(
-        [(f.arg, f.basepow, -1 if k < len(spec.denoms) else 1)
-         for k, f in enumerate(factors)],
+        [(f.arg, f.basepow, expo) for f, expo in factors],
         [max((k + 1 for k, c in enumerate(f.count.coeffs) if c), default=0)
-         for f in factors],
+         for f, _ in factors],
         ((point, kernel.lead(point), kernel.subscripts(point))
          for point in points), order)

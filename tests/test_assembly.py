@@ -181,13 +181,15 @@ def integral(spec):
         assert all(x.denominator == 1 for x in xs)
         return tuple(int(x) for x in xs)
 
+    def affine(coeffs, const):
+        return ints(coeffs), ints([const])[0]
+
     A = spec.quad.A
     halves = [ints([A[i][i] / 2, *A[i][i + 1:]]) for i in range(spec.dim)]
-    linear = (ints(spec.quad.B), *ints([spec.quad.C]))
-    sign = spec.signform and (ints(spec.signform.coeffs),
-                              *ints([spec.signform.const]))
-    factors = [(f.arg, f.basepow, (ints(f.count.coeffs),
-                                   *ints([f.count.const])), expo)
+    linear = affine(spec.quad.B, spec.quad.C)
+    sign = spec.signform and affine(spec.signform.coeffs,
+                                    spec.signform.const)
+    factors = [(f.arg, f.basepow, affine(f.count.coeffs, f.count.const), expo)
                for fs, expo in ((spec.denoms, -1), (spec.numers, 1))
                for f in fs]
 
@@ -237,16 +239,19 @@ def test_a_term_is_the_product_of_its_factors(drawn, order):
 
 def summed_terms(spec, points, order: int):
     """The sum of `term_series` over `points`, one point after another,
-    cut at `order`, or the exception type the sum must raise."""
-    acc = Series.zero(order)
+    cut at `order`, or the exception type the sum must raise.  The terms
+    are added into one dict, not as Series, whose sum copies both."""
+    acc: dict = {}
     try:
         for point in points:
-            acc = acc + term_series(spec, point, order)
+            for k, c in term_series(spec, point, order).terms.items():
+                acc[k] = acc.get(k, 0) + c
     except QSeriesError as exc:
         return type(exc)
-    if acc.valuation is not None and acc.valuation < 0:
+    acc = {k: c for k, c in acc.items() if c}
+    if any(k[0] < 0 for k in acc):
         return NegativeValuationResidual
-    return {k: c for k, c in acc.terms.items() if k[0] <= order}
+    return acc
 
 
 @settings(max_examples=300, deadline=None)

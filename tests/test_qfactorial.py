@@ -540,7 +540,11 @@ def test_stuck_and_checked_lead_read_one_predicate(monkeypatch):
     q-weight 0 with no inverse lies."""
     seen = []
     real = qfactorial.no_inverse_at
-    spy = lambda arg, b: seen.append(arg) or real(arg, b)  # noqa: E731
+
+    def spy(arg, b):
+        seen.append(arg)
+        return real(arg, b)
+
     monkeypatch.setattr(qfactorial, "no_inverse_at", spy)
     monkeypatch.setattr(speclang, "no_inverse_at", spy)
     a = Monomial(-1, -1)  # 1 - a q^k is 1 + 1 at k = 1
